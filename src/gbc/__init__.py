@@ -39,11 +39,9 @@ from .oracle import (
 )
 from .private import (
     Algorithm,
-    FixedPointFields,
     InitStrategy,
     SolveOptions,
     SolveReport,
-    fixed_point_fields,
     gba_a_step,
     gba_p_step,
     gradient_reduced,
@@ -94,7 +92,6 @@ __all__ = [
     "DegenerateInstanceError",
     "DimensionMismatchError",
     "EigenPair",
-    "FixedPointFields",
     "GbcError",
     "GridSpec",
     "InitStrategy",
@@ -114,7 +111,6 @@ __all__ = [
     "box_transform",
     "eig_sym",
     "fd_gradient",
-    "fixed_point_fields",
     "gba_a_step",
     "gba_p_step",
     "gradient_reduced",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -123,19 +122,9 @@ def _write_trace(path: str, trace: np.ndarray, rels: np.ndarray, summary: dict) 
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, cast: type) -> list:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"could not parse {what} list {text!r}: {exc}")
-    if not vals:
-        raise InvalidInputError(f"{what} list is empty")
-    return vals
-
-
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise InvalidInputError(f"could not parse {what} list {text!r}: {exc}")
     if not vals:
@@ -213,7 +202,7 @@ def cmd_trace_region(args) -> int:
     if args.lambdas is not None:
         if not isinstance(inst, PrivateInstance):
             raise InvalidInputError("--lambdas requires a private instance")
-        lams = _parse_floats(args.lambdas, "lambda")
+        lams = _parse_list(args.lambdas, "lambda", float)
         if lams != sorted(lams):
             _note("lambda values were not ascending; output rows are sorted ascending")
         algo = _PRIVATE_ALGOS.get(args.algorithm)
@@ -236,7 +225,7 @@ def cmd_trace_region(args) -> int:
 
     if not isinstance(inst, CommonInstance):
         raise InvalidInputError("--alpha-grid requires a common instance")
-    alphas = _parse_floats(args.alpha_grid, "alpha")
+    alphas = _parse_list(args.alpha_grid, "alpha", float)
     if alphas != sorted(alphas):
         _note("alpha values were not ascending; output rows follow the input order")
     reports, argmin = sweep_alpha_common(inst, alphas, _solve_options(args))
@@ -250,11 +239,7 @@ def cmd_trace_region(args) -> int:
             rows.append([repr(float(inst.lambda0)), nan, nan, nan,
                          repr(float(a)), nan, "0"])
             continue
-        cinst = CommonInstance(K_C=inst.K_C, Sigma1=inst.Sigma1,
-                               Sigma2=inst.Sigma2, lambda0=inst.lambda0,
-                               lambda1=inst.lambda1, lambda2=inst.lambda2,
-                               alpha=a)
-        pt = rates_common(rep.K_U, rep.K_V, cinst)
+        pt = rates_common(rep.K_U, rep.K_V, dataclasses.replace(inst, alpha=a))
         rows.append([repr(float(inst.lambda0)), repr(pt.R1), repr(pt.R2),
                      repr(pt.R0), repr(float(a)), repr(float(rep.objective)),
                      str(len(rep.step_rel_changes))])
@@ -303,11 +288,11 @@ def _bench_cell(n: int, seed: int, name: str, args) -> list[str]:
 
 
 def cmd_bench(args) -> int:
-    ns = _parse_ints(args.n_list, "n")
+    ns = _parse_list(args.n_list, "n", int)
     if any(n < 1 for n in ns):
         raise InvalidInputError("every n must be at least 1")
     if "," in args.seeds:
-        seeds = _parse_ints(args.seeds, "seed")
+        seeds = _parse_list(args.seeds, "seed", int)
     else:
         count = int(args.seeds)
         if count < 1:
@@ -320,14 +305,8 @@ def cmd_bench(args) -> int:
     if not names:
         raise InvalidInputError("algorithm list is empty")
 
-    cells = [(n, seed, name) for n in ns for seed in seeds for name in names]
-    workers = max(1, int(os.environ.get("GBC_THREADS")
-                         or (os.cpu_count() or 1)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _bench_cell(*c, args), cells))
-    else:
-        rows = [_bench_cell(*c, args) for c in cells]
+    rows = [_bench_cell(n, seed, name, args)
+            for n in ns for seed in seeds for name in names]
     rows.sort(key=lambda r: (int(r[0]), int(r[1]), r[2]))
     _write_rows(args.csv_out,
                 ["n", "seed", "algorithm", "iterations", "converged",

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
-    NumericalBreakdownError,
 )
 from .psd import (
     DEFAULT_TOL,
@@ -40,8 +39,16 @@ from .psd import (
     spectral_norm,
     symmetrize,
 )
-from .private import SolveOptions, _check_reduced_box
-from .reduction import box_transform, lift, schur_head, transform
+from .private import SolveOptions, fixed_point_update, inv
+from .reduction import (
+    BoxTransform,
+    box_transform,
+    check_box,
+    check_matrices,
+    lift,
+    schur_head,
+    transform,
+)
 
 INNER_CAP = 50_000
 
@@ -70,25 +77,7 @@ class CommonInstance:
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
-        mats = {"K_C": self.K_C, "Sigma1": self.Sigma1, "Sigma2": self.Sigma2}
-        n = self.n
-        for name, M in mats.items():
-            M = np.asarray(M, dtype=float)
-            if M.shape != (n, n):
-                raise InvalidInstanceError(f"{name} must be {n}x{n}, got {M.shape}")
-            if not np.all(np.isfinite(M)):
-                raise InvalidInstanceError(f"{name} has non-finite entries")
-            if np.max(np.abs(M - M.T)) > tol.sym_tol:
-                raise InvalidInstanceError(f"{name} is not symmetric")
-        wk = eig_sym(self.K_C, tol).values
-        if wk.size and wk[-1] < -1e-8 * max(1.0, abs(wk[0])):
-            raise InvalidInstanceError(
-                f"K_C must be positive semidefinite (min eigenvalue {wk[-1]:.3e})"
-            )
-        for name in ("Sigma1", "Sigma2"):
-            w = eig_sym(mats[name], tol).values
-            if w.size == 0 or w[-1] <= tol.rank_eps:
-                raise InvalidInstanceError(f"{name} must be positive definite")
+        check_matrices("K_C", self.K_C, self.Sigma1, self.Sigma2, tol)
         l0, l1, l2 = (float(self.lambda0), float(self.lambda1), float(self.lambda2))
         a = float(self.alpha)
         if not all(np.isfinite(v) for v in (l0, l1, l2, a)):
@@ -168,15 +157,9 @@ def kv_subproblem_step(B_V: np.ndarray, NHat1: np.ndarray, NHat2: np.ndarray,
     ratio = float(ratio)
     if not (np.isfinite(ratio) and ratio >= 0.0):
         raise InvalidInputError(f"ratio must be finite and >= 0, got {ratio}")
-    B = _check_reduced_box(B_V, np.asarray(NHat1).shape[0])
-    try:
-        T = B @ np.linalg.inv(NHat1) @ B + B
-        if ratio == 0.0:
-            return project_box(T, tol)
-        raw = np.linalg.inv(np.linalg.inv(T) + ratio * np.linalg.inv(B + NHat2))
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"K_V update failed: {e}") from e
-    return project_box(raw, tol)
+    B = check_box(B_V, np.asarray(NHat1).shape[0])
+    terms = (ratio * inv(B + NHat2),) if ratio != 0.0 else ()
+    return project_box(fixed_point_update(B, inv(NHat1), *terms), tol)
 
 
 def ku_subproblem_step(A_U: np.ndarray, SigmaHat1: np.ndarray, SigmaHat2: np.ndarray,
@@ -189,22 +172,16 @@ def ku_subproblem_step(A_U: np.ndarray, SigmaHat1: np.ndarray, SigmaHat2: np.nda
     K_V + Sigma1.  The coupling term through BVprime is symmetrized
     before assembly so the eigenvalue projection stays well defined.
     """
-    A = _check_reduced_box(A_U, np.asarray(SigmaHat1).shape[0])
+    A = check_box(A_U, np.asarray(SigmaHat1).shape[0])
     l0 = float(inst.lambda0)
     l1 = float(inst.lambda1)
     l2 = float(inst.lambda2)
     a = float(inst.alpha)
-    try:
-        T1 = np.linalg.inv(A @ np.linalg.inv(SigmaHat1) @ A + A)
-        mid = (l2 / l1) * (np.linalg.inv(A + SigmaHat2) @ symmetrize(BVprime)
-                           @ np.linalg.inv(A + MHat1))
-        mid = (mid + mid.T) / 2.0
-        last = (l0 / l1) * (a * np.linalg.inv(A + MHat2)
-                            + (1.0 - a) * np.linalg.inv(A + MHat1))
-        raw = np.linalg.inv(T1 + mid + last)
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"K_U update failed: {e}") from e
-    return project_box(raw, tol)
+    M1i = inv(A + MHat1)
+    mid = (l2 / l1) * (inv(A + SigmaHat2) @ symmetrize(BVprime) @ M1i)
+    mid = (mid + mid.T) / 2.0
+    last = (l0 / l1) * (a * inv(A + MHat2) + (1.0 - a) * M1i)
+    return project_box(fixed_point_update(A, inv(SigmaHat1), mid, last), tol)
 
 
 def _inner_solve(step, r: int, inner_tol: float, warnings: list[str],
@@ -263,6 +240,18 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float,
     return project_box(head, tol)
 
 
+def _budget_transform(budget: np.ndarray, scale_eps: float,
+                      tol: Tolerances) -> BoxTransform | None:
+    """Box transform of a subproblem budget, or None when the budget is
+    numerically zero and the block it constrains must be zero."""
+    if spectral_norm(budget) <= scale_eps:
+        return None
+    try:
+        return box_transform(budget, tol)
+    except DegenerateInstanceError:
+        return None
+
+
 def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> CommonSolveReport:
     """Alternate the K_V and K_U subproblems until the iterates settle.
 
@@ -318,51 +307,39 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         K_V_prev = K_V
 
         # K_V pass under the constraint K_C - K_U
-        budget = symmetrize(K_C - K_U)
-        if spectral_norm(budget) <= scale_eps:
+        bt = _budget_transform(symmetrize(K_C - K_U), scale_eps, tol)
+        if bt is None:
             K_V = zero
             kv_counts.append(0)
         else:
-            try:
-                bt = box_transform(budget, tol)
-            except DegenerateInstanceError:
-                K_V = zero
-                kv_counts.append(0)
-            else:
-                N1h = schur_head(transform(bt, K_U + S2), bt.rank)
-                N2h = schur_head(transform(bt, K_U + S1), bt.rank)
-                B, cnt = _inner_solve(
-                    lambda B: kv_subproblem_step(B, N1h, N2h, ratio, tol),
-                    bt.rank, inner_tol, warnings, "K_V",
-                    init=_warm_start(bt, K_V, scale_eps, tol))
-                K_V = lift(bt, B, tol)
-                kv_counts.append(cnt)
+            N1h = schur_head(transform(bt, K_U + S2), bt.rank)
+            N2h = schur_head(transform(bt, K_U + S1), bt.rank)
+            B, cnt = _inner_solve(
+                lambda B: kv_subproblem_step(B, N1h, N2h, ratio, tol),
+                bt.rank, inner_tol, warnings, "K_V",
+                init=_warm_start(bt, K_V, scale_eps, tol))
+            K_V = lift(bt, B, tol)
+            kv_counts.append(cnt)
 
         # K_U pass under the constraint K_C - K_V
-        budget = symmetrize(K_C - K_V)
-        if spectral_norm(budget) <= scale_eps:
+        bt2 = _budget_transform(symmetrize(K_C - K_V), scale_eps, tol)
+        if bt2 is None:
             K_U = zero
             ku_counts.append(0)
         else:
-            try:
-                bt2 = box_transform(budget, tol)
-            except DegenerateInstanceError:
-                K_U = zero
-                ku_counts.append(0)
-            else:
-                r2 = bt2.rank
-                S1h = schur_head(transform(bt2, S1), r2)
-                S2h = schur_head(transform(bt2, S2), r2)
-                M1h = schur_head(transform(bt2, K_V + S2), r2)
-                M2h = schur_head(transform(bt2, K_V + S1), r2)
-                BVp = transform(bt2, K_V)[:r2, :r2]
-                A, cnt = _inner_solve(
-                    lambda A: ku_subproblem_step(
-                        A, S1h, S2h, M1h, M2h, BVp, inst, tol),
-                    r2, inner_tol, warnings, "K_U",
-                    init=_warm_start(bt2, K_U, scale_eps, tol))
-                K_U = lift(bt2, A, tol)
-                ku_counts.append(cnt)
+            r2 = bt2.rank
+            S1h = schur_head(transform(bt2, S1), r2)
+            S2h = schur_head(transform(bt2, S2), r2)
+            M1h = schur_head(transform(bt2, K_V + S2), r2)
+            M2h = schur_head(transform(bt2, K_V + S1), r2)
+            BVp = transform(bt2, K_V)[:r2, :r2]
+            A, cnt = _inner_solve(
+                lambda A: ku_subproblem_step(
+                    A, S1h, S2h, M1h, M2h, BVp, inst, tol),
+                r2, inner_tol, warnings, "K_U",
+                init=_warm_start(bt2, K_U, scale_eps, tol))
+            K_U = lift(bt2, A, tol)
+            ku_counts.append(cnt)
 
         trace.append(objective_common(K_U, K_V, inst, tol))
         rel = (_rel_change(K_U, K_U_prev, scale_eps)

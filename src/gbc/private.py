@@ -29,7 +29,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .psd import DEFAULT_TOL, Tolerances, logdet, project_box, symmetrize
-from .reduction import PrivateInstance, ReducedPrivate, lift, reduce
+from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce
 
 
 class Algorithm(enum.Enum):
@@ -118,20 +118,26 @@ class SolveReport:
         return float(self.objective_trace[-1])
 
 
-@dataclass(frozen=True)
-class FixedPointFields:
-    """Quadratic-form matrices evaluated at one reduced iterate.
+def inv(M: np.ndarray) -> np.ndarray:
+    """Matrix inverse that reports a singular M as NumericalBreakdownError."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as e:
+        raise NumericalBreakdownError(f"matrix inverse failed: {e}") from e
 
-    D_U     (A_U SigmaHat1^{-1} A_U + A_U)^{-1}
-    D_V     (I - A_U)^{-1} - (A_U + SigmaHat2)^{-1}
-    Gamma   lam * (A_U + SigmaHat2)^{-1}, the active-constraint multiplier
-    B       D_U - lam * D_V, the matrix whose eigenvalues drive GBA-A
+
+def fixed_point_update(A: np.ndarray, H1i: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """Unprojected fixed-point update shared by every solver.
+
+    Returns inv(D_U + terms[0] + terms[1] + ...), summed in that order,
+    with D_U = inv(A H1i A + A); without terms it returns A H1i A + A.
+    GBA-P passes lam * inv(A + SigmaHat2); the EGBA inner steps pass
+    their own barrier and coupling terms.
     """
-
-    D_U: np.ndarray
-    D_V: np.ndarray
-    Gamma: np.ndarray
-    B: np.ndarray
+    T = A @ H1i @ A + A
+    if not terms:
+        return T
+    return inv(sum(terms, inv(T)))
 
 
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
@@ -143,12 +149,7 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
     A = symmetrize(A_U)
-    try:
-        G1 = np.linalg.inv(A + red.SigmaHat1)
-        G2 = np.linalg.inv(A + red.SigmaHat2)
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"gradient inverses failed: {e}") from e
-    return symmetrize(G1 - float(lam) * G2)
+    return symmetrize(inv(A + red.SigmaHat1) - float(lam) * inv(A + red.SigmaHat2))
 
 
 def root_in_unit_interval(b, lam):
@@ -175,69 +176,16 @@ def root_in_unit_interval(b, lam):
     return root
 
 
-def fixed_point_fields(A_U: np.ndarray, red: ReducedPrivate, lam: float,
-                       tol: Tolerances = DEFAULT_TOL) -> FixedPointFields:
-    """Evaluate the quadratic-form matrices at a strictly interior iterate."""
-    A = symmetrize(A_U)
-    lam = float(lam)
-    r = red.rank
-    try:
-        H1i = np.linalg.inv(red.SigmaHat1)
-        D_U = np.linalg.inv(A @ H1i @ A + A)
-        S2inv = np.linalg.inv(A + red.SigmaHat2)
-        D_V = np.linalg.inv(np.eye(r) - A) - S2inv
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(
-            f"fixed-point fields need a strictly interior iterate: {e}"
-        ) from e
-    D_U = symmetrize(D_U)
-    D_V = symmetrize(D_V)
-    return FixedPointFields(
-        D_U=D_U,
-        D_V=D_V,
-        Gamma=symmetrize(lam * S2inv),
-        B=symmetrize(D_U - lam * D_V),
-    )
-
-
-def _check_reduced_box(A: np.ndarray, rank: int, slack: float = 1e-8) -> np.ndarray:
-    """Symmetrize and verify an iterate lies in the [0, I] box up to slack."""
-    A = symmetrize(A)
-    if A.shape != (rank, rank):
-        raise InvalidInputError(
-            f"reduced iterate must be {rank}x{rank}, got {A.shape}"
-        )
-    w = np.linalg.eigvalsh(A)
-    if w.size and (w[0] < -slack or w[-1] > 1.0 + slack):
-        raise InvalidInputError(
-            f"iterate leaves the [0, I] box (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return A
-
-
-def _p_step_raw(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float) -> np.ndarray:
-    """Unprojected fixed-point update of GBA-P."""
-    try:
-        T = A @ H1i @ A + A
-        return np.linalg.inv(np.linalg.inv(T) + lam * np.linalg.inv(A + H2))
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"fixed-point update failed: {e}") from e
-
-
 def _p_step(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float,
             tol: Tolerances) -> np.ndarray:
-    return project_box(_p_step_raw(A, H1i, H2, lam), tol)
+    return project_box(fixed_point_update(A, H1i, lam * inv(A + H2)), tol)
 
 
 def _a_step(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float,
             tol: Tolerances) -> np.ndarray:
-    r = A.shape[0]
-    try:
-        D_U = np.linalg.inv(A @ H1i @ A + A)
-        D_V = np.linalg.inv(np.eye(r) - A) - np.linalg.inv(A + H2)
-        b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"coordinate update failed: {e}") from e
+    D_U = inv(fixed_point_update(A, H1i))
+    D_V = inv(np.eye(A.shape[0]) - A) - inv(A + H2)
+    b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
     a = np.clip(root_in_unit_interval(b, lam), tol.pd_floor, 1.0 - tol.pd_floor)
     return symmetrize((H * a) @ H.T)
 
@@ -245,23 +193,15 @@ def _a_step(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float,
 def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One projected fixed-point step from a feasible reduced iterate."""
-    A = _check_reduced_box(A_U, red.rank)
-    try:
-        H1i = np.linalg.inv(red.SigmaHat1)
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"noise inverse failed: {e}") from e
-    return _p_step(A, H1i, red.SigmaHat2, float(lam), tol)
+    A = check_box(A_U, red.rank)
+    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2, float(lam), tol)
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One alternating closed-form step from a strictly interior iterate."""
-    A = _check_reduced_box(A_U, red.rank)
-    try:
-        H1i = np.linalg.inv(red.SigmaHat1)
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"noise inverse failed: {e}") from e
-    return _a_step(A, H1i, red.SigmaHat2, float(lam), tol)
+    A = check_box(A_U, red.rank)
+    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2, float(lam), tol)
 
 
 def _fast_objective(A: np.ndarray, H1: np.ndarray, H2: np.ndarray, lam: float) -> float:
@@ -330,10 +270,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     lam = red.lam
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
-    try:
-        H1i = np.linalg.inv(red.SigmaHat1)
-    except np.linalg.LinAlgError as e:
-        raise NumericalBreakdownError(f"noise inverse failed: {e}") from e
+    H1i = inv(red.SigmaHat1)
     step = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
 
     w0 = np.linalg.eigvalsh(A)
@@ -360,7 +297,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
             converged = True
             break
 
-    raw = _p_step_raw(A, H1i, red.SigmaHat2, lam)
+    raw = fixed_point_update(A, H1i, lam * inv(A + red.SigmaHat2))
     norm_A = float(np.linalg.norm(A))
     residual = float(np.linalg.norm(A - raw)) / norm_A if norm_A > 0.0 else 0.0
 

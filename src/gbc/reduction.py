@@ -25,6 +25,49 @@ from .psd import DEFAULT_TOL, Tolerances, eig_sym, logdet, symmetrize
 CONDITION_WARN = 1e12
 
 
+def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
+                   Sigma2: np.ndarray, tol: Tolerances) -> None:
+    """Raise InvalidInstanceError unless K, Sigma1 and Sigma2 are finite,
+    symmetric and n x n, K is positive semidefinite and both noise
+    covariances are positive definite; kname labels K in the messages."""
+    mats = {kname: K, "Sigma1": Sigma1, "Sigma2": Sigma2}
+    n = int(np.asarray(K).shape[0])
+    for name, M in mats.items():
+        M = np.asarray(M, dtype=float)
+        if M.shape != (n, n):
+            raise InvalidInstanceError(f"{name} must be {n}x{n}, got {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise InvalidInstanceError(f"{name} has non-finite entries")
+        if np.max(np.abs(M - M.T)) > tol.sym_tol:
+            raise InvalidInstanceError(f"{name} is not symmetric")
+    wk = np.linalg.eigvalsh(symmetrize(K))
+    if wk.size and wk[0] < -1e-8 * max(1.0, abs(wk[-1])):
+        raise InvalidInstanceError(
+            f"{kname} must be positive semidefinite (min eigenvalue {wk[0]:.3e})"
+        )
+    for name in ("Sigma1", "Sigma2"):
+        w = np.linalg.eigvalsh(symmetrize(mats[name]))
+        if w.size == 0 or w[0] <= tol.rank_eps:
+            raise InvalidInstanceError(f"{name} must be positive definite")
+
+
+def check_box(A: np.ndarray, rank: int) -> np.ndarray:
+    """Symmetrize a reduced iterate and verify it is rank x rank and lies
+    in the [0, I] box up to slack 1e-8; raise InvalidInputError otherwise."""
+    A = symmetrize(A)
+    if A.shape != (rank, rank):
+        raise InvalidInputError(
+            f"reduced iterate must be {rank}x{rank}, got {A.shape}"
+        )
+    w = np.linalg.eigvalsh(A)
+    if w.size and (w[0] < -1e-8 or w[-1] > 1.0 + 1e-8):
+        raise InvalidInputError(
+            f"reduced iterate leaves the [0, I] box (eigenvalues in "
+            f"[{w[0]:.3e}, {w[-1]:.3e}])"
+        )
+    return A
+
+
 @dataclass(frozen=True)
 class PrivateInstance:
     """Private-message problem data: maximize logdet(K_U + Sigma1)
@@ -41,27 +84,7 @@ class PrivateInstance:
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
-        mats = {"K": self.K, "Sigma1": self.Sigma1, "Sigma2": self.Sigma2}
-        n = self.n
-        for name, M in mats.items():
-            M = np.asarray(M, dtype=float)
-            if M.shape != (n, n):
-                raise InvalidInstanceError(
-                    f"{name} must be {n}x{n}, got {M.shape}"
-                )
-            if not np.all(np.isfinite(M)):
-                raise InvalidInstanceError(f"{name} has non-finite entries")
-            if np.max(np.abs(M - M.T)) > tol.sym_tol:
-                raise InvalidInstanceError(f"{name} is not symmetric")
-        wk = eig_sym(self.K, tol).values
-        if wk.size and wk[-1] < -1e-8 * max(1.0, abs(wk[0])):
-            raise InvalidInstanceError(
-                f"K must be positive semidefinite (min eigenvalue {wk[-1]:.3e})"
-            )
-        for name in ("Sigma1", "Sigma2"):
-            w = eig_sym(mats[name], tol).values
-            if w.size == 0 or w[-1] <= tol.rank_eps:
-                raise InvalidInstanceError(f"{name} must be positive definite")
+        check_matrices("K", self.K, self.Sigma1, self.Sigma2, tol)
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 1.0:
             raise InvalidInstanceError(
@@ -179,15 +202,5 @@ def lift(red: ReducedPrivate | BoxTransform, A_U: np.ndarray,
     A_U must sit in the [0, I] box up to slack 1e-8.
     """
     bt = red.transform if isinstance(red, ReducedPrivate) else red
-    A_U = symmetrize(A_U)
-    if A_U.shape != (bt.rank, bt.rank):
-        raise InvalidInputError(
-            f"reduced variable must be {bt.rank}x{bt.rank}, got {A_U.shape}"
-        )
-    w = np.linalg.eigvalsh(A_U)
-    if w.size and (w[0] < -1e-8 or w[-1] > 1.0 + 1e-8):
-        raise InvalidInputError(
-            f"reduced variable leaves the [0, I] box (eigenvalues in "
-            f"[{w[0]:.3e}, {w[-1]:.3e}])"
-        )
+    A_U = check_box(A_U, bt.rank)
     return symmetrize(bt.lift_matrix @ A_U @ bt.lift_matrix.T)

@@ -190,8 +190,7 @@ def test_oracle_common_scalar(tmp_path, capsys):
     assert doc["best_KU"][0][0] == pytest.approx(1.0, abs=5e-3)
 
 
-def test_bench_row_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GBC_THREADS", "2")
+def test_bench_row_count(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     rc = main(["bench", "--n-list", "2", "--seeds", "3", "--csv-out",
                str(csv_path), "--no-timing"])

@@ -9,7 +9,6 @@ from gbc import (
     PrivateInstance,
     SolveOptions,
     fd_gradient,
-    fixed_point_fields,
     gba_a_step,
     gba_p_step,
     gradient_reduced,
@@ -82,15 +81,6 @@ def test_steps_fix_the_case1_optimum():
     assert np.allclose(gba_a_step(A_star, red, inst.lam), A_star, atol=1e-10)
     g = gradient_reduced(A_star, red, inst.lam)
     assert np.max(np.abs(g)) < 1e-10
-
-
-def test_fixed_point_fields_shapes_and_symmetry():
-    inst = _case(2)
-    red = reduce(inst)
-    f = fixed_point_fields(0.5 * np.eye(2), red, inst.lam)
-    for M in (f.D_U, f.D_V, f.Gamma, f.B):
-        assert M.shape == (2, 2)
-        assert np.array_equal(M, M.T)
 
 
 def test_objective_reduced_matches_fd_gradient():

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from gbc import (
+    CommonInstance,
     PrivateInstance,
     box_transform,
+    gba_a_step,
+    gba_p_step,
+    ku_subproblem_step,
+    kv_subproblem_step,
     lift,
     logdet,
     random_instance,
@@ -150,6 +155,30 @@ def test_lift_rejects_out_of_box():
         lift(bt, -0.5 * np.eye(2))
     with pytest.raises(InvalidInputError):
         lift(bt, np.eye(3))
+
+
+_I2 = np.eye(2)
+_PRIVATE = PrivateInstance(K=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lam=2.0)
+_COMMON = CommonInstance(K_C=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lambda0=1.2,
+                         lambda1=1.0, lambda2=1.1, alpha=0.5)
+_BOX_CHECKED = {
+    "lift": lambda A: lift(reduce(_PRIVATE), A),
+    "gba_p_step": lambda A: gba_p_step(A, reduce(_PRIVATE), 2.0),
+    "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
+    "kv_subproblem_step": lambda A: kv_subproblem_step(A, _I2, _I2, 1.0),
+    "ku_subproblem_step": lambda A: ku_subproblem_step(
+        A, _I2, _I2, _I2, _I2, np.zeros((2, 2)), _COMMON),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOX_CHECKED))
+@pytest.mark.parametrize("bad", [3.0 * _I2, 0.5 * np.eye(3)],
+                         ids=["outside-box", "wrong-shape"])
+def test_box_checked_entry_points_reject_bad_iterates(entry, bad):
+    step = _BOX_CHECKED[entry]
+    assert step(0.5 * _I2).shape == (2, 2)
+    with pytest.raises(InvalidInputError):
+        step(bad)
 
 
 def test_lift_feasibility_mapping():
