@@ -13,8 +13,10 @@ region tracing, and a CLI round out the toolkit.
 from .common import (
     CommonInstance,
     CommonSolveReport,
-    kv_subproblem_step,
+    ku_pass,
     ku_subproblem_step,
+    kv_pass,
+    kv_subproblem_step,
     objective_common,
     solve_common,
 )
@@ -116,7 +118,9 @@ __all__ = [
     "gradient_reduced",
     "grid_search_common_scalar",
     "grid_search_private_2x2",
+    "ku_pass",
     "ku_subproblem_step",
+    "kv_pass",
     "kv_subproblem_step",
     "lift",
     "loewner_leq",

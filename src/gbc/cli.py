@@ -280,7 +280,8 @@ def _bench_cell(n: int, seed: int, name: str, args) -> list[str]:
         rep = solve_private(inst, _solve_options(args, _PRIVATE_ALGOS[name]))
         iters, conv = rep.iterations, rep.converged
         secs, obj = rep.elapsed_seconds, rep.objective
-    except GbcError:
+    except GbcError as exc:
+        _note(f"n={n} seed={seed} {name}: {exc}")
         iters, conv, secs, obj = 0, False, 0.0, float("nan")
     seconds = "" if args.no_timing else f"{secs:.6f}"
     return [str(n), str(seed), name, str(iters), str(bool(conv)), seconds,

@@ -19,6 +19,7 @@ stop moving in relative spectral norm.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +40,7 @@ from .psd import (
     spectral_norm,
     symmetrize,
 )
-from .private import SolveOptions, fixed_point_update, inv
+from .private import SolveOptions, fixed_point_update, inv, step_stack
 from .reduction import (
     BoxTransform,
     box_transform,
@@ -146,42 +147,97 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
     )
 
 
-def kv_subproblem_step(B_V: np.ndarray, NHat1: np.ndarray, NHat2: np.ndarray,
-                       ratio: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+@dataclass(frozen=True)
+class KVPass:
+    """Constants of one K_V inner solve: inv(NHat1), the shift stack
+    (NHat2,) and the weight ratio.  Built by kv_pass."""
+
+    H1i: np.ndarray
+    shifts: np.ndarray
+    ratio: float
+
+
+def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> KVPass:
+    """Validate the ratio and invert NHat1 once for a whole K_V inner solve."""
+    ratio = float(ratio)
+    if not (np.isfinite(ratio) and ratio >= 0.0):
+        raise InvalidInputError(f"ratio must be finite and >= 0, got {ratio}")
+    return KVPass(H1i=inv(NHat1), shifts=np.asarray(NHat2, dtype=float)[None],
+                  ratio=ratio)
+
+
+def kv_subproblem_step(B_V: np.ndarray, kv: KVPass,
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One projected fixed-point step of the K_V subproblem.
 
     Identical in shape to the private-message update with the noise pair
     (NHat1, NHat2) and weight ratio; ratio = 0 degenerates to projecting
     B_V NHat1^{-1} B_V + B_V.
     """
-    ratio = float(ratio)
-    if not (np.isfinite(ratio) and ratio >= 0.0):
-        raise InvalidInputError(f"ratio must be finite and >= 0, got {ratio}")
-    B = check_box(B_V, np.asarray(NHat1).shape[0])
-    terms = (ratio * inv(B + NHat2),) if ratio != 0.0 else ()
-    return project_box(fixed_point_update(B, inv(NHat1), *terms), tol)
+    B = check_box(B_V, kv.H1i.shape[0])
+    if kv.ratio == 0.0:
+        return project_box(B @ kv.H1i @ B + B, tol)
+    return project_box(fixed_point_update(B, kv.H1i, kv.shifts, kv.ratio), tol)
 
 
-def ku_subproblem_step(A_U: np.ndarray, SigmaHat1: np.ndarray, SigmaHat2: np.ndarray,
-                       MHat1: np.ndarray, MHat2: np.ndarray, BVprime: np.ndarray,
-                       inst: CommonInstance, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """One projected fixed-point step of the K_U subproblem.
+@dataclass(frozen=True)
+class KUPass:
+    """Constants of one K_U inner solve: inv(SigmaHat1), the shift stack
+    (MHat1, SigmaHat2, MHat2), the symmetrized coupling B_V' and the
+    weights lambda2/lambda1, lambda0/lambda1 and alpha.  Built by ku_pass."""
+
+    H1i: np.ndarray
+    shifts: np.ndarray
+    coupling: np.ndarray
+    w_mid: float
+    w_last: float
+    alpha: float
+
+
+def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
+            MHat2: np.ndarray, BVprime: np.ndarray, inst: CommonInstance) -> KUPass:
+    """Invert SigmaHat1 and stack the shifts once for a whole K_U inner solve.
 
     All hat matrices must come from the reduction of the current
     constraint K_C - K_V; MHat1 and MHat2 compress K_V + Sigma2 and
-    K_V + Sigma1.  The coupling term through BVprime is symmetrized
-    before assembly so the eigenvalue projection stays well defined.
+    K_V + Sigma1.  The coupling B_V' is symmetrized here so the
+    eigenvalue projection stays well defined.
     """
-    A = check_box(A_U, np.asarray(SigmaHat1).shape[0])
-    l0 = float(inst.lambda0)
     l1 = float(inst.lambda1)
-    l2 = float(inst.lambda2)
-    a = float(inst.alpha)
-    M1i = inv(A + MHat1)
-    mid = (l2 / l1) * (inv(A + SigmaHat2) @ symmetrize(BVprime) @ M1i)
+    return KUPass(
+        H1i=inv(SigmaHat1),
+        shifts=np.stack((MHat1, SigmaHat2, MHat2)),
+        coupling=symmetrize(BVprime),
+        w_mid=float(inst.lambda2) / l1,
+        w_last=float(inst.lambda0) / l1,
+        alpha=float(inst.alpha),
+    )
+
+
+def ku_subproblem_step(A_U: np.ndarray, ku: KUPass,
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """One projected fixed-point step of the K_U subproblem.
+
+    The update is inv(inv(T) + mid + last) with T = A SigmaHat1^{-1} A + A,
+    mid the symmetrized coupling term through B_V' and last the mixed
+    barrier; T, A + MHat1, A + SigmaHat2 and A + MHat2 are inverted in
+    one stacked call.
+    """
+    A = check_box(A_U, ku.H1i.shape[0])
+    Wi = inv(step_stack(A, ku.H1i, ku.shifts))
+    M1i = Wi[1]
+    mid = ku.w_mid * (Wi[2] @ ku.coupling @ M1i)
     mid = (mid + mid.T) / 2.0
-    last = (l0 / l1) * (a * inv(A + MHat2) + (1.0 - a) * M1i)
-    return project_box(fixed_point_update(A, inv(SigmaHat1), mid, last), tol)
+    a = ku.alpha
+    last = ku.w_last * (a * Wi[3] + (1.0 - a) * M1i)
+    return project_box(inv(Wi[0] + mid + last), tol)
+
+
+def _fro(M: np.ndarray) -> float:
+    """Frobenius norm with the bits of np.linalg.norm(M), minus its
+    wrapper; the inner loop takes two per step."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _inner_solve(step, r: int, inner_tol: float, warnings: list[str],
@@ -197,14 +253,14 @@ def _inner_solve(step, r: int, inner_tol: float, warnings: list[str],
     """
     B = 0.5 * np.eye(r) if init is None else init
     anchor = 0.5 * float(np.sqrt(r))
-    den = max(float(np.linalg.norm(B)), anchor)
+    den = max(_fro(B), anchor)
     count = 0
     for count in range(1, INNER_CAP + 1):
         Bn = step(B)
-        num = float(np.linalg.norm(Bn - B))
+        num = _fro(Bn - B)
         B = Bn
         stop = num <= inner_tol * den
-        den = max(float(np.linalg.norm(B)), anchor)
+        den = max(_fro(B), anchor)
         if stop:
             return B, count
     warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
@@ -312,10 +368,10 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             K_V = zero
             kv_counts.append(0)
         else:
-            N1h = schur_head(transform(bt, K_U + S2), bt.rank)
-            N2h = schur_head(transform(bt, K_U + S1), bt.rank)
+            kv = kv_pass(schur_head(transform(bt, K_U + S2), bt.rank),
+                         schur_head(transform(bt, K_U + S1), bt.rank), ratio)
             B, cnt = _inner_solve(
-                lambda B: kv_subproblem_step(B, N1h, N2h, ratio, tol),
+                lambda B: kv_subproblem_step(B, kv, tol),
                 bt.rank, inner_tol, warnings, "K_V",
                 init=_warm_start(bt, K_V, scale_eps, tol))
             K_V = lift(bt, B, tol)
@@ -333,9 +389,9 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             M1h = schur_head(transform(bt2, K_V + S2), r2)
             M2h = schur_head(transform(bt2, K_V + S1), r2)
             BVp = transform(bt2, K_V)[:r2, :r2]
+            ku = ku_pass(S1h, S2h, M1h, M2h, BVp, inst)
             A, cnt = _inner_solve(
-                lambda A: ku_subproblem_step(
-                    A, S1h, S2h, M1h, M2h, BVp, inst, tol),
+                lambda A: ku_subproblem_step(A, ku, tol),
                 r2, inner_tol, warnings, "K_U",
                 init=_warm_start(bt2, K_U, scale_eps, tol))
             K_U = lift(bt2, A, tol)

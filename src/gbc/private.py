@@ -119,25 +119,41 @@ class SolveReport:
 
 
 def inv(M: np.ndarray) -> np.ndarray:
-    """Matrix inverse that reports a singular M as NumericalBreakdownError."""
+    """Matrix inverse, or the inverse of each matrix in a stack, that
+    reports a singular matrix as NumericalBreakdownError."""
     try:
         return np.linalg.inv(M)
     except np.linalg.LinAlgError as e:
         raise NumericalBreakdownError(f"matrix inverse failed: {e}") from e
 
 
-def fixed_point_update(A: np.ndarray, H1i: np.ndarray, *terms: np.ndarray) -> np.ndarray:
-    """Unprojected fixed-point update shared by every solver.
+def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
+               spare: int = 0) -> np.ndarray:
+    """Workspace of the matrices one fixed-point step inverts.
 
-    Returns inv(D_U + terms[0] + terms[1] + ...), summed in that order,
-    with D_U = inv(A H1i A + A); without terms it returns A H1i A + A.
-    GBA-P passes lam * inv(A + SigmaHat2); the EGBA inner steps pass
-    their own barrier and coupling terms.
+    Returns a (1 + k + spare, r, r) stack holding T = A H1i A + A, then
+    A + shifts[i] for the k slices of the shift stack (built once per
+    solve or per EGBA pass), then `spare` unfilled slots for the caller.
+    Every step inverts its stack in one LAPACK call; each slice of that
+    call's result is bit-equal to inverting the matrix on its own.
     """
-    T = A @ H1i @ A + A
-    if not terms:
-        return T
-    return inv(sum(terms, inv(T)))
+    k = len(shifts)
+    W = np.empty((1 + k + spare,) + A.shape)
+    np.add(A @ H1i @ A, A, out=W[0])
+    np.add(A, shifts, out=W[1:1 + k])
+    return W
+
+
+def fixed_point_update(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
+                       lam: float) -> np.ndarray:
+    """Unprojected update inv(inv(T) + lam * inv(A + H2)), T = A H1i A + A.
+
+    H2s is the one-slice stack (H2,).  GBA-P, its stationarity residual
+    and the EGBA K_V step (lam = its weight ratio) share it; the K_U step
+    adds its own terms to the inverses of the same stack form.
+    """
+    Wi = inv(step_stack(A, H1i, H2s))
+    return inv(Wi[0] + lam * Wi[1])
 
 
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
@@ -176,15 +192,19 @@ def root_in_unit_interval(b, lam):
     return root
 
 
-def _p_step(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float,
+def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
             tol: Tolerances) -> np.ndarray:
-    return project_box(fixed_point_update(A, H1i, lam * inv(A + H2)), tol)
+    return project_box(fixed_point_update(A, H1i, H2s, lam), tol)
 
 
-def _a_step(A: np.ndarray, H1i: np.ndarray, H2: np.ndarray, lam: float,
+def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
             tol: Tolerances) -> np.ndarray:
-    D_U = inv(fixed_point_update(A, H1i))
-    D_V = inv(np.eye(A.shape[0]) - A) - inv(A + H2)
+    # one stacked inverse of T, A + H2 and I - A
+    W = step_stack(A, H1i, H2s, spare=1)
+    np.subtract(np.eye(A.shape[0]), A, out=W[2])
+    Wi = inv(W)
+    D_U = Wi[0]
+    D_V = Wi[2] - Wi[1]
     b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
     a = np.clip(root_in_unit_interval(b, lam), tol.pd_floor, 1.0 - tol.pd_floor)
     return symmetrize((H * a) @ H.T)
@@ -194,23 +214,23 @@ def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One projected fixed-point step from a feasible reduced iterate."""
     A = check_box(A_U, red.rank)
-    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2, float(lam), tol)
+    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam), tol)
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One alternating closed-form step from a strictly interior iterate."""
     A = check_box(A_U, red.rank)
-    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2, float(lam), tol)
+    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam), tol)
 
 
-def _fast_objective(A: np.ndarray, H1: np.ndarray, H2: np.ndarray, lam: float) -> float:
-    """Reduced objective via LU log-determinants; iterates keep both PD."""
-    s1, ld1 = np.linalg.slogdet(A + H1)
-    s2, ld2 = np.linalg.slogdet(A + H2)
-    if s1 <= 0.0 or s2 <= 0.0:
+def _fast_objective(A: np.ndarray, H12: np.ndarray, lam: float) -> float:
+    """Reduced objective via one stacked LU log-determinant of A + H1 and
+    A + H2 (H12 is the stack of the two); iterates keep both PD."""
+    s, ld = np.linalg.slogdet(A + H12)
+    if s[0] <= 0.0 or s[1] <= 0.0:
         raise NumericalBreakdownError("iterate lost positive definiteness")
-    return float(ld1 - lam * ld2)
+    return float(ld[0] - lam * ld[1])
 
 
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
@@ -271,25 +291,32 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
     H1i = inv(red.SigmaHat1)
+    H12 = np.stack((red.SigmaHat1, red.SigmaHat2))
+    H2s = H12[1:]
     step = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
 
     w0 = np.linalg.eigvalsh(A)
     eig_min = float(w0[0])
     eig_max = float(w0[-1])
     den = float(max(abs(w0[0]), abs(w0[-1])))
-    trace = [_fast_objective(A, red.SigmaHat1, red.SigmaHat2, lam) + red.offset]
+    trace = [_fast_objective(A, H12, lam) + red.offset]
     rels: list[float] = []
     converged = False
     iterations = 0
+    # the step An - A and the new iterate An, for one stacked eigvalsh
+    E = np.empty((2,) + A.shape)
 
     for iterations in range(1, int(opts.max_iters) + 1):
-        An = step(A, H1i, red.SigmaHat2, lam, tol)
-        num = float(np.max(np.abs(np.linalg.eigvalsh(An - A))))
+        An = step(A, H1i, H2s, lam, tol)
+        np.subtract(An, A, out=E[0])
+        E[1] = An
+        w = np.linalg.eigvalsh(E)
+        num = float(np.max(np.abs(w[0])))
         stop = num <= opts.rel_tol * den
-        wN = np.linalg.eigvalsh(An)
+        wN = w[1]
         eig_min = min(eig_min, float(wN[0]))
         eig_max = max(eig_max, float(wN[-1]))
-        trace.append(_fast_objective(An, red.SigmaHat1, red.SigmaHat2, lam) + red.offset)
+        trace.append(_fast_objective(An, H12, lam) + red.offset)
         rels.append(num / den if den > 0.0 else 0.0)
         A = An
         den = float(max(abs(wN[0]), abs(wN[-1])))
@@ -297,7 +324,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
             converged = True
             break
 
-    raw = fixed_point_update(A, H1i, lam * inv(A + red.SigmaHat2))
+    raw = fixed_point_update(A, H1i, H2s, lam)
     norm_A = float(np.linalg.norm(A))
     residual = float(np.linalg.norm(A - raw)) / norm_A if norm_A > 0.0 else 0.0
 

@@ -95,11 +95,18 @@ def project_box(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Project a symmetric matrix onto the box {X : 0 <= X <= I}.
 
     Eigenvalues are clipped to [tol.pd_floor, 1]; the floor keeps the
-    result invertible.
+    result invertible.  Same arithmetic as clipping the eig_sym pair,
+    without its wrapper calls: this runs once per solver step.
     """
-    w, V = eig_sym(M, tol)
-    w = np.clip(w, tol.pd_floor, 1.0)
-    return symmetrize((V * w) @ V.T)
+    S = symmetrize(M)
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    w, V = np.linalg.eigh(S)
+    w = np.minimum(np.maximum(w[::-1], tol.pd_floor), 1.0)
+    # a contiguous copy keeps the product on the same BLAS path as eig_sym
+    V = V[:, ::-1].copy()
+    P = (V * w) @ V.T
+    return (P + P.T) / 2.0
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:

@@ -31,7 +31,10 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
     symmetric and n x n, K is positive semidefinite and both noise
     covariances are positive definite; kname labels K in the messages."""
     mats = {kname: K, "Sigma1": Sigma1, "Sigma2": Sigma2}
-    n = int(np.asarray(K).shape[0])
+    shape = np.shape(K)
+    if len(shape) != 2:
+        raise InvalidInstanceError(f"{kname} must be a 2-D matrix, got shape {shape}")
+    n = int(shape[0])
     for name, M in mats.items():
         M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
@@ -52,15 +55,22 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
 
 
 def check_box(A: np.ndarray, rank: int) -> np.ndarray:
-    """Symmetrize a reduced iterate and verify it is rank x rank and lies
-    in the [0, I] box up to slack 1e-8; raise InvalidInputError otherwise."""
-    A = symmetrize(A)
+    """Symmetrize a reduced iterate and verify it is rank x rank, finite
+    and in the [0, I] box up to slack 1e-8; raise InvalidInputError
+    otherwise.  Runs once per solver step, so it skips symmetrize's
+    wrapper (the shape test here covers its squareness test)."""
+    A = np.asarray(A, dtype=float)
     if A.shape != (rank, rank):
         raise InvalidInputError(
             f"reduced iterate must be {rank}x{rank}, got {A.shape}"
         )
+    A = (A + A.T) / 2.0
+    # LAPACK can return finite eigenvalues for a matrix holding NaN
+    if not np.isfinite(A).all():
+        raise InvalidInputError("reduced iterate has non-finite entries")
     w = np.linalg.eigvalsh(A)
-    if w.size and (w[0] < -1e-8 or w[-1] > 1.0 + 1e-8):
+    # written so that a NaN eigenvalue fails the test
+    if w.size and not (-1e-8 <= w[0] and w[-1] <= 1.0 + 1e-8):
         raise InvalidInputError(
             f"reduced iterate leaves the [0, I] box (eigenvalues in "
             f"[{w[0]:.3e}, {w[-1]:.3e}])"

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import gbc.cli
+from gbc import random_instance
 from gbc.cli import main
+from gbc.errors import NumericalBreakdownError
 
 
 def _write(tmp_path, name, doc):
@@ -211,6 +214,31 @@ def test_bench_explicit_seed_list(capsys):
     assert rc == 0
     assert len(rows) == 1 + 2
     assert {r[1] for r in rows[1:]} == {"5", "9"}
+
+
+def test_bench_failed_cell_notes_its_error(monkeypatch, capsys):
+    args = ["bench", "--n-list", "2", "--seeds", "5,9", "--no-timing"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    bad_K = random_instance(2, 9, "private").K
+    solve = gbc.cli.solve_private
+
+    def failing_on_seed_9(inst, opts):
+        if np.array_equal(inst.K, bad_K):
+            raise NumericalBreakdownError("matrix inverse failed: Singular matrix")
+        return solve(inst, opts)
+
+    monkeypatch.setattr(gbc.cli, "solve_private", failing_on_seed_9)
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"note: n=2 seed=9 {name}: matrix inverse failed: Singular matrix"
+        for name in ("gba-p", "gba-a")]
+    # the failed cells keep their bare NaN rows in the CSV, byte for byte
+    want = "".join(
+        line if ",9," not in line else f"2,9,{line.split(',')[2]},0,False,,nan\n"
+        for line in clean.splitlines(keepends=True))
+    assert captured.out == want
 
 
 def test_bench_invalid_n_list(capsys):

@@ -8,7 +8,9 @@ from gbc import (
     GridSpec,
     SolveOptions,
     grid_search_common_scalar,
+    ku_pass,
     ku_subproblem_step,
+    kv_pass,
     kv_subproblem_step,
     loewner_leq,
     objective_common,
@@ -90,7 +92,7 @@ def test_kv_step_ratio_zero_collapses():
         N1 = G @ G.T + 0.5 * np.eye(3)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         B = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
-        got = kv_subproblem_step(B, N1, np.eye(3), 0.0)
+        got = kv_subproblem_step(B, kv_pass(N1, np.eye(3), 0.0))
         want_raw = B @ np.linalg.inv(N1) @ B + B
         w, V = np.linalg.eigh((want_raw + want_raw.T) / 2.0)
         want = (V * np.clip(w, 1e-10, 1.0)) @ V.T
@@ -98,24 +100,24 @@ def test_kv_step_ratio_zero_collapses():
 
 
 def test_kv_step_scalar_hand_value():
-    got = kv_subproblem_step(np.array([[0.5]]), np.array([[1.0]]),
-                             np.array([[1.0]]), 2.0)
+    got = kv_subproblem_step(np.array([[0.5]]),
+                             kv_pass(np.array([[1.0]]), np.array([[1.0]]), 2.0))
     assert got[0, 0] == pytest.approx(0.375, rel=1e-14)
 
 
 def test_kv_step_rejects_bad_ratio_and_box():
     with pytest.raises(InvalidInputError):
-        kv_subproblem_step(np.array([[0.5]]), np.eye(1), np.eye(1), -1.0)
+        kv_pass(np.eye(1), np.eye(1), -1.0)
     with pytest.raises(InvalidInputError):
-        kv_subproblem_step(np.array([[0.5]]), np.eye(1), np.eye(1), float("nan"))
+        kv_pass(np.eye(1), np.eye(1), float("nan"))
     with pytest.raises(InvalidInputError):
-        kv_subproblem_step(3.0 * np.eye(2), np.eye(2), np.eye(2), 1.0)
+        kv_subproblem_step(3.0 * np.eye(2), kv_pass(np.eye(2), np.eye(2), 1.0))
 
 
 def test_ku_step_scalar_hand_value():
     inst = _scalar(2.0, 1.0, 2.0)
     one = np.array([[1.0]])
-    got = ku_subproblem_step(0.5 * one, one, one, one, one, 0.25 * one, inst)
+    got = ku_subproblem_step(0.5 * one, ku_pass(one, one, one, one, 0.25 * one, inst))
     # T1 = 4/3, coupling = 1.1*0.25/2.25 = 11/90, barrier = 1.2/1.5 = 4/5
     assert got[0, 0] == pytest.approx(90.0 / 203.0, rel=1e-12)
 
@@ -137,8 +139,9 @@ def test_ku_step_matches_kv_shape_when_uncoupled():
         M2h = G @ G.T + 0.5 * np.eye(3)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
-        got = ku_subproblem_step(A, S1h, S2h, M1h, M2h, np.zeros((3, 3)), inst)
-        want = kv_subproblem_step(A, S1h, M2h, 1.2)
+        got = ku_subproblem_step(
+            A, ku_pass(S1h, S2h, M1h, M2h, np.zeros((3, 3)), inst))
+        want = kv_subproblem_step(A, kv_pass(S1h, M2h, 1.2))
         assert np.linalg.norm(got - want) < 1e-12
 
 

@@ -9,7 +9,9 @@ from gbc import (
     box_transform,
     gba_a_step,
     gba_p_step,
+    ku_pass,
     ku_subproblem_step,
+    kv_pass,
     kv_subproblem_step,
     lift,
     logdet,
@@ -165,20 +167,34 @@ _BOX_CHECKED = {
     "lift": lambda A: lift(reduce(_PRIVATE), A),
     "gba_p_step": lambda A: gba_p_step(A, reduce(_PRIVATE), 2.0),
     "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
-    "kv_subproblem_step": lambda A: kv_subproblem_step(A, _I2, _I2, 1.0),
+    "kv_subproblem_step": lambda A: kv_subproblem_step(A, kv_pass(_I2, _I2, 1.0)),
     "ku_subproblem_step": lambda A: ku_subproblem_step(
-        A, _I2, _I2, _I2, _I2, np.zeros((2, 2)), _COMMON),
+        A, ku_pass(_I2, _I2, _I2, _I2, np.zeros((2, 2)), _COMMON)),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_BOX_CHECKED))
-@pytest.mark.parametrize("bad", [3.0 * _I2, 0.5 * np.eye(3)],
-                         ids=["outside-box", "wrong-shape"])
+@pytest.mark.parametrize("bad", [3.0 * _I2, 0.5 * np.eye(3),
+                                 np.array([[np.nan, 0.0], [0.0, 0.5]]),
+                                 np.array([[0.5, np.inf], [np.inf, 0.5]])],
+                         ids=["outside-box", "wrong-shape", "nan", "inf"])
 def test_box_checked_entry_points_reject_bad_iterates(entry, bad):
     step = _BOX_CHECKED[entry]
     assert step(0.5 * _I2).shape == (2, 2)
     with pytest.raises(InvalidInputError):
         step(bad)
+
+
+@pytest.mark.parametrize("K", [2.0, np.ones(1), np.ones((1, 1, 1))],
+                         ids=["scalar", "vector", "3-d"])
+@pytest.mark.parametrize("make", [
+    lambda K: PrivateInstance(K=K, Sigma1=np.eye(1), Sigma2=np.eye(1), lam=2.0),
+    lambda K: CommonInstance(K_C=K, Sigma1=np.eye(1), Sigma2=np.eye(1),
+                             lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=0.5),
+], ids=["private", "common"])
+def test_validate_rejects_constraint_that_is_not_a_matrix(make, K):
+    with pytest.raises(InvalidInstanceError):
+        make(K).validate()
 
 
 def test_lift_feasibility_mapping():
