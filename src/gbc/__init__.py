@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .private import (
     Algorithm,
-    InitStrategy,
     SolveOptions,
     SolveReport,
     gba_a_step,
@@ -52,9 +51,7 @@ from .private import (
     solve_private,
 )
 from .psd import (
-    DEFAULT_TOL,
     EigenPair,
-    Tolerances,
     eig_sym,
     loewner_leq,
     logdet,
@@ -90,13 +87,11 @@ __all__ = [
     "BoxTransform",
     "CommonInstance",
     "CommonSolveReport",
-    "DEFAULT_TOL",
     "DegenerateInstanceError",
     "DimensionMismatchError",
     "EigenPair",
     "GbcError",
     "GridSpec",
-    "InitStrategy",
     "InvalidInputError",
     "InvalidInstanceError",
     "InvalidSweepError",
@@ -108,7 +103,6 @@ __all__ = [
     "ReducedPrivate",
     "SolveOptions",
     "SolveReport",
-    "Tolerances",
     "UnsupportedDimensionError",
     "box_transform",
     "eig_sym",

@@ -31,9 +31,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .psd import (
-    DEFAULT_TOL,
-    Tolerances,
-    eig_sym,
+    RANK_EPS,
     logdet,
     loewner_leq,
     project_box,
@@ -76,9 +74,9 @@ class CommonInstance:
     def n(self) -> int:
         return int(np.asarray(self.K_C).shape[0])
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
-        check_matrices("K_C", self.K_C, self.Sigma1, self.Sigma2, tol)
+        check_matrices("K_C", self.K_C, self.Sigma1, self.Sigma2)
         l0, l1, l2 = (float(self.lambda0), float(self.lambda1), float(self.lambda2))
         a = float(self.alpha)
         if not all(np.isfinite(v) for v in (l0, l1, l2, a)):
@@ -129,8 +127,8 @@ class CommonSolveReport:
         return float(self.objective_trace[-1])
 
 
-def objective_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
-                     tol: Tolerances = DEFAULT_TOL) -> float:
+def objective_common(K_U: np.ndarray, K_V: np.ndarray,
+                     inst: CommonInstance) -> float:
     """Normalized private-plus-common objective at (K_U, K_V)."""
     KU = symmetrize(K_U)
     KV = symmetrize(K_V)
@@ -140,10 +138,10 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
     return (
-        (l2p - l0p * (1.0 - a)) * logdet(KU + KV + S2, tol)
-        - l0p * a * logdet(KU + KV + S1, tol)
-        + logdet(KU + S1, tol)
-        - l2p * logdet(KU + S2, tol)
+        (l2p - l0p * (1.0 - a)) * logdet(KU + KV + S2)
+        - l0p * a * logdet(KU + KV + S1)
+        + logdet(KU + S1)
+        - l2p * logdet(KU + S2)
     )
 
 
@@ -166,8 +164,7 @@ def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> KVPass:
                   ratio=ratio)
 
 
-def kv_subproblem_step(B_V: np.ndarray, kv: KVPass,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def kv_subproblem_step(B_V: np.ndarray, kv: KVPass) -> np.ndarray:
     """One projected fixed-point step of the K_V subproblem.
 
     Identical in shape to the private-message update with the noise pair
@@ -176,8 +173,8 @@ def kv_subproblem_step(B_V: np.ndarray, kv: KVPass,
     """
     B = check_box(B_V, kv.H1i.shape[0])
     if kv.ratio == 0.0:
-        return project_box(B @ kv.H1i @ B + B, tol)
-    return project_box(fixed_point_update(B, kv.H1i, kv.shifts, kv.ratio), tol)
+        return project_box(B @ kv.H1i @ B + B)
+    return project_box(fixed_point_update(B, kv.H1i, kv.shifts, kv.ratio))
 
 
 @dataclass(frozen=True)
@@ -214,8 +211,7 @@ def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
     )
 
 
-def ku_subproblem_step(A_U: np.ndarray, ku: KUPass,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def ku_subproblem_step(A_U: np.ndarray, ku: KUPass) -> np.ndarray:
     """One projected fixed-point step of the K_U subproblem.
 
     The update is inv(inv(T) + mid + last) with T = A SigmaHat1^{-1} A + A,
@@ -230,7 +226,7 @@ def ku_subproblem_step(A_U: np.ndarray, ku: KUPass,
     mid = (mid + mid.T) / 2.0
     a = ku.alpha
     last = ku.w_last * (a * Wi[3] + (1.0 - a) * M1i)
-    return project_box(inv(Wi[0] + mid + last), tol)
+    return project_box(inv(Wi[0] + mid + last))
 
 
 def _fro(M: np.ndarray) -> float:
@@ -278,8 +274,7 @@ def _rel_change(new: np.ndarray, prev: np.ndarray, floor: float) -> float:
     return spectral_norm(new - prev) / max(spectral_norm(prev), floor)
 
 
-def _warm_start(bt, M: np.ndarray, scale_eps: float,
-                tol: Tolerances) -> np.ndarray | None:
+def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray | None:
     """Previous outer iterate mapped into the current reduced box, or None.
 
     The previous covariance is feasible for the new constraint by
@@ -292,18 +287,16 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float,
     """
     if spectral_norm(M) <= scale_eps:
         return None
-    head = symmetrize(transform(bt, M)[:bt.rank, :bt.rank])
-    return project_box(head, tol)
+    return project_box(transform(bt, M)[:bt.rank, :bt.rank])
 
 
-def _budget_transform(budget: np.ndarray, scale_eps: float,
-                      tol: Tolerances) -> BoxTransform | None:
+def _budget_transform(budget: np.ndarray, scale_eps: float) -> BoxTransform | None:
     """Box transform of a subproblem budget, or None when the budget is
     numerically zero and the block it constrains must be zero."""
     if spectral_norm(budget) <= scale_eps:
         return None
     try:
-        return box_transform(budget, tol)
+        return box_transform(budget)
     except DegenerateInstanceError:
         return None
 
@@ -319,11 +312,12 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     interior start is admissible, and the warm one avoids re-paying the
     slow approach to boundary-active solutions each pass.  The outer
     loop stops when the summed relative spectral-norm changes of K_U and
-    K_V fall below opts.rel_tol, or after opts.max_iters passes.
+    K_V fall below opts.rel_tol, or after opts.max_iters passes.  Of the
+    options only max_iters and rel_tol are read; algorithm and init are
+    validated and otherwise ignored.
     """
     opts.validate()
-    tol = opts.tol
-    inst.validate(tol)
+    inst.validate()
     t0 = time.perf_counter()
     n = inst.n
     K_C = symmetrize(inst.K_C)
@@ -336,25 +330,25 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     inner_tol = float(opts.rel_tol) / 10.0
 
     zero = np.zeros((n, n))
-    wc = eig_sym(K_C, tol).values
-    if wc[0] <= tol.rank_eps:
+    kc_norm = spectral_norm(K_C)
+    if kc_norm <= RANK_EPS:
         return CommonSolveReport(
             K_U=zero, K_V=zero, K_W=zero,
-            objective_trace=np.array([objective_common(zero, zero, inst, tol)]),
+            objective_trace=np.array([objective_common(zero, zero, inst)]),
             inner_iterations=((), ()),
             converged=True,
             elapsed_seconds=time.perf_counter() - t0,
             warnings=("constraint matrix is zero; all covariances are zero",),
         )
 
-    K_U = symmetrize(K_C / 2.0)
+    K_U = K_C / 2.0
     K_V = zero
     # blocks and budgets below this scale are numerically zero
-    scale_eps = tol.rank_eps * (1.0 + spectral_norm(K_C))
+    scale_eps = RANK_EPS * (1.0 + kc_norm)
     warnings: list[str] = []
     kv_counts: list[int] = []
     ku_counts: list[int] = []
-    trace = [objective_common(K_U, K_V, inst, tol)]
+    trace = [objective_common(K_U, K_V, inst)]
     rels: list[float] = []
     converged = False
 
@@ -363,7 +357,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         K_V_prev = K_V
 
         # K_V pass under the constraint K_C - K_U
-        bt = _budget_transform(symmetrize(K_C - K_U), scale_eps, tol)
+        bt = _budget_transform(K_C - K_U, scale_eps)
         if bt is None:
             K_V = zero
             kv_counts.append(0)
@@ -371,14 +365,14 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             kv = kv_pass(schur_head(transform(bt, K_U + S2), bt.rank),
                          schur_head(transform(bt, K_U + S1), bt.rank), ratio)
             B, cnt = _inner_solve(
-                lambda B: kv_subproblem_step(B, kv, tol),
+                lambda B: kv_subproblem_step(B, kv),
                 bt.rank, inner_tol, warnings, "K_V",
-                init=_warm_start(bt, K_V, scale_eps, tol))
-            K_V = lift(bt, B, tol)
+                init=_warm_start(bt, K_V, scale_eps))
+            K_V = lift(bt, B)
             kv_counts.append(cnt)
 
         # K_U pass under the constraint K_C - K_V
-        bt2 = _budget_transform(symmetrize(K_C - K_V), scale_eps, tol)
+        bt2 = _budget_transform(K_C - K_V, scale_eps)
         if bt2 is None:
             K_U = zero
             ku_counts.append(0)
@@ -391,13 +385,13 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             BVp = transform(bt2, K_V)[:r2, :r2]
             ku = ku_pass(S1h, S2h, M1h, M2h, BVp, inst)
             A, cnt = _inner_solve(
-                lambda A: ku_subproblem_step(A, ku, tol),
+                lambda A: ku_subproblem_step(A, ku),
                 r2, inner_tol, warnings, "K_U",
-                init=_warm_start(bt2, K_U, scale_eps, tol))
-            K_U = lift(bt2, A, tol)
+                init=_warm_start(bt2, K_U, scale_eps))
+            K_U = lift(bt2, A)
             ku_counts.append(cnt)
 
-        trace.append(objective_common(K_U, K_V, inst, tol))
+        trace.append(objective_common(K_U, K_V, inst))
         rel = (_rel_change(K_U, K_U_prev, scale_eps)
                + _rel_change(K_V, K_V_prev, scale_eps))
         rels.append(rel)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .common import CommonInstance
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .psd import DEFAULT_TOL, Tolerances, symmetrize
+from .psd import symmetrize
 from .reduction import PrivateInstance
 
 
@@ -186,8 +186,7 @@ def fd_gradient(f, X: np.ndarray, step: float = 1e-5) -> np.ndarray:
 def random_instance(n: int, seed: int, kind: str = "private", *,
                     lam: float | None = None, rank: int | None = None,
                     lambda0: float = 1.2, lambda1: float = 1.0,
-                    lambda2: float = 1.1, alpha: float = 0.5,
-                    tol: Tolerances = DEFAULT_TOL):
+                    lambda2: float = 1.1, alpha: float = 0.5):
     """Seeded random instance with a documented ensemble.
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
@@ -221,5 +220,5 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
                               lambda2=float(lambda2), alpha=float(alpha))
     else:
         raise InvalidInputError(f"kind must be 'private' or 'common', got {kind!r}")
-    inst.validate(tol)
+    inst.validate()
     return inst

@@ -18,6 +18,7 @@ rel_tol times the spectral norm of the previous iterate.
 from __future__ import annotations
 
 import enum
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .psd import DEFAULT_TOL, Tolerances, logdet, project_box, symmetrize
+from .psd import PD_FLOOR, logdet, project_box, symmetrize
 from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce
 
 
@@ -39,20 +40,6 @@ class Algorithm(enum.Enum):
     GBA_A = "gba-a"
 
 
-class InitStrategy(enum.Enum):
-    """Named starting points for the reduced iterate.
-
-    HALF_IDENTITY   A_U = I/2
-    UNIFORM_WEIGHT  A_U = I/(1 + lam)
-
-    Passing an ndarray to SolveOptions.init instead of a member uses that
-    matrix as the starting point (projected onto the clamped box).
-    """
-
-    HALF_IDENTITY = "half-identity"
-    UNIFORM_WEIGHT = "uniform-weight"
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     """Knobs for solve_private and solve_common.
@@ -60,23 +47,36 @@ class SolveOptions:
     algorithm   which private-message iteration to run
     max_iters   iteration cap (outer cap for the common solver)
     rel_tol     relative spectral-norm stopping threshold
-    tol         numeric kernel thresholds
-    init        InitStrategy member or an explicit reduced starting matrix
+    init        reduced starting matrix, projected onto the clamped box;
+                None starts from I/2
+
+    solve_common reads only max_iters and rel_tol; it validates the
+    other two and ignores them.
     """
 
     algorithm: Algorithm = Algorithm.GBA_P
     max_iters: int = 100
     rel_tol: float = 1e-4
-    tol: Tolerances = DEFAULT_TOL
-    init: InitStrategy | np.ndarray = InitStrategy.HALF_IDENTITY
+    init: np.ndarray | None = None
 
     def validate(self) -> None:
+        """Raise InvalidInputError unless every field holds a usable value."""
         if not isinstance(self.algorithm, Algorithm):
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
-        if int(self.max_iters) < 1:
-            raise InvalidInputError("max_iters must be at least 1")
-        if not (float(self.rel_tol) > 0.0 and np.isfinite(self.rel_tol)):
-            raise InvalidInputError("rel_tol must be a positive finite real")
+        m = self.max_iters
+        if not (isinstance(m, numbers.Real) and np.isfinite(m)
+                and m == int(m) and m >= 1):
+            raise InvalidInputError(f"max_iters must be a whole number >= 1, got {m!r}")
+        t = self.rel_tol
+        if not (isinstance(t, numbers.Real) and np.isfinite(t) and t > 0.0):
+            raise InvalidInputError(f"rel_tol must be a positive finite real, got {t!r}")
+        if self.init is not None:
+            try:
+                finite = np.isfinite(np.asarray(self.init, dtype=float)).all()
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise InvalidInputError("init must be None or a finite numeric matrix")
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,13 @@ def root_in_unit_interval(b, lam):
     return root
 
 
-def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
-            tol: Tolerances) -> np.ndarray:
-    return project_box(fixed_point_update(A, H1i, H2s, lam), tol)
+def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
+            lam: float) -> np.ndarray:
+    return project_box(fixed_point_update(A, H1i, H2s, lam))
 
 
-def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
-            tol: Tolerances) -> np.ndarray:
+def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
+            lam: float) -> np.ndarray:
     # one stacked inverse of T, A + H2 and I - A
     W = step_stack(A, H1i, H2s, spare=1)
     np.subtract(np.eye(A.shape[0]), A, out=W[2])
@@ -206,22 +206,20 @@ def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
     D_U = Wi[0]
     D_V = Wi[2] - Wi[1]
     b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
-    a = np.clip(root_in_unit_interval(b, lam), tol.pd_floor, 1.0 - tol.pd_floor)
+    a = np.clip(root_in_unit_interval(b, lam), PD_FLOOR, 1.0 - PD_FLOOR)
     return symmetrize((H * a) @ H.T)
 
 
-def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
-               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """One projected fixed-point step from a feasible reduced iterate."""
     A = check_box(A_U, red.rank)
-    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam), tol)
+    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))
 
 
-def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float,
-               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """One alternating closed-form step from a strictly interior iterate."""
     A = check_box(A_U, red.rank)
-    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam), tol)
+    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))
 
 
 def _fast_objective(A: np.ndarray, H12: np.ndarray, lam: float) -> float:
@@ -236,26 +234,23 @@ def _fast_objective(A: np.ndarray, H12: np.ndarray, lam: float) -> float:
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
                      warnings: list[str]) -> np.ndarray:
     r = red.rank
-    if isinstance(opts.init, InitStrategy):
-        if opts.init is InitStrategy.HALF_IDENTITY:
-            return 0.5 * np.eye(r)
-        return np.eye(r) / (1.0 + red.lam)
+    if opts.init is None:
+        return 0.5 * np.eye(r)
     A0 = symmetrize(np.asarray(opts.init, dtype=float))
     if A0.shape != (r, r):
         raise InvalidInputError(
             f"init matrix must be {r}x{r} for this instance, got {A0.shape}"
         )
-    clamped = project_box(A0, opts.tol)
+    clamped = project_box(A0)
     if float(np.max(np.abs(clamped - A0))) > 1e-8:
         warnings.append("starting point was projected onto the clamped box")
     return clamped
 
 
-def _degenerate_report(inst: PrivateInstance, t0: float,
-                       tol: Tolerances) -> SolveReport:
+def _degenerate_report(inst: PrivateInstance, t0: float) -> SolveReport:
     n = inst.n
-    obj = logdet(np.asarray(inst.Sigma1, float), tol) \
-        - float(inst.lam) * logdet(np.asarray(inst.Sigma2, float), tol)
+    obj = logdet(np.asarray(inst.Sigma1, float)) \
+        - float(inst.lam) * logdet(np.asarray(inst.Sigma2, float))
     return SolveReport(
         final_AU=np.zeros((0, 0)),
         final_KU=np.zeros((n, n)),
@@ -279,13 +274,12 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     reduction offset) with one entry per iterate including the start.
     """
     opts.validate()
-    tol = opts.tol
-    inst.validate(tol)
+    inst.validate()
     t0 = time.perf_counter()
     try:
-        red = reduce(inst, tol)
+        red = reduce(inst)
     except DegenerateInstanceError:
-        return _degenerate_report(inst, t0, tol)
+        return _degenerate_report(inst, t0)
 
     lam = red.lam
     warnings = list(red.warnings)
@@ -307,7 +301,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     E = np.empty((2,) + A.shape)
 
     for iterations in range(1, int(opts.max_iters) + 1):
-        An = step(A, H1i, H2s, lam, tol)
+        An = step(A, H1i, H2s, lam)
         np.subtract(An, A, out=E[0])
         E[1] = An
         w = np.linalg.eigvalsh(E)
@@ -330,7 +324,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
 
     return SolveReport(
         final_AU=A,
-        final_KU=lift(red, A, tol),
+        final_KU=lift(red, A),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

@@ -7,7 +7,6 @@ exact symmetry is preserved through chains of operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,28 +18,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds used across the package.
-
-    rank_eps
-        Threshold for treating an eigenvalue as zero.  Rank detection in
-        the reduction treats it relative to the largest eigenvalue of the
-        constraint; the positive-definite gate in :func:`logdet` uses it
-        as an absolute floor (instances here are trace-normalized).
-    pd_floor
-        Lower clamp applied when projecting onto the [0, I] box.  Keeps
-        iterates invertible so the fixed-point maps stay defined.
-    sym_tol
-        Largest asymmetry accepted from external input before folding.
-    """
-
-    rank_eps: float = 1e-9
-    pd_floor: float = 1e-10
-    sym_tol: float = 1e-8
-
-
-DEFAULT_TOL = Tolerances()
+# Threshold for treating an eigenvalue as zero.  Rank detection in the
+# reduction applies it relative to the largest eigenvalue of the
+# constraint; the positive-definite gates apply it as an absolute floor
+# (instances here are trace-normalized).
+RANK_EPS = 1e-9
+# Lower clamp of the [0, I] box projection; keeps iterates invertible so
+# the fixed-point maps stay defined.
+PD_FLOOR = 1e-10
+# Largest asymmetry accepted from external input before folding.
+SYM_TOL = 1e-8
 
 
 class EigenPair(NamedTuple):
@@ -61,48 +48,51 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def eig_sym(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EigenPair:
+def _finite_sym(M: np.ndarray) -> np.ndarray:
+    """symmetrize(M), raising InvalidInputError on NaN or inf entries:
+    LAPACK can return finite eigenvalues for a matrix holding NaN."""
+    S = symmetrize(M)
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    return S
+
+
+def eig_sym(M: np.ndarray) -> EigenPair:
     """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in descending order and the matching orthonormal
     eigenvectors as columns, so (vectors * values) @ vectors.T rebuilds M.
     """
-    S = symmetrize(M)
-    if not np.all(np.isfinite(S)):
-        raise InvalidInputError("matrix has non-finite entries")
-    w, V = np.linalg.eigh(S)
+    w, V = np.linalg.eigh(_finite_sym(M))
     return EigenPair(w[::-1].copy(), V[:, ::-1].copy())
 
 
-def logdet(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def logdet(M: np.ndarray) -> float:
     """Natural-log determinant of a symmetric positive definite matrix.
 
     Computed as the sum of eigenvalue logs.  Raises
     NotPositiveDefiniteError when the smallest eigenvalue is at or below
-    tol.rank_eps.
+    RANK_EPS.
     """
-    w = eig_sym(M, tol).values
+    w = eig_sym(M).values
     if w.size == 0:
         return 0.0
-    if w[-1] <= tol.rank_eps:
+    if w[-1] <= RANK_EPS:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})"
         )
     return float(np.sum(np.log(w)))
 
 
-def project_box(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def project_box(M: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto the box {X : 0 <= X <= I}.
 
-    Eigenvalues are clipped to [tol.pd_floor, 1]; the floor keeps the
+    Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
     result invertible.  Same arithmetic as clipping the eig_sym pair,
     without its wrapper calls: this runs once per solver step.
     """
-    S = symmetrize(M)
-    if not np.isfinite(S).all():
-        raise InvalidInputError("matrix has non-finite entries")
-    w, V = np.linalg.eigh(S)
-    w = np.minimum(np.maximum(w[::-1], tol.pd_floor), 1.0)
+    w, V = np.linalg.eigh(_finite_sym(M))
+    w = np.minimum(np.maximum(w[::-1], PD_FLOOR), 1.0)
     # a contiguous copy keeps the product on the same BLAS path as eig_sym
     V = V[:, ::-1].copy()
     P = (V * w) @ V.T
@@ -112,10 +102,11 @@ def project_box(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     """Whether A <= B in the Loewner order, up to slack.
 
-    True when the smallest eigenvalue of B - A is >= -slack.
+    True when the smallest eigenvalue of B - A is >= -slack.  Raises
+    InvalidInputError on non-finite input.
     """
-    A = symmetrize(A)
-    B = symmetrize(B)
+    A = _finite_sym(A)
+    B = _finite_sym(B)
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes {A.shape} and {B.shape} differ")
     if A.shape[0] == 0:
@@ -124,8 +115,9 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    S = symmetrize(M)
+    """Largest absolute eigenvalue of a symmetric matrix.  Raises
+    InvalidInputError on non-finite input."""
+    S = _finite_sym(M)
     if S.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(S))))

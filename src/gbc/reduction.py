@@ -20,13 +20,13 @@ from .errors import (
     InvalidInputError,
     InvalidInstanceError,
 )
-from .psd import DEFAULT_TOL, Tolerances, eig_sym, logdet, symmetrize
+from .psd import RANK_EPS, SYM_TOL, eig_sym, logdet, symmetrize
 
 CONDITION_WARN = 1e12
 
 
 def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
-                   Sigma2: np.ndarray, tol: Tolerances) -> None:
+                   Sigma2: np.ndarray) -> None:
     """Raise InvalidInstanceError unless K, Sigma1 and Sigma2 are finite,
     symmetric and n x n, K is positive semidefinite and both noise
     covariances are positive definite; kname labels K in the messages."""
@@ -41,7 +41,7 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
             raise InvalidInstanceError(f"{name} must be {n}x{n}, got {M.shape}")
         if not np.all(np.isfinite(M)):
             raise InvalidInstanceError(f"{name} has non-finite entries")
-        if np.max(np.abs(M - M.T)) > tol.sym_tol:
+        if np.max(np.abs(M - M.T)) > SYM_TOL:
             raise InvalidInstanceError(f"{name} is not symmetric")
     wk = np.linalg.eigvalsh(symmetrize(K))
     if wk.size and wk[0] < -1e-8 * max(1.0, abs(wk[-1])):
@@ -50,7 +50,7 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
         )
     for name in ("Sigma1", "Sigma2"):
         w = np.linalg.eigvalsh(symmetrize(mats[name]))
-        if w.size == 0 or w[0] <= tol.rank_eps:
+        if w.size == 0 or w[0] <= RANK_EPS:
             raise InvalidInstanceError(f"{name} must be positive definite")
 
 
@@ -92,9 +92,9 @@ class PrivateInstance:
     def n(self) -> int:
         return int(np.asarray(self.K).shape[0])
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
-        check_matrices("K", self.K, self.Sigma1, self.Sigma2, tol)
+        check_matrices("K", self.K, self.Sigma1, self.Sigma2)
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 1.0:
             raise InvalidInstanceError(
@@ -135,14 +135,14 @@ class ReducedPrivate:
         return self.transform.rank
 
 
-def box_transform(K: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BoxTransform:
+def box_transform(K: np.ndarray) -> BoxTransform:
     """Build the congruence that maps {0 <= K_U <= K} onto {0 <= A_U <= I_r}.
 
     Raises DegenerateInstanceError when K is numerically zero.
     """
     n = np.asarray(K).shape[0]
-    l, P = eig_sym(K, tol)
-    rank = int(np.sum(l > tol.rank_eps * max(l[0] if l.size else 0.0, 0.0)))
+    l, P = eig_sym(K)
+    rank = int(np.sum(l > RANK_EPS * max(l[0] if l.size else 0.0, 0.0)))
     if rank == 0:
         raise DegenerateInstanceError("constraint matrix is numerically zero")
     scale = np.ones(n)
@@ -172,14 +172,14 @@ def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
     return symmetrize(A - B @ np.linalg.solve(C, B.T))
 
 
-def reduce(inst: PrivateInstance, tol: Tolerances = DEFAULT_TOL) -> ReducedPrivate:
+def reduce(inst: PrivateInstance) -> ReducedPrivate:
     """Reduce a validated private instance to its r x r box form.
 
     The returned offset makes the objectives agree exactly:
     objective(lift(A_U)) = reduced objective(A_U) + offset for every
     feasible A_U.
     """
-    bt = box_transform(inst.K, tol)
+    bt = box_transform(inst.K)
     r = bt.rank
     warnings: list[str] = []
     l = bt.eigvals
@@ -193,7 +193,7 @@ def reduce(inst: PrivateInstance, tol: Tolerances = DEFAULT_TOL) -> ReducedPriva
     St1 = transform(bt, inst.Sigma1)
     St2 = transform(bt, inst.Sigma2)
     lam = float(inst.lam)
-    offset = logdet(St1[r:, r:], tol) - lam * logdet(St2[r:, r:], tol)
+    offset = logdet(St1[r:, r:]) - lam * logdet(St2[r:, r:])
     offset -= (lam - 1.0) * float(np.sum(np.log(bt.eigvals[:r])))
     return ReducedPrivate(
         SigmaHat1=schur_head(St1, r),
@@ -205,8 +205,7 @@ def reduce(inst: PrivateInstance, tol: Tolerances = DEFAULT_TOL) -> ReducedPriva
     )
 
 
-def lift(red: ReducedPrivate | BoxTransform, A_U: np.ndarray,
-         tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def lift(red: ReducedPrivate | BoxTransform, A_U: np.ndarray) -> np.ndarray:
     """Map a reduced variable back to the original coordinates.
 
     A_U must sit in the [0, I] box up to slack 1e-8.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .common import CommonInstance, CommonSolveReport, solve_common
 from .errors import GbcError, InvalidInputError, InvalidSweepError
-from .psd import DEFAULT_TOL, Tolerances, logdet, symmetrize
+from .psd import logdet, symmetrize
 from .private import SolveOptions, solve_private
 from .reduction import PrivateInstance
 
@@ -56,8 +56,7 @@ def _clamp_rate(value: float, name: str) -> float:
     )
 
 
-def rates_private(K_U: np.ndarray, inst: PrivateInstance,
-                  tol: Tolerances = DEFAULT_TOL) -> RatePoint:
+def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     """Rate pair achieved by the private-message split K = K_U + K_V.
 
     R1 = (1/2)(ln|K_U + Sigma1| - ln|Sigma1|),
@@ -66,10 +65,10 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance,
     negative raises, since it signals an infeasible covariance.
     """
     K_U = symmetrize(np.asarray(K_U, dtype=float))
-    ld1u = logdet(K_U + inst.Sigma1, tol)
-    ld2u = logdet(K_U + inst.Sigma2, tol)
-    r1 = 0.5 * (ld1u - logdet(inst.Sigma1, tol))
-    r2 = 0.5 * (logdet(inst.K + inst.Sigma2, tol) - ld2u)
+    ld1u = logdet(K_U + inst.Sigma1)
+    ld2u = logdet(K_U + inst.Sigma2)
+    r1 = 0.5 * (ld1u - logdet(inst.Sigma1))
+    r2 = 0.5 * (logdet(inst.K + inst.Sigma2) - ld2u)
     return RatePoint(
         R0=0.0,
         R1=_clamp_rate(r1, "R1"),
@@ -79,8 +78,8 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance,
     )
 
 
-def rates_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
-                 tol: Tolerances = DEFAULT_TOL) -> RatePoint:
+def rates_common(K_U: np.ndarray, K_V: np.ndarray,
+                 inst: CommonInstance) -> RatePoint:
     """Rate triple achieved by the split K_C = K_U + K_V + K_W.
 
     R0 is the alpha-weighted combination of the two common-message mutual
@@ -90,13 +89,13 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
     K_U = symmetrize(np.asarray(K_U, dtype=float))
     K_V = symmetrize(np.asarray(K_V, dtype=float))
     a = float(inst.alpha)
-    ld1_uv = logdet(K_U + K_V + inst.Sigma1, tol)
-    ld2_uv = logdet(K_U + K_V + inst.Sigma2, tol)
-    iwy = 0.5 * (logdet(inst.K_C + inst.Sigma1, tol) - ld1_uv)
-    iwz = 0.5 * (logdet(inst.K_C + inst.Sigma2, tol) - ld2_uv)
+    ld1_uv = logdet(K_U + K_V + inst.Sigma1)
+    ld2_uv = logdet(K_U + K_V + inst.Sigma2)
+    iwy = 0.5 * (logdet(inst.K_C + inst.Sigma1) - ld1_uv)
+    iwz = 0.5 * (logdet(inst.K_C + inst.Sigma2) - ld2_uv)
     r0 = a * iwy + (1.0 - a) * iwz
-    r2 = 0.5 * (ld2_uv - logdet(K_U + inst.Sigma2, tol))
-    r1 = 0.5 * (logdet(K_U + inst.Sigma1, tol) - logdet(inst.Sigma1, tol))
+    r2 = 0.5 * (ld2_uv - logdet(K_U + inst.Sigma2))
+    r1 = 0.5 * (logdet(K_U + inst.Sigma1) - logdet(inst.Sigma1))
     return RatePoint(
         R0=_clamp_rate(r0, "R0"),
         R1=_clamp_rate(r1, "R1"),
@@ -106,10 +105,10 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
     )
 
 
-def weighted_rate_common(K_U: np.ndarray, K_V: np.ndarray, inst: CommonInstance,
-                         tol: Tolerances = DEFAULT_TOL) -> float:
+def weighted_rate_common(K_U: np.ndarray, K_V: np.ndarray,
+                         inst: CommonInstance) -> float:
     """Weighted rate lambda0 R0 + lambda1 R1 + lambda2 R2 for the split."""
-    pt = rates_common(K_U, K_V, inst, tol)
+    pt = rates_common(K_U, K_V, inst)
     return (float(inst.lambda0) * pt.R0 + float(inst.lambda1) * pt.R1
             + float(inst.lambda2) * pt.R2)
 
@@ -146,7 +145,7 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
                                     R2=float("nan"), lambda_tag=lv,
                                     error=str(exc)))
             continue
-        pt = rates_private(rep.final_KU, inst, opts.tol)
+        pt = rates_private(rep.final_KU, inst)
         note = None if rep.converged else (
             f"did not converge within {run_opts.max_iters} iterations"
         )
@@ -188,7 +187,7 @@ def sweep_alpha_common(inst: CommonInstance, alphas: Sequence[float],
         cinst = replace(inst, alpha=a)
         rep = solve_common(cinst, opts)
         reports.append(rep)
-        value = weighted_rate_common(rep.K_U, rep.K_V, cinst, opts.tol)
+        value = weighted_rate_common(rep.K_U, rep.K_V, cinst)
         if best is None or value < best.value - 1e-15 or (
                 abs(value - best.value) <= 1e-15 and a < best.alpha):
             best = AlphaArgmin(alpha=a, value=value)

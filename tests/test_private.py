@@ -5,7 +5,6 @@ import pytest
 
 from gbc import (
     Algorithm,
-    InitStrategy,
     PrivateInstance,
     SolveOptions,
     fd_gradient,
@@ -157,13 +156,6 @@ def test_explicit_matrix_init():
         solve_private(inst, SolveOptions(init=np.eye(3)))
 
 
-def test_uniform_weight_init_runs():
-    inst = _case(2)
-    rep = solve_private(inst, SolveOptions(init=InitStrategy.UNIFORM_WEIGHT,
-                                           max_iters=50))
-    assert len(rep.objective_trace) == rep.iterations + 1
-
-
 def test_options_validation():
     inst = _case(1)
     with pytest.raises(InvalidInputError):
@@ -172,6 +164,13 @@ def test_options_validation():
         solve_private(inst, SolveOptions(rel_tol=0.0))
     with pytest.raises(InvalidInputError):
         solve_private(inst, SolveOptions(rel_tol=float("nan")))
+    for bad in (dict(max_iters=float("nan")), dict(max_iters=float("inf")),
+                dict(max_iters=2.5), dict(init="x"),
+                dict(init=np.full((2, 2), np.nan))):
+        with pytest.raises(InvalidInputError):
+            solve_private(inst, SolveOptions(**bad))
+    # a whole-valued float cap is accepted
+    assert solve_private(inst, SolveOptions(max_iters=3.0)).iterations == 1
 
 
 def test_rank_deficient_constraint_solves():

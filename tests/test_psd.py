@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gbc import (
-    DEFAULT_TOL,
-    Tolerances,
     eig_sym,
     loewner_leq,
     logdet,
@@ -18,6 +16,7 @@ from gbc.errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
 )
+from gbc.psd import PD_FLOOR
 
 
 def test_symmetrize_is_exactly_symmetric():
@@ -71,17 +70,11 @@ def test_project_box_clips_spectrum():
     M = np.diag([-1.0, 0.5, 3.0])
     P = project_box(M)
     w = np.linalg.eigvalsh(P)
-    assert w[0] >= DEFAULT_TOL.pd_floor * (1 - 1e-12)
+    assert w[0] >= PD_FLOOR * (1 - 1e-12)
     assert w[-1] <= 1.0 + 1e-12
     # the zero matrix lands on the pd floor, not on zero
     w0 = np.linalg.eigvalsh(project_box(np.zeros((3, 3))))
-    assert np.allclose(w0, DEFAULT_TOL.pd_floor)
-
-
-def test_project_box_respects_custom_floor():
-    tol = Tolerances(pd_floor=1e-6)
-    w = np.linalg.eigvalsh(project_box(np.zeros((2, 2)), tol))
-    assert np.allclose(w, 1e-6)
+    assert np.allclose(w0, PD_FLOOR)
 
 
 def test_loewner_leq_basics():
@@ -95,6 +88,12 @@ def test_loewner_leq_basics():
     assert not loewner_leq(A + 1e-6 * np.eye(2), A)
     with pytest.raises(DimensionMismatchError):
         loewner_leq(np.eye(2), np.eye(3))
+    # eigvalsh returns [0, -0] for this NaN matrix, so it must be caught first
+    for bad in (np.diag([np.nan, 0.5]), np.diag([np.inf, 0.5])):
+        with pytest.raises(InvalidInputError):
+            loewner_leq(np.zeros((2, 2)), bad)
+        with pytest.raises(InvalidInputError):
+            loewner_leq(bad, np.eye(2))
 
 
 def test_spectral_norm_matches_two_norm():
@@ -103,3 +102,6 @@ def test_spectral_norm_matches_two_norm():
         M = symmetrize(rng.standard_normal((5, 5)))
         assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+    for bad in (np.diag([np.nan, 0.5]), np.diag([np.inf, 0.5])):
+        with pytest.raises(InvalidInputError):
+            spectral_norm(bad)
