@@ -1,13 +1,15 @@
 """Boundary points of two-receiver Gaussian vector broadcast-channel
 capacity regions under covariance constraints.
 
-The package solves weighted rate-sum maximizations with fixed-point
-matrix iterations: two algorithms for private-message regions (a
-projected update and a provably monotone eigenvalue-root update) and an
-alternating extension for regions with a common message.  Problems are
-reduced to a spectral box via a congruence transform, solved there, and
-lifted back.  Brute-force grid oracles, finite-difference checks,
-region tracing, and a CLI round out the toolkit.
+The package solves weighted rate-sum maximizations over covariance
+matrices: three algorithms for private-message regions (spectral
+projected gradient, the default, which stops on a certified KKT
+residual; the paper's projected fixed-point update; and its provably
+monotone eigenvalue-root update) and an alternating extension for
+regions with a common message.  Problems are reduced to a spectral box
+via a congruence transform, solved there, and lifted back.  Brute-force
+grid oracles, finite-difference checks, region tracing, and a CLI round
+out the toolkit.
 """
 
 from .common import (

@@ -29,7 +29,8 @@ from .psd import symmetrize
 from .reduction import PrivateInstance
 from .region import rates_common, rates_private, sweep_alpha_common, trace_region_private
 
-_PRIVATE_ALGOS = {"gba-p": Algorithm.GBA_P, "gba-a": Algorithm.GBA_A}
+_PRIVATE_ALGOS = {a.value: a for a in Algorithm}
+_DEFAULT_ALGO = SolveOptions().algorithm
 
 
 def _note(msg: str) -> None:
@@ -132,38 +133,36 @@ def _parse_list(text: str, what: str, cast: type) -> list:
     return vals
 
 
-def _solve_options(args, algorithm: Algorithm = Algorithm.GBA_P) -> SolveOptions:
+def _solve_options(args, algorithm: Algorithm = _DEFAULT_ALGO) -> SolveOptions:
     return SolveOptions(algorithm=algorithm, max_iters=args.max_iters,
                         rel_tol=args.rel_tol)
 
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    if isinstance(inst, PrivateInstance):
-        if args.algorithm not in _PRIVATE_ALGOS:
-            raise InvalidInputError(
-                f"algorithm {args.algorithm!r} requires a common instance"
-            )
-        opts = _solve_options(args, _PRIVATE_ALGOS[args.algorithm])
+    private = isinstance(inst, PrivateInstance)
+    name = args.algorithm or (_DEFAULT_ALGO.value if private else "egba-p")
+    if private:
+        if name not in _PRIVATE_ALGOS:
+            raise InvalidInputError(f"algorithm {name!r} requires a common instance")
+        opts = _solve_options(args, _PRIVATE_ALGOS[name])
         rep = solve_private(inst, opts)
         pt = rates_private(rep.final_KU, inst)
         result = {
             "kind": "private",
-            "algorithm": args.algorithm,
+            "algorithm": name,
             "converged": bool(rep.converged),
             "iterations": int(rep.iterations),
             "objective": float(rep.objective),
-            "stationarity_residual": float(rep.stationarity_residual),
+            "kkt_residual": float(rep.kkt_residual),
             "K_U": _mat(rep.final_KU),
             "K_V": _mat(inst.K - rep.final_KU),
             "rates": {"R0": pt.R0, "R1": pt.R1, "R2": pt.R2},
             "warnings": list(rep.warnings),
         }
     else:
-        if args.algorithm != "egba-p":
-            raise InvalidInputError(
-                f"algorithm {args.algorithm!r} requires a private instance"
-            )
+        if name != "egba-p":
+            raise InvalidInputError(f"algorithm {name!r} requires a private instance")
         opts = _solve_options(args)
         rep = solve_common(inst, opts)
         pt = rates_common(rep.K_U, rep.K_V, inst)
@@ -318,7 +317,8 @@ def cmd_bench(args) -> int:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=SolveOptions().rel_tol,
-                   help="relative stopping tolerance (default %(default)s)")
+                   help="stopping tolerance: KKT residual for spg, relative "
+                        "step for the others (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=SolveOptions().max_iters,
                    help="iteration cap (default %(default)s)")
 
@@ -333,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one weighted-rate maximization")
     p.add_argument("instance", help="path to a JSON instance file")
-    p.add_argument("--algorithm", default="gba-p",
-                   choices=["gba-p", "gba-a", "egba-p"],
-                   help="gba-p/gba-a for private instances, egba-p for common")
+    p.add_argument("--algorithm", choices=[*_PRIVATE_ALGOS, "egba-p"],
+                   help=f"{'/'.join(_PRIVATE_ALGOS)} for private instances, "
+                        f"egba-p for common (default {_DEFAULT_ALGO.value} or "
+                        f"egba-p by instance kind)")
     _add_solver_flags(p)
     p.add_argument("--trace-out", help="write per-iteration CSV here "
                                        "(JSON summary sidecar at PATH.json)")
@@ -348,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="path to a JSON instance file")
     p.add_argument("--lambdas", help="comma-separated lambda values (private)")
     p.add_argument("--alpha-grid", help="comma-separated alpha values (common)")
-    p.add_argument("--algorithm", default="gba-p", choices=["gba-p", "gba-a"],
+    p.add_argument("--algorithm", default=_DEFAULT_ALGO.value,
+                   choices=list(_PRIVATE_ALGOS),
                    help="private-instance algorithm (default %(default)s)")
     _add_solver_flags(p)
     p.add_argument("--csv-out", help="write rate points here instead of stdout")
@@ -366,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dimensions, e.g. 100,200,500")
     p.add_argument("--seeds", default="3",
                    help="seed count (single integer) or comma-separated seed list")
-    p.add_argument("--algorithms", default="gba-p,gba-a",
-                   help="comma-separated subset of gba-p,gba-a")
+    p.add_argument("--algorithms", default=",".join(_PRIVATE_ALGOS),
+                   help="comma-separated subset of %(default)s")
     _add_solver_flags(p)
     p.add_argument("--csv-out", help="write the table here instead of stdout")
     p.add_argument("--no-timing", action="store_true",

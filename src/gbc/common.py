@@ -313,10 +313,12 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     slow approach to boundary-active solutions each pass.  The outer
     loop stops when the summed relative spectral-norm changes of K_U and
     K_V fall below opts.rel_tol, or after opts.max_iters passes.  Of the
-    options only max_iters and rel_tol are read; algorithm and init are
-    validated and otherwise ignored.
+    options only max_iters and rel_tol are read: EGBA-P ignores
+    algorithm, and an init other than None raises InvalidInputError.
     """
     opts.validate()
+    if opts.init is not None:
+        raise InvalidInputError("solve_common takes no init; it starts from K_U = K_C/2")
     inst.validate()
     t0 = time.perf_counter()
     n = inst.n

@@ -1,7 +1,14 @@
-"""Fixed-point solvers for the private-message weighted rate problem.
+"""Solvers for the private-message weighted rate problem.
 
-Both algorithms maximize logdet(A_U + SigmaHat1) - lam * logdet(A_U +
-SigmaHat2) over the box {0 <= A_U <= I} produced by the rank reduction:
+All three algorithms maximize logdet(A_U + SigmaHat1) - lam * logdet(A_U
++ SigmaHat2) over the box {0 <= A_U <= I} produced by the rank reduction:
+
+SPG (the default) is spectral projected gradient ascent (Birgin,
+Martinez & Raydan, SIAM J. Optim. 2000): a Barzilai-Borwein step along
+the gradient, projected onto the box by eigenvalue clipping, then a
+monotone Armijo backtrack.  It stops when the KKT residual
+||A - proj(A + grad f(A))||_F falls to rel_tol, so `converged` certifies
+a first-order optimal point of the box problem to that tolerance.
 
 GBA-P applies the unconstrained fixed-point update and projects the
 result back onto the box by eigenvalue clipping.
@@ -11,8 +18,8 @@ difference matrix B = D_U - lam * D_V from the current iterate, then
 rebuilds the iterate eigenvalue by eigenvalue, each one the unique root
 in (0, 1) of a scalar quadratic.  Its objective trace is non-decreasing.
 
-Both stop when the spectral norm of the iterate change falls below
-rel_tol times the spectral norm of the previous iterate.
+GBA-P and GBA-A stop when the spectral norm of the iterate change falls
+below rel_tol times the spectral norm of the previous iterate.
 """
 
 from __future__ import annotations
@@ -36,25 +43,38 @@ from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce
 class Algorithm(enum.Enum):
     """Private-message solver selector."""
 
+    SPG = "spg"
     GBA_P = "gba-p"
     GBA_A = "gba-a"
+
+
+# SPG constants: Barzilai-Borwein step lengths are clipped to
+# [_BB_MIN, _BB_MAX], and the Armijo backtrack halves the step until the
+# objective rises by at least _ARMIJO times the predicted rise.
+_BB_MIN = 1e-10
+_BB_MAX = 1e10
+_ARMIJO = 1e-4
+# Relative rounding error of a sum of log1p terms and of the eigenvalues
+# it is built from.
+_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Knobs for solve_private and solve_common.
 
-    algorithm   which private-message iteration to run
+    algorithm   which private-message solver to run (SPG by default)
     max_iters   iteration cap (outer cap for the common solver)
-    rel_tol     relative spectral-norm stopping threshold
+    rel_tol     stopping threshold: the KKT residual for SPG, the
+                relative spectral-norm step for GBA-P and GBA-A
     init        reduced starting matrix, projected onto the clamped box;
                 None starts from I/2
 
-    solve_common reads only max_iters and rel_tol; it validates the
-    other two and ignores them.
+    solve_common (EGBA-P) reads only max_iters and rel_tol: it ignores
+    algorithm and rejects an init other than None.
     """
 
-    algorithm: Algorithm = Algorithm.GBA_P
+    algorithm: Algorithm = Algorithm.SPG
     max_iters: int = 100
     rel_tol: float = 1e-4
     init: np.ndarray | None = None
@@ -89,11 +109,9 @@ class SolveReport:
                         initial point and after every iteration
     iterations          number of update steps taken
     converged           whether the stopping rule fired before the cap
-    stationarity_residual
-                        Frobenius distance of final_AU from being a fixed
-                        point of the unprojected update, relative to
-                        ||final_AU||_F; small values certify interior
-                        stationarity
+    kkt_residual        ||final_AU - project_box(final_AU + gradient)||_F,
+                        zero exactly at first-order optimal points of
+                        the box problem
     elapsed_seconds     wall-clock time of the solve
     warnings            human-readable notes (conditioning, clamped init)
     iterate_eig_min     smallest eigenvalue seen across all iterates
@@ -106,7 +124,7 @@ class SolveReport:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    stationarity_residual: float
+    kkt_residual: float
     elapsed_seconds: float
     warnings: tuple[str, ...] = ()
     iterate_eig_min: float = 0.0
@@ -148,8 +166,7 @@ def fixed_point_update(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
                        lam: float) -> np.ndarray:
     """Unprojected update inv(inv(T) + lam * inv(A + H2)), T = A H1i A + A.
 
-    H2s is the one-slice stack (H2,).  GBA-P, its stationarity residual
-    and the EGBA K_V step (lam = its weight ratio) share it; the K_U step
+    H2s is the one-slice stack (H2,).  GBA-P and the EGBA K_V step (lam = its weight ratio) share it; the K_U step
     adds its own terms to the inverses of the same stack form.
     """
     Wi = inv(step_stack(A, H1i, H2s))
@@ -162,10 +179,22 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
     return logdet(A + red.SigmaHat1) - float(lam) * logdet(A + red.SigmaHat2)
 
 
+def _gradient(A: np.ndarray, H12: np.ndarray, lam: float) -> np.ndarray:
+    """inv(A + H1) - lam inv(A + H2) from one stacked inverse (H12 is the
+    stack of H1 and H2)."""
+    Wi = inv(A + H12)
+    return symmetrize(Wi[0] - lam * Wi[1])
+
+
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
-    A = symmetrize(A_U)
-    return symmetrize(inv(A + red.SigmaHat1) - float(lam) * inv(A + red.SigmaHat2))
+    return _gradient(symmetrize(A_U), np.stack((red.SigmaHat1, red.SigmaHat2)),
+                     float(lam))
+
+
+def _kkt(A: np.ndarray, G: np.ndarray) -> float:
+    """Projected-gradient residual ||A - project_box(A + G)||_F."""
+    return float(np.linalg.norm(A - project_box(A + G)))
 
 
 def root_in_unit_interval(b, lam):
@@ -231,6 +260,113 @@ def _fast_objective(A: np.ndarray, H12: np.ndarray, lam: float) -> float:
     return float(ld[0] - lam * ld[1])
 
 
+def _rise(t: float, mu: np.ndarray, lam: float) -> float:
+    """f(A + tD) - f(A) = sum log1p(t mu_1) - lam sum log1p(t mu_2), where
+    mu_i are the eigenvalues of L_i^-1 D L_i^-T and A + H_i = L_i L_i^T.
+
+    Accurate relative to the change itself, however small, where a
+    difference of two log-determinants loses everything below the
+    rounding error of f.
+    """
+    lt = np.log1p(t * mu)
+    return float(np.sum(lt[0]) - lam * np.sum(lt[1]))
+
+
+class _Spg:
+    """Spectral projected gradient ascent on the reduced box.
+
+    Holds the objective f, gradient G and KKT residual at the current
+    iterate, and the Barzilai-Borwein step length for the next step.
+    """
+
+    def __init__(self, A: np.ndarray, f: float, H12: np.ndarray, lam: float,
+                 rel_tol: float):
+        self.H12 = H12
+        self.lam = lam
+        self.rel_tol = rel_tol
+        self.f = f
+        self.G = _gradient(A, H12, lam)
+        self.kkt = _kkt(A, self.G)
+        self.alpha = 1.0
+
+    @property
+    def converged(self) -> bool:
+        return self.kkt <= self.rel_tol
+
+    def stops(self, num: float, den: float) -> bool:
+        return self.converged
+
+    def kkt_at(self, A: np.ndarray) -> float:
+        return self.kkt
+
+    def stall_warning(self) -> str:
+        return (f"SPG step fell below roundoff at KKT residual "
+                f"{self.kkt:.3e}; stopped before reaching rel_tol")
+
+    def step(self, A: np.ndarray) -> np.ndarray | None:
+        """Next iterate, or None once no rise can be verified: the
+        predicted rise is within the rounding error of the measured
+        change, or the backtracked step no longer moves the unit box."""
+        G = self.G
+        D = project_box(A + self.alpha * G) - A
+        # >= ||D||^2 / alpha by the projection's variational inequality
+        rise = float(np.vdot(G, D))
+        try:
+            Li = inv(np.linalg.cholesky(A + self.H12))
+        except np.linalg.LinAlgError as e:
+            raise NumericalBreakdownError("iterate lost positive definiteness") from e
+        mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
+        noise = _ROUNDOFF * float(np.sum(np.abs(mu[0]))
+                                  + self.lam * np.sum(np.abs(mu[1])))
+        if not rise > noise:
+            return None
+        t = 1.0
+        size = float(np.linalg.norm(D))
+        while (change := _rise(t, mu, self.lam)) < _ARMIJO * t * rise:
+            t *= 0.5
+            if t * size <= np.finfo(float).eps:
+                return None
+        An = A + t * D
+        Gn = _gradient(An, self.H12, self.lam)
+        # BB step <s, s> / <s, -y> for ascent, s = An - A, y = Gn - G
+        s = t * D
+        curv = -float(np.vdot(s, Gn - G))
+        self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
+                      if curv > 0.0 else _BB_MAX)
+        self.f += change
+        self.G = Gn
+        self.kkt = _kkt(An, Gn)
+        return An
+
+
+class _Gba:
+    """GBA-P or GBA-A behind the step interface of _Spg: `update` is
+    _p_step or _a_step, and the solve stops on the relative
+    spectral-norm step."""
+
+    converged = False
+
+    def __init__(self, update, f: float, H1i: np.ndarray, H12: np.ndarray,
+                 lam: float, rel_tol: float):
+        self.update = update
+        self.H1i = H1i
+        self.H12 = H12
+        self.lam = lam
+        self.rel_tol = rel_tol
+        self.f = f
+
+    def stops(self, num: float, den: float) -> bool:
+        return num <= self.rel_tol * den
+
+    def kkt_at(self, A: np.ndarray) -> float:
+        return _kkt(A, _gradient(A, self.H12, self.lam))
+
+    def step(self, A: np.ndarray) -> np.ndarray:
+        An = self.update(A, self.H1i, self.H12[1:], self.lam)
+        self.f = _fast_objective(An, self.H12, self.lam)
+        return An
+
+
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
                      warnings: list[str]) -> np.ndarray:
     r = red.rank
@@ -257,21 +393,24 @@ def _degenerate_report(inst: PrivateInstance, t0: float) -> SolveReport:
         objective_trace=np.array([obj]),
         iterations=0,
         converged=True,
-        stationarity_residual=0.0,
+        kkt_residual=0.0,
         elapsed_seconds=time.perf_counter() - t0,
         warnings=("constraint matrix is zero; K_U = 0 is the only feasible point",),
     )
 
 
 def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Run the selected iteration on a private-message instance.
+    """Run the selected solver on a private-message instance.
 
-    The instance is reduced to its r x r box form, iterated from
-    opts.init until the relative spectral-norm change of the iterate
-    falls below opts.rel_tol or opts.max_iters steps have run, and the
-    final iterate is lifted back to original coordinates.  The objective
-    trace is reported in original coordinates (reduced value plus the
-    reduction offset) with one entry per iterate including the start.
+    The instance is reduced to its r x r box form and iterated from
+    opts.init until the stopping rule meets opts.rel_tol or opts.max_iters
+    steps have run; the final iterate is lifted back to original
+    coordinates.  SPG stops on the KKT residual (and, unconverged with a
+    warning, when its backtrack falls below roundoff); GBA-P and GBA-A
+    stop on the relative spectral-norm change of the iterate.  The
+    objective trace is reported in original coordinates (reduced value
+    plus the reduction offset) with one entry per iterate including the
+    start.
     """
     opts.validate()
     inst.validate()
@@ -284,43 +423,43 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     lam = red.lam
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
-    H1i = inv(red.SigmaHat1)
     H12 = np.stack((red.SigmaHat1, red.SigmaHat2))
-    H2s = H12[1:]
-    step = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
+    f = _fast_objective(A, H12, lam)
+    if opts.algorithm is Algorithm.SPG:
+        solver = _Spg(A, f, H12, lam, opts.rel_tol)
+    else:
+        update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
+        solver = _Gba(update, f, inv(red.SigmaHat1), H12, lam, opts.rel_tol)
 
     w0 = np.linalg.eigvalsh(A)
     eig_min = float(w0[0])
     eig_max = float(w0[-1])
     den = float(max(abs(w0[0]), abs(w0[-1])))
-    trace = [_fast_objective(A, H12, lam) + red.offset]
+    trace = [f + red.offset]
     rels: list[float] = []
-    converged = False
+    converged = solver.converged
     iterations = 0
     # the step An - A and the new iterate An, for one stacked eigvalsh
     E = np.empty((2,) + A.shape)
 
-    for iterations in range(1, int(opts.max_iters) + 1):
-        An = step(A, H1i, H2s, lam)
+    while not converged and iterations < int(opts.max_iters):
+        An = solver.step(A)
+        if An is None:
+            warnings.append(solver.stall_warning())
+            break
+        iterations += 1
         np.subtract(An, A, out=E[0])
         E[1] = An
         w = np.linalg.eigvalsh(E)
         num = float(np.max(np.abs(w[0])))
-        stop = num <= opts.rel_tol * den
+        converged = solver.stops(num, den)
         wN = w[1]
         eig_min = min(eig_min, float(wN[0]))
         eig_max = max(eig_max, float(wN[-1]))
-        trace.append(_fast_objective(An, H12, lam) + red.offset)
+        trace.append(solver.f + red.offset)
         rels.append(num / den if den > 0.0 else 0.0)
         A = An
         den = float(max(abs(wN[0]), abs(wN[-1])))
-        if stop:
-            converged = True
-            break
-
-    raw = fixed_point_update(A, H1i, H2s, lam)
-    norm_A = float(np.linalg.norm(A))
-    residual = float(np.linalg.norm(A - raw)) / norm_A if norm_A > 0.0 else 0.0
 
     return SolveReport(
         final_AU=A,
@@ -328,7 +467,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
-        stationarity_residual=residual,
+        kkt_residual=solver.kkt_at(A),
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
         iterate_eig_min=eig_min,

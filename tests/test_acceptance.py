@@ -100,8 +100,8 @@ def pool():
         data["exact"].append((inst1, rep))
     for idx in (2, 3, 4):
         inst = _case(idx)
-        rep = solve_private(
-            inst, SolveOptions(rel_tol=1e-10, max_iters=300_000))
+        rep = solve_private(inst, SolveOptions(
+            algorithm=Algorithm.GBA_P, rel_tol=1e-10, max_iters=300_000))
         data["tight"].append((idx, inst, rep))
     for idx in (2, 3, 4):
         inst = _case(idx)
@@ -346,7 +346,8 @@ def test_criterion_10():
     weighted = []
     for lam in (1.5, 2.0, 5.0):
         inst = random_instance(3, 7, lam=lam)
-        rep = solve_private(inst, SolveOptions(rel_tol=1e-6, max_iters=50_000))
+        rep = solve_private(inst, SolveOptions(
+            algorithm=Algorithm.GBA_P, rel_tol=1e-6, max_iters=50_000))
         if not rep.converged:
             failures.append(f"lam={lam} sweep solve did not converge")
         pt = rates_private(rep.final_KU, inst)

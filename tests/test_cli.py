@@ -107,9 +107,10 @@ def test_solve_algorithm_kind_mismatch(tmp_path, capsys):
     rc = main(["solve", _case1(tmp_path), "--algorithm", "egba-p"])
     assert rc == 1
     assert "requires a common instance" in capsys.readouterr().err
-    rc = main(["solve", _common_fixture(tmp_path), "--algorithm", "gba-a"])
-    assert rc == 1
-    assert "requires a private instance" in capsys.readouterr().err
+    for name in ("gba-a", "spg"):
+        rc = main(["solve", _common_fixture(tmp_path), "--algorithm", name])
+        assert rc == 1
+        assert "requires a private instance" in capsys.readouterr().err
 
 
 def test_solve_common_instance(tmp_path, capsys):
@@ -201,7 +202,9 @@ def test_bench_row_count(tmp_path, capsys):
     rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == ["n", "seed", "algorithm", "iterations", "converged",
                        "seconds", "final_objective"]
-    assert len(rows) == 1 + 2 * 3
+    # the default algorithm list is spg,gba-p,gba-a
+    assert len(rows) == 1 + 3 * 3
+    assert {r[2] for r in rows[1:]} == {"spg", "gba-p", "gba-a"}
     assert all(r[5] == "" for r in rows[1:])
     capsys.readouterr()
 
@@ -233,7 +236,7 @@ def test_bench_failed_cell_notes_its_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"note: n=2 seed=9 {name}: matrix inverse failed: Singular matrix"
-        for name in ("gba-p", "gba-a")]
+        for name in ("spg", "gba-p", "gba-a")]
     # the failed cells keep their bare NaN rows in the CSV, byte for byte
     want = "".join(
         line if ",9," not in line else f"2,9,{line.split(',')[2]},0,False,,nan\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbc import (
+    Algorithm,
     CommonInstance,
     GridSpec,
     SolveOptions,
@@ -152,6 +153,18 @@ def test_alpha_one_ratio_well_defined():
     assert ratio == pytest.approx(1.2 / 1.1, rel=1e-14)
     rep = solve_common(inst, SolveOptions(max_iters=50, rel_tol=1e-3))
     assert np.all(np.isfinite(rep.K_U)) and np.all(np.isfinite(rep.K_V))
+
+
+def test_solve_ignores_algorithm_and_rejects_init():
+    inst = _scalar(2.0, 1.0, 2.0)
+    opts = SolveOptions(max_iters=50, rel_tol=1e-3)
+    rep = solve_common(inst, opts)
+    other = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_A,
+                                            max_iters=50, rel_tol=1e-3))
+    assert np.array_equal(rep.K_U, other.K_U)
+    assert np.array_equal(rep.K_V, other.K_V)
+    with pytest.raises(InvalidInputError):
+        solve_common(inst, SolveOptions(init=np.eye(1)))
 
 
 def test_solve_zero_constraint():

@@ -106,11 +106,11 @@ def test_monotone_objective_both_algorithms():
 
 
 def test_case1_converges_immediately():
-    rep = solve_private(_case(1))
+    rep = solve_private(_case(1), SolveOptions(algorithm=Algorithm.GBA_P))
     assert rep.converged
     assert rep.iterations == 1
     assert np.allclose(rep.final_KU, [[1.0, 1.0], [1.0, 2.0]], atol=1e-10)
-    assert rep.stationarity_residual < 1e-10
+    assert rep.kkt_residual < 1e-10
 
 
 def test_iterates_stay_feasible():
@@ -145,7 +145,8 @@ def test_degenerate_zero_constraint():
 
 def test_explicit_matrix_init():
     inst = _case(1)
-    rep = solve_private(inst, SolveOptions(init=0.5 * np.eye(2)))
+    rep = solve_private(inst, SolveOptions(algorithm=Algorithm.GBA_P,
+                                           init=0.5 * np.eye(2)))
     assert rep.iterations == 1
     # out-of-box init gets projected with a warning
     rep2 = solve_private(inst, SolveOptions(init=3.0 * np.eye(2),
@@ -170,7 +171,8 @@ def test_options_validation():
         with pytest.raises(InvalidInputError):
             solve_private(inst, SolveOptions(**bad))
     # a whole-valued float cap is accepted
-    assert solve_private(inst, SolveOptions(max_iters=3.0)).iterations == 1
+    assert solve_private(inst, SolveOptions(algorithm=Algorithm.GBA_P,
+                                            max_iters=3.0)).iterations == 1
 
 
 def test_rank_deficient_constraint_solves():
