@@ -5,8 +5,9 @@ The package solves weighted rate-sum maximizations over covariance
 matrices: three algorithms for private-message regions (spectral
 projected gradient, the default, which stops on a certified KKT
 residual; the paper's projected fixed-point update; and its provably
-monotone eigenvalue-root update) and an alternating extension for
-regions with a common message.  Problems are reduced to a spectral box
+monotone eigenvalue-root update) and an alternating solver for regions
+with a common message, whose two inner subproblems run spectral
+projected gradient by default or the paper's fixed-point maps.  Problems are reduced to a spectral box
 via a congruence transform, solved there, and lifted back.  Brute-force
 grid oracles, finite-difference checks, region tracing, and a CLI round
 out the toolkit.

@@ -30,6 +30,8 @@ from .reduction import PrivateInstance
 from .region import rates_common, rates_private, sweep_alpha_common, trace_region_private
 
 _PRIVATE_ALGOS = {a.value: a for a in Algorithm}
+# solve_common runs SPG or the paper's EGBA-P, which the options name GBA_P
+_COMMON_ALGOS = {Algorithm.SPG.value: Algorithm.SPG, "egba-p": Algorithm.GBA_P}
 _DEFAULT_ALGO = SolveOptions().algorithm
 
 
@@ -133,19 +135,27 @@ def _parse_list(text: str, what: str, cast: type) -> list:
     return vals
 
 
-def _solve_options(args, algorithm: Algorithm = _DEFAULT_ALGO) -> SolveOptions:
+def _solve_options(args, algorithm: Algorithm) -> SolveOptions:
     return SolveOptions(algorithm=algorithm, max_iters=args.max_iters,
                         rel_tol=args.rel_tol)
 
 
-def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    private = isinstance(inst, PrivateInstance)
-    name = args.algorithm or (_DEFAULT_ALGO.value if private else "egba-p")
-    if private:
+def _algorithm(name: str, inst) -> Algorithm:
+    """The solver that `name` selects for this kind of instance."""
+    if isinstance(inst, PrivateInstance):
         if name not in _PRIVATE_ALGOS:
             raise InvalidInputError(f"algorithm {name!r} requires a common instance")
-        opts = _solve_options(args, _PRIVATE_ALGOS[name])
+        return _PRIVATE_ALGOS[name]
+    if name not in _COMMON_ALGOS:
+        raise InvalidInputError(f"algorithm {name!r} requires a private instance")
+    return _COMMON_ALGOS[name]
+
+
+def cmd_solve(args) -> int:
+    inst = load_instance(args.instance)
+    name = args.algorithm or _DEFAULT_ALGO.value
+    opts = _solve_options(args, _algorithm(name, inst))
+    if isinstance(inst, PrivateInstance):
         rep = solve_private(inst, opts)
         pt = rates_private(rep.final_KU, inst)
         result = {
@@ -161,14 +171,11 @@ def cmd_solve(args) -> int:
             "warnings": list(rep.warnings),
         }
     else:
-        if name != "egba-p":
-            raise InvalidInputError(f"algorithm {name!r} requires a private instance")
-        opts = _solve_options(args)
         rep = solve_common(inst, opts)
         pt = rates_common(rep.K_U, rep.K_V, inst)
         result = {
             "kind": "common",
-            "algorithm": "egba-p",
+            "algorithm": name,
             "converged": bool(rep.converged),
             "outer_passes": int(len(rep.step_rel_changes)),
             "inner_iterations": {
@@ -176,6 +183,7 @@ def cmd_solve(args) -> int:
                 "K_U": list(rep.inner_iterations[1]),
             },
             "objective": float(rep.objective),
+            "kkt_residual": float(rep.kkt_residual),
             "K_U": _mat(rep.K_U),
             "K_V": _mat(rep.K_V),
             "K_W": _mat(rep.K_W),
@@ -204,12 +212,8 @@ def cmd_trace_region(args) -> int:
         lams = _parse_list(args.lambdas, "lambda", float)
         if lams != sorted(lams):
             _note("lambda values were not ascending; output rows are sorted ascending")
-        algo = _PRIVATE_ALGOS.get(args.algorithm)
-        if algo is None:
-            raise InvalidInputError(
-                f"algorithm {args.algorithm!r} requires a common instance"
-            )
-        points = trace_region_private(inst, lams, _solve_options(args, algo))
+        opts = _solve_options(args, _algorithm(args.algorithm, inst))
+        points = trace_region_private(inst, lams, opts)
         rows = []
         failed = False
         for pt in points:
@@ -224,10 +228,11 @@ def cmd_trace_region(args) -> int:
 
     if not isinstance(inst, CommonInstance):
         raise InvalidInputError("--alpha-grid requires a common instance")
+    opts = _solve_options(args, _algorithm(args.algorithm, inst))
     alphas = _parse_list(args.alpha_grid, "alpha", float)
     if alphas != sorted(alphas):
         _note("alpha values were not ascending; output rows follow the input order")
-    reports, argmin = sweep_alpha_common(inst, alphas, _solve_options(args))
+    reports, argmin = sweep_alpha_common(inst, alphas, opts)
     rows = []
     failed = False
     nan = repr(float("nan"))
@@ -335,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="path to a JSON instance file")
     p.add_argument("--algorithm", choices=[*_PRIVATE_ALGOS, "egba-p"],
                    help=f"{'/'.join(_PRIVATE_ALGOS)} for private instances, "
-                        f"egba-p for common (default {_DEFAULT_ALGO.value} or "
-                        f"egba-p by instance kind)")
+                        f"{'/'.join(_COMMON_ALGOS)} for common "
+                        f"(default {_DEFAULT_ALGO.value})")
     _add_solver_flags(p)
     p.add_argument("--trace-out", help="write per-iteration CSV here "
                                        "(JSON summary sidecar at PATH.json)")
@@ -350,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", help="comma-separated lambda values (private)")
     p.add_argument("--alpha-grid", help="comma-separated alpha values (common)")
     p.add_argument("--algorithm", default=_DEFAULT_ALGO.value,
-                   choices=list(_PRIVATE_ALGOS),
-                   help="private-instance algorithm (default %(default)s)")
+                   choices=[*_PRIVATE_ALGOS, "egba-p"],
+                   help=f"{'/'.join(_PRIVATE_ALGOS)} with --lambdas, "
+                        f"{'/'.join(_COMMON_ALGOS)} with --alpha-grid "
+                        f"(default %(default)s)")
     _add_solver_flags(p)
     p.add_argument("--csv-out", help="write rate points here instead of stdout")
     p.set_defaults(func=cmd_trace_region)

@@ -7,14 +7,22 @@ The objective, normalized by the private weight lambda1, is
     + logdet(K_U + Sigma1) - lam2' * logdet(K_U + Sigma2)
 
 over K_U, K_V >= 0 with K_U + K_V <= K_C, where lam0' = lambda0/lambda1,
-lam2' = lambda2/lambda1 and abar = 1 - alpha.  With K_U fixed the K_V
-subproblem has exactly the private-message shape (weight ratio
-lam0*alpha/(lam2 - lam0*abar) and noise pair K_U+Sigma2, K_U+Sigma1), so
-one projected fixed-point pass solves it.  With K_V fixed the K_U
-subproblem picks up a coupling term through K_V; its fixed-point update
-adds that term and a mixed barrier to the private-message update.  The
-outer loop alternates the two inner solves until both lifted covariances
-stop moving in relative spectral norm.
+lam2' = lambda2/lambda1 and abar = 1 - alpha.  The outer loop alternates
+a K_V and a K_U subproblem until both lifted covariances stop moving in
+relative spectral norm.  In the reduced box of its budget each
+subproblem maximizes sum_i w_i logdet(A + H_i): the K_V block has
+H = (NHat1, NHat2), the compressions of K_U + Sigma2 and K_U + Sigma1,
+with w = (c, -lam0'*alpha), c = lam2' - lam0'*abar; the K_U block has
+H = (MHat1, MHat2, SigmaHat1, SigmaHat2) with w = (c, -lam0'*alpha, 1,
+-lam2').
+
+Two inner solvers are available.  SPG (the default) runs the spectral
+projected gradient ascent of the private solver on these weighted
+stacks and stops each block on its KKT residual.  EGBA-P, the paper's
+extension of GBA-P, iterates fixed-point maps: the K_V map has exactly
+the private-message shape (weight ratio lam0*alpha/(lam2 - lam0*abar)),
+and the K_U map adds a coupling term through K_V and a mixed barrier to
+the private-message update; it stops each block on the relative step.
 """
 
 from __future__ import annotations
@@ -38,7 +46,16 @@ from .psd import (
     spectral_norm,
     symmetrize,
 )
-from .private import SolveOptions, fixed_point_update, inv, step_stack
+from .private import (
+    Algorithm,
+    SolveOptions,
+    _gradient,
+    _kkt,
+    _Spg,
+    fixed_point_update,
+    inv,
+    step_stack,
+)
 from .reduction import (
     BoxTransform,
     box_transform,
@@ -106,6 +123,9 @@ class CommonSolveReport:
                     per-outer-pass iteration counts of the K_V and K_U
                     inner solves, as a pair of sequences
     converged       whether the outer stopping rule fired before the cap
+    kkt_residual    the larger of the K_U and K_V block KKT residuals at the
+                    returned pair, each ||A - project_box(A + gradient)||_F
+                    in the reduced box of the block's budget
     elapsed_seconds wall-clock time of the solve
     warnings        human-readable notes (feasibility slips, inner caps)
     step_rel_changes
@@ -118,6 +138,7 @@ class CommonSolveReport:
     objective_trace: np.ndarray
     inner_iterations: tuple[tuple[int, ...], tuple[int, ...]]
     converged: bool
+    kkt_residual: float
     elapsed_seconds: float
     warnings: tuple[str, ...] = ()
     step_rel_changes: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -145,14 +166,35 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
     )
 
 
+class _FixedPoint:
+    """Step interface of the EGBA-P passes, shared with _Spg: `step` maps
+    a checked iterate to the next, and an inner solve stops once the step
+    norm is within its bound."""
+
+    converged = False
+
+    @property
+    def rank(self) -> int:
+        return self.H1i.shape[0]
+
+    @staticmethod
+    def stops(num: float, bound: float) -> bool:
+        return num <= bound
+
+
 @dataclass(frozen=True)
-class KVPass:
+class KVPass(_FixedPoint):
     """Constants of one K_V inner solve: inv(NHat1), the shift stack
     (NHat2,) and the weight ratio.  Built by kv_pass."""
 
     H1i: np.ndarray
     shifts: np.ndarray
     ratio: float
+
+    def step(self, B: np.ndarray) -> np.ndarray:
+        if self.ratio == 0.0:
+            return project_box(B @ self.H1i @ B + B)
+        return project_box(fixed_point_update(B, self.H1i, self.shifts, self.ratio))
 
 
 def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> KVPass:
@@ -164,21 +206,20 @@ def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> KVPass:
                   ratio=ratio)
 
 
-def kv_subproblem_step(B_V: np.ndarray, kv: KVPass) -> np.ndarray:
-    """One projected fixed-point step of the K_V subproblem.
+def kv_subproblem_step(B_V: np.ndarray, kv: KVPass | _Spg) -> np.ndarray | None:
+    """One step of the K_V subproblem from a box-checked iterate.
 
-    Identical in shape to the private-message update with the noise pair
-    (NHat1, NHat2) and weight ratio; ratio = 0 degenerates to projecting
-    B_V NHat1^{-1} B_V + B_V.
+    For a KVPass, the projected fixed-point step: identical in shape to
+    the private-message update with the noise pair (NHat1, NHat2) and
+    weight ratio; ratio = 0 degenerates to projecting
+    B_V NHat1^{-1} B_V + B_V.  For an SPG pass, one SPG step from its
+    current iterate B_V, or None once no rise can be verified.
     """
-    B = check_box(B_V, kv.H1i.shape[0])
-    if kv.ratio == 0.0:
-        return project_box(B @ kv.H1i @ B + B)
-    return project_box(fixed_point_update(B, kv.H1i, kv.shifts, kv.ratio))
+    return kv.step(check_box(B_V, kv.rank))
 
 
 @dataclass(frozen=True)
-class KUPass:
+class KUPass(_FixedPoint):
     """Constants of one K_U inner solve: inv(SigmaHat1), the shift stack
     (MHat1, SigmaHat2, MHat2), the symmetrized coupling B_V' and the
     weights lambda2/lambda1, lambda0/lambda1 and alpha.  Built by ku_pass."""
@@ -189,6 +230,15 @@ class KUPass:
     w_mid: float
     w_last: float
     alpha: float
+
+    def step(self, A: np.ndarray) -> np.ndarray:
+        Wi = inv(step_stack(A, self.H1i, self.shifts))
+        M1i = Wi[1]
+        mid = self.w_mid * (Wi[2] @ self.coupling @ M1i)
+        mid = (mid + mid.T) / 2.0
+        a = self.alpha
+        last = self.w_last * (a * Wi[3] + (1.0 - a) * M1i)
+        return project_box(inv(Wi[0] + mid + last))
 
 
 def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
@@ -211,22 +261,17 @@ def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
     )
 
 
-def ku_subproblem_step(A_U: np.ndarray, ku: KUPass) -> np.ndarray:
-    """One projected fixed-point step of the K_U subproblem.
+def ku_subproblem_step(A_U: np.ndarray, ku: KUPass | _Spg) -> np.ndarray | None:
+    """One step of the K_U subproblem from a box-checked iterate.
 
-    The update is inv(inv(T) + mid + last) with T = A SigmaHat1^{-1} A + A,
-    mid the symmetrized coupling term through B_V' and last the mixed
-    barrier; T, A + MHat1, A + SigmaHat2 and A + MHat2 are inverted in
-    one stacked call.
+    For a KUPass, the projected fixed-point step inv(inv(T) + mid + last)
+    with T = A SigmaHat1^{-1} A + A, mid the symmetrized coupling term
+    through B_V' and last the mixed barrier; T, A + MHat1, A + SigmaHat2
+    and A + MHat2 are inverted in one stacked call.  For an SPG pass, one
+    SPG step from its current iterate A_U, or None once no rise can be
+    verified.
     """
-    A = check_box(A_U, ku.H1i.shape[0])
-    Wi = inv(step_stack(A, ku.H1i, ku.shifts))
-    M1i = Wi[1]
-    mid = ku.w_mid * (Wi[2] @ ku.coupling @ M1i)
-    mid = (mid + mid.T) / 2.0
-    a = ku.alpha
-    last = ku.w_last * (a * Wi[3] + (1.0 - a) * M1i)
-    return project_box(inv(Wi[0] + mid + last))
+    return ku.step(check_box(A_U, ku.rank))
 
 
 def _fro(M: np.ndarray) -> float:
@@ -236,30 +281,36 @@ def _fro(M: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _inner_solve(step, r: int, inner_tol: float, warnings: list[str],
-                 label: str, init: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Iterate a projected step until the relative change settles.
+def _inner_solve(step, ps, B: np.ndarray, inner_tol: float,
+                 warnings: list[str], label: str) -> tuple[np.ndarray, int]:
+    """Run step(B, ps) from B until the pass's stop rule fires.
 
-    Starts from I/2 unless an interior warm start is given.  The loop
-    stops when the Frobenius change falls below inner_tol times the
-    larger of the iterate norm and the box-midpoint norm ||I/2||_F; the
-    absolute anchor keeps the test meaningful for blocks shrinking to
-    zero, where a purely relative test could never fire.  Only the outer
-    loop owes the spectral-norm criterion.
+    An SPG pass stops on its KKT residual (already at B when it is
+    small enough, after no step), or on roundoff when no rise can be
+    verified.  An EGBA-P pass stops when the Frobenius change falls
+    below inner_tol times the larger of the iterate norm and the
+    box-midpoint norm ||I/2||_F; the absolute anchor keeps the test
+    meaningful for blocks shrinking to zero, where a purely relative
+    test could never fire.  Only the outer loop owes the spectral-norm
+    criterion.  Returns the last iterate and the number of steps.
     """
-    B = 0.5 * np.eye(r) if init is None else init
-    anchor = 0.5 * float(np.sqrt(r))
+    anchor = 0.5 * float(np.sqrt(B.shape[0]))
     den = max(_fro(B), anchor)
     count = 0
-    for count in range(1, INNER_CAP + 1):
-        Bn = step(B)
-        num = _fro(Bn - B)
+    stop = ps.converged
+    while not stop:
+        if count == INNER_CAP:
+            warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
+            break
+        Bn = step(B, ps)
+        if Bn is None:
+            warnings.append(f"{label} inner solve stopped on roundoff at KKT "
+                            f"residual {ps.kkt:.3e}")
+            break
+        count += 1
+        stop = ps.stops(_fro(Bn - B), inner_tol * den)
         B = Bn
-        stop = num <= inner_tol * den
         den = max(_fro(B), anchor)
-        if stop:
-            return B, count
-    warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
     return B, count
 
 
@@ -274,8 +325,8 @@ def _rel_change(new: np.ndarray, prev: np.ndarray, floor: float) -> float:
     return spectral_norm(new - prev) / max(spectral_norm(prev), floor)
 
 
-def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray | None:
-    """Previous outer iterate mapped into the current reduced box, or None.
+def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray:
+    """Previous outer iterate mapped into the current reduced box, or I/2.
 
     The previous covariance is feasible for the new constraint by
     construction (each subproblem was solved under the other variable's
@@ -286,8 +337,26 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray | None:
     information; the inner loop then starts from I/2.
     """
     if spectral_norm(M) <= scale_eps:
-        return None
+        return 0.5 * np.eye(bt.rank)
     return project_box(transform(bt, M)[:bt.rank, :bt.rank])
+
+
+def _block_kkt(block: np.ndarray, budget: np.ndarray, H: np.ndarray,
+               w: tuple[float, ...]) -> float:
+    """KKT residual of one block, the other held fixed.
+
+    The objective as a function of the block is sum_i w_i logdet(block +
+    H_i) up to a constant; its gradient is mapped into the reduced box of
+    the block's budget, where the residual is taken.  A budget with no
+    box leaves nothing to certify.
+    """
+    try:
+        bt = box_transform(budget)
+    except DegenerateInstanceError:
+        return 0.0
+    r = bt.rank
+    L = bt.lift_matrix
+    return _kkt(transform(bt, block)[:r, :r], L.T @ _gradient(block, H, w) @ L)
 
 
 def _budget_transform(budget: np.ndarray, scale_eps: float) -> BoxTransform | None:
@@ -305,22 +374,28 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     """Alternate the K_V and K_U subproblems until the iterates settle.
 
     Starts from K_U = K_C/2.  Each outer pass reduces the current
-    constraint, runs the matching inner fixed-point solve, and lifts the
-    result back.  Inner solves run to a tolerance of opts.rel_tol/10;
-    they start from I/2 on the first pass and from the previous outer
-    iterate (mapped into the new coordinates) afterwards; any strictly
-    interior start is admissible, and the warm one avoids re-paying the
-    slow approach to boundary-active solutions each pass.  The outer
-    loop stops when the summed relative spectral-norm changes of K_U and
-    K_V fall below opts.rel_tol, or after opts.max_iters passes.  Of the
-    options only max_iters and rel_tol are read: EGBA-P ignores
-    algorithm, and an init other than None raises InvalidInputError.
+    constraint, runs the matching inner solve, and lifts the result
+    back.  opts.algorithm picks the inner solver: SPG (the default)
+    stops each block when its KKT residual reaches opts.rel_tol/10 (or,
+    with a warning, when its backtrack falls below roundoff); GBA_P runs
+    the paper's EGBA-P fixed-point maps until the relative step falls to
+    opts.rel_tol/10; GBA_A raises InvalidInputError.  Inner solves start
+    from I/2 on the first pass and from the previous outer iterate
+    (mapped into the new coordinates) afterwards; any strictly interior
+    start is admissible, and the warm one avoids re-paying the approach
+    to boundary-active solutions each pass.  The outer loop stops when
+    the summed relative spectral-norm changes of K_U and K_V fall below
+    opts.rel_tol, or after opts.max_iters passes.  An init other than
+    None raises InvalidInputError.
     """
     opts.validate()
+    if opts.algorithm is Algorithm.GBA_A:
+        raise InvalidInputError("solve_common runs spg or gba-p (EGBA-P), not gba-a")
     if opts.init is not None:
         raise InvalidInputError("solve_common takes no init; it starts from K_U = K_C/2")
     inst.validate()
     t0 = time.perf_counter()
+    spg = opts.algorithm is Algorithm.SPG
     n = inst.n
     K_C = symmetrize(inst.K_C)
     S1 = symmetrize(inst.Sigma1)
@@ -330,6 +405,12 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     a = float(inst.alpha)
     ratio = l0 * a / (l2 - l0 * (1.0 - a))
     inner_tol = float(opts.rel_tol) / 10.0
+    # block weights: K_V on (K_U + Sigma2, K_U + Sigma1), K_U on
+    # (K_V + Sigma2, K_V + Sigma1, Sigma1, Sigma2)
+    l0p = l0 / float(inst.lambda1)
+    l2p = l2 / float(inst.lambda1)
+    w_v = (l2p - l0p * (1.0 - a), -l0p * a)
+    w_u = w_v + (1.0, -l2p)
 
     zero = np.zeros((n, n))
     kc_norm = spectral_norm(K_C)
@@ -339,6 +420,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             objective_trace=np.array([objective_common(zero, zero, inst)]),
             inner_iterations=((), ()),
             converged=True,
+            kkt_residual=0.0,
             elapsed_seconds=time.perf_counter() - t0,
             warnings=("constraint matrix is zero; all covariances are zero",),
         )
@@ -364,16 +446,21 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             K_V = zero
             kv_counts.append(0)
         else:
-            kv = kv_pass(schur_head(transform(bt, K_U + S2), bt.rank),
-                         schur_head(transform(bt, K_U + S1), bt.rank), ratio)
-            B, cnt = _inner_solve(
-                lambda B: kv_subproblem_step(B, kv),
-                bt.rank, inner_tol, warnings, "K_V",
-                init=_warm_start(bt, K_V, scale_eps))
+            r = bt.rank
+            N1h = schur_head(transform(bt, K_U + S2), r)
+            N2h = schur_head(transform(bt, K_U + S1), r)
+            B = _warm_start(bt, K_V, scale_eps)
+            if spg:
+                kv = _Spg(B, np.stack((N1h, N2h)), w_v, inner_tol)
+            else:
+                kv = kv_pass(N1h, N2h, ratio)
+            B, cnt = _inner_solve(kv_subproblem_step, kv, B, inner_tol,
+                                  warnings, "K_V")
             K_V = lift(bt, B)
             kv_counts.append(cnt)
 
         # K_U pass under the constraint K_C - K_V
+        ku = None
         bt2 = _budget_transform(K_C - K_V, scale_eps)
         if bt2 is None:
             K_U = zero
@@ -384,12 +471,13 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             S2h = schur_head(transform(bt2, S2), r2)
             M1h = schur_head(transform(bt2, K_V + S2), r2)
             M2h = schur_head(transform(bt2, K_V + S1), r2)
-            BVp = transform(bt2, K_V)[:r2, :r2]
-            ku = ku_pass(S1h, S2h, M1h, M2h, BVp, inst)
-            A, cnt = _inner_solve(
-                lambda A: ku_subproblem_step(A, ku),
-                r2, inner_tol, warnings, "K_U",
-                init=_warm_start(bt2, K_U, scale_eps))
+            A = _warm_start(bt2, K_U, scale_eps)
+            if spg:
+                ku = _Spg(A, np.stack((M1h, M2h, S1h, S2h)), w_u, inner_tol)
+            else:
+                ku = ku_pass(S1h, S2h, M1h, M2h, transform(bt2, K_V)[:r2, :r2], inst)
+            A, cnt = _inner_solve(ku_subproblem_step, ku, A, inner_tol,
+                                  warnings, "K_U")
             K_U = lift(bt2, A)
             ku_counts.append(cnt)
 
@@ -409,6 +497,11 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         warnings.append(
             f"objective decreased by {-float(np.min(drops)):.3e} across an outer pass"
         )
+    # the last K_U solve ran at the returned K_V, so an SPG pass already
+    # holds that block's residual; K_U moved after the last K_V solve
+    kkt_u = ku.kkt if isinstance(ku, _Spg) else _block_kkt(
+        K_U, K_C - K_V, np.stack((K_V + S2, K_V + S1, S1, S2)), w_u)
+    kkt_v = _block_kkt(K_V, K_C - K_U, np.stack((K_U + S2, K_U + S1)), w_v)
 
     return CommonSolveReport(
         K_U=K_U,
@@ -417,6 +510,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         objective_trace=np.asarray(trace),
         inner_iterations=(tuple(kv_counts), tuple(ku_counts)),
         converged=converged,
+        kkt_residual=max(kkt_u, kkt_v),
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
         step_rel_changes=np.asarray(rels),

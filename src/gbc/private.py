@@ -63,15 +63,16 @@ _ROUNDOFF = 16.0 * np.finfo(float).eps
 class SolveOptions:
     """Knobs for solve_private and solve_common.
 
-    algorithm   which private-message solver to run (SPG by default)
+    algorithm   which solver to run (SPG by default)
     max_iters   iteration cap (outer cap for the common solver)
     rel_tol     stopping threshold: the KKT residual for SPG, the
                 relative spectral-norm step for GBA-P and GBA-A
     init        reduced starting matrix, projected onto the clamped box;
                 None starts from I/2
 
-    solve_common (EGBA-P) reads only max_iters and rel_tol: it ignores
-    algorithm and rejects an init other than None.
+    solve_common runs SPG or, for GBA_P, the paper's EGBA-P as its inner
+    solver; it raises InvalidInputError for GBA_A and for an init other
+    than None.
     """
 
     algorithm: Algorithm = Algorithm.SPG
@@ -179,17 +180,26 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
     return logdet(A + red.SigmaHat1) - float(lam) * logdet(A + red.SigmaHat2)
 
 
-def _gradient(A: np.ndarray, H12: np.ndarray, lam: float) -> np.ndarray:
-    """inv(A + H1) - lam inv(A + H2) from one stacked inverse (H12 is the
-    stack of H1 and H2)."""
-    Wi = inv(A + H12)
-    return symmetrize(Wi[0] - lam * Wi[1])
+def _weighted(w: tuple[float, ...], X) -> float | np.ndarray:
+    """w[0] X[0] + w[1] X[1] + ..., summed in slice order; for the private
+    weights (1, -lam) the bits of X[0] - lam X[1].  X is a stack of
+    matrices or a list of floats (faster than numpy scalars)."""
+    total = w[0] * X[0]
+    for i in range(1, len(w)):
+        total += w[i] * X[i]
+    return total
+
+
+def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
+    """Gradient sum_i w_i inv(A + H_i) of sum_i w_i logdet(A + H_i), from
+    one stacked inverse."""
+    return symmetrize(_weighted(w, inv(A + H)))
 
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
     return _gradient(symmetrize(A_U), np.stack((red.SigmaHat1, red.SigmaHat2)),
-                     float(lam))
+                     (1.0, -float(lam)))
 
 
 def _kkt(A: np.ndarray, G: np.ndarray) -> float:
@@ -251,43 +261,50 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))
 
 
-def _fast_objective(A: np.ndarray, H12: np.ndarray, lam: float) -> float:
-    """Reduced objective via one stacked LU log-determinant of A + H1 and
-    A + H2 (H12 is the stack of the two); iterates keep both PD."""
-    s, ld = np.linalg.slogdet(A + H12)
-    if s[0] <= 0.0 or s[1] <= 0.0:
+def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float:
+    """sum_i w_i logdet(A + H_i) via one stacked LU log-determinant;
+    iterates keep every A + H_i PD."""
+    s, ld = np.linalg.slogdet(A + H)
+    if min(s.tolist()) <= 0.0:
         raise NumericalBreakdownError("iterate lost positive definiteness")
-    return float(ld[0] - lam * ld[1])
+    return _weighted(w, ld.tolist())
 
 
-def _rise(t: float, mu: np.ndarray, lam: float) -> float:
-    """f(A + tD) - f(A) = sum log1p(t mu_1) - lam sum log1p(t mu_2), where
-    mu_i are the eigenvalues of L_i^-1 D L_i^-T and A + H_i = L_i L_i^T.
+def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
+    """f(A + tD) - f(A) = sum_i w_i sum log1p(t mu_i), where mu_i are the
+    eigenvalues of L_i^-1 D L_i^-T and A + H_i = L_i L_i^T.
 
     Accurate relative to the change itself, however small, where a
     difference of two log-determinants loses everything below the
     rounding error of f.
     """
-    lt = np.log1p(t * mu)
-    return float(np.sum(lt[0]) - lam * np.sum(lt[1]))
+    return _weighted(w, np.log1p(t * mu).sum(axis=1).tolist())
 
 
 class _Spg:
-    """Spectral projected gradient ascent on the reduced box.
+    """Spectral projected gradient ascent of f(A) = sum_i w_i logdet(A + H_i)
+    on the reduced box [0, I].
 
-    Holds the objective f, gradient G and KKT residual at the current
-    iterate, and the Barzilai-Borwein step length for the next step.
+    H is a (k, r, r) stack of PD matrices and w the k weights: (SigmaHat1,
+    SigmaHat2) with (1, -lam) for the private problem, and the four or two
+    slices of an EGBA block.  Holds f (the objective, or its change from
+    the start), the gradient G and KKT residual at the current iterate,
+    and the Barzilai-Borwein step length for the next step.
     """
 
-    def __init__(self, A: np.ndarray, f: float, H12: np.ndarray, lam: float,
-                 rel_tol: float):
-        self.H12 = H12
-        self.lam = lam
+    def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
+                 rel_tol: float, f: float = 0.0):
+        self.H = H
+        self.w = w
         self.rel_tol = rel_tol
         self.f = f
-        self.G = _gradient(A, H12, lam)
+        self.G = _gradient(A, H, w)
         self.kkt = _kkt(A, self.G)
         self.alpha = 1.0
+
+    @property
+    def rank(self) -> int:
+        return self.H.shape[-1]
 
     @property
     def converged(self) -> bool:
@@ -312,22 +329,22 @@ class _Spg:
         # >= ||D||^2 / alpha by the projection's variational inequality
         rise = float(np.vdot(G, D))
         try:
-            Li = inv(np.linalg.cholesky(A + self.H12))
+            Li = inv(np.linalg.cholesky(A + self.H))
         except np.linalg.LinAlgError as e:
             raise NumericalBreakdownError("iterate lost positive definiteness") from e
         mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
-        noise = _ROUNDOFF * float(np.sum(np.abs(mu[0]))
-                                  + self.lam * np.sum(np.abs(mu[1])))
+        noise = _ROUNDOFF * _weighted([abs(wi) for wi in self.w],
+                                      np.abs(mu).sum(axis=1).tolist())
         if not rise > noise:
             return None
         t = 1.0
         size = float(np.linalg.norm(D))
-        while (change := _rise(t, mu, self.lam)) < _ARMIJO * t * rise:
+        while (change := _rise(t, mu, self.w)) < _ARMIJO * t * rise:
             t *= 0.5
             if t * size <= np.finfo(float).eps:
                 return None
         An = A + t * D
-        Gn = _gradient(An, self.H12, self.lam)
+        Gn = _gradient(An, self.H, self.w)
         # BB step <s, s> / <s, -y> for ascent, s = An - A, y = Gn - G
         s = t * D
         curv = -float(np.vdot(s, Gn - G))
@@ -352,6 +369,7 @@ class _Gba:
         self.H1i = H1i
         self.H12 = H12
         self.lam = lam
+        self.w = (1.0, -lam)
         self.rel_tol = rel_tol
         self.f = f
 
@@ -359,11 +377,11 @@ class _Gba:
         return num <= self.rel_tol * den
 
     def kkt_at(self, A: np.ndarray) -> float:
-        return _kkt(A, _gradient(A, self.H12, self.lam))
+        return _kkt(A, _gradient(A, self.H12, self.w))
 
     def step(self, A: np.ndarray) -> np.ndarray:
         An = self.update(A, self.H1i, self.H12[1:], self.lam)
-        self.f = _fast_objective(An, self.H12, self.lam)
+        self.f = _fast_objective(An, self.H12, self.w)
         return An
 
 
@@ -424,9 +442,10 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
     H12 = np.stack((red.SigmaHat1, red.SigmaHat2))
-    f = _fast_objective(A, H12, lam)
+    w = (1.0, -lam)
+    f = _fast_objective(A, H12, w)
     if opts.algorithm is Algorithm.SPG:
-        solver = _Spg(A, f, H12, lam, opts.rel_tol)
+        solver = _Spg(A, H12, w, opts.rel_tol, f)
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
         solver = _Gba(update, f, inv(red.SigmaHat1), H12, lam, opts.rel_tol)

@@ -297,11 +297,12 @@ def test_criterion_08():
 
 
 def test_criterion_09():
-    # alternating solver against the scalar grid oracle
+    # EGBA-P against the scalar grid oracle
     failures = []
     for seed in range(10):
         inst = random_instance(1, seed, "common")
-        rep = solve_common(inst, SolveOptions(max_iters=1000))
+        rep = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P,
+                                              max_iters=1000))
         grid = grid_search_common_scalar(inst)
         gap = abs(rep.objective - grid.best_objective)
         if gap > grid.resolution_bound:

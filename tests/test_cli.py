@@ -107,7 +107,7 @@ def test_solve_algorithm_kind_mismatch(tmp_path, capsys):
     rc = main(["solve", _case1(tmp_path), "--algorithm", "egba-p"])
     assert rc == 1
     assert "requires a common instance" in capsys.readouterr().err
-    for name in ("gba-a", "spg"):
+    for name in ("gba-a", "gba-p"):
         rc = main(["solve", _common_fixture(tmp_path), "--algorithm", name])
         assert rc == 1
         assert "requires a private instance" in capsys.readouterr().err

@@ -155,16 +155,24 @@ def test_alpha_one_ratio_well_defined():
     assert np.all(np.isfinite(rep.K_U)) and np.all(np.isfinite(rep.K_V))
 
 
-def test_solve_ignores_algorithm_and_rejects_init():
-    inst = _scalar(2.0, 1.0, 2.0)
-    opts = SolveOptions(max_iters=50, rel_tol=1e-3)
-    rep = solve_common(inst, opts)
-    other = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_A,
-                                            max_iters=50, rel_tol=1e-3))
-    assert np.array_equal(rep.K_U, other.K_U)
-    assert np.array_equal(rep.K_V, other.K_V)
+def test_solve_runs_the_selected_algorithm_and_rejects_init():
+    inst = random_instance(2, 0, "common")
+    default = solve_common(inst, SolveOptions(max_iters=50, rel_tol=1e-3))
+    spg = solve_common(inst, SolveOptions(algorithm=Algorithm.SPG,
+                                          max_iters=50, rel_tol=1e-3))
+    egba = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P,
+                                           max_iters=50, rel_tol=1e-3))
+    assert np.array_equal(default.K_U, spg.K_U)
+    assert np.array_equal(default.K_V, spg.K_V)
+    assert default.inner_iterations == spg.inner_iterations
+    # EGBA-P's fixed-point maps take hundreds of steps per block here
+    assert max(map(max, egba.inner_iterations)) > 100
+    assert max(map(max, spg.inner_iterations)) < 100
+    assert not np.array_equal(egba.K_U, spg.K_U)
     with pytest.raises(InvalidInputError):
-        solve_common(inst, SolveOptions(init=np.eye(1)))
+        solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_A))
+    with pytest.raises(InvalidInputError):
+        solve_common(inst, SolveOptions(init=np.eye(2)))
 
 
 def test_solve_zero_constraint():
@@ -182,7 +190,7 @@ def test_solve_fixture_analytic_optimum():
     # exactly (K_U, K_V) = (1, 0): the K_U stationarity 0.4/(k+1) = 0.6/(k+2)
     # gives k = 1, and the K_V derivative 0.5/(s+2) - 0.6/(s+1) stays negative
     inst = _scalar(2.0, 1.0, 2.0)
-    rep = solve_common(inst, SolveOptions(max_iters=1000))
+    rep = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P, max_iters=1000))
     want = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
     assert rep.objective == pytest.approx(want, abs=5e-4)
     assert rep.K_U[0, 0] == pytest.approx(1.0, abs=1e-2)
@@ -193,7 +201,7 @@ def test_solve_fixture_analytic_optimum():
 def test_solve_matches_scalar_grid():
     for seed in (0, 4):
         inst = random_instance(1, seed, "common")
-        rep = solve_common(inst)
+        rep = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P))
         res = grid_search_common_scalar(inst, GridSpec(resolution=2000))
         assert res.best_objective - rep.objective <= res.resolution_bound
         assert -1e-10 <= rep.K_U[0, 0]
@@ -204,7 +212,8 @@ def test_solve_matches_scalar_grid():
 def test_solve_feasible_and_monotone():
     n = 4
     inst = random_instance(n, 2, "common")
-    rep = solve_common(inst, SolveOptions(max_iters=60, rel_tol=1e-3))
+    rep = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P,
+                                          max_iters=60, rel_tol=1e-3))
     z = np.zeros((n, n))
     assert loewner_leq(z, rep.K_U)
     assert loewner_leq(z, rep.K_V)
@@ -222,10 +231,10 @@ def test_solve_feasible_and_monotone():
 
 
 def test_solve_table2_scale_converges():
-    # heavyweight regression: the alternation must converge at n = 50
-    # under the default stopping rule
+    # heavyweight regression: EGBA-P must converge at n = 50 under the
+    # default stopping rule
     inst = random_instance(50, 0, "common")
-    rep = solve_common(inst)
+    rep = solve_common(inst, SolveOptions(algorithm=Algorithm.GBA_P))
     assert rep.converged
     z = np.zeros((50, 50))
     assert loewner_leq(z, rep.K_U)

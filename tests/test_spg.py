@@ -155,7 +155,7 @@ def test_cli_solve_picks_the_solver_by_instance_kind(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc in (0, 2)
     assert doc["kind"] == "common"
-    assert doc["algorithm"] == "egba-p"
+    assert doc["algorithm"] == "spg"
     path = tmp_path / "case2.json"
     inst = _case(2)
     path.write_text(json.dumps({
