@@ -19,10 +19,11 @@ H = (MHat1, MHat2, SigmaHat1, SigmaHat2) with w = (c, -lam0'*alpha, 1,
 Two inner solvers are available.  SPG (the default) runs the spectral
 projected gradient ascent of the private solver on these weighted
 stacks and stops each block on its KKT residual.  EGBA-P, the paper's
-extension of GBA-P, iterates fixed-point maps: the K_V map has exactly
-the private-message shape (weight ratio lam0*alpha/(lam2 - lam0*abar)),
-and the K_U map adds a coupling term through K_V and a mixed barrier to
-the private-message update; it stops each block on the relative step.
+extension of GBA-P, iterates fixed-point maps on the FixedPoint pass of
+the private solver: the K_V map is GBA-P's map (weight ratio
+lam0*alpha/(lam2 - lam0*abar) > 0), and the K_U map adds a coupling term
+through K_V and a mixed barrier to the private-message update; it stops
+each block on the relative step.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from .psd import (
 )
 from .private import (
     Algorithm,
+    FixedPoint,
     SolveOptions,
     _gradient,
     _kkt,
+    _p_step,
     _Spg,
-    fixed_point_update,
     inv,
     step_stack,
 )
@@ -166,84 +168,45 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
     )
 
 
-class _FixedPoint:
-    """Step interface of the EGBA-P passes, shared with _Spg: `step` maps
-    a checked iterate to the next, and an inner solve stops once the step
-    norm is within its bound."""
-
-    converged = False
-
-    @property
-    def rank(self) -> int:
-        return self.H1i.shape[0]
-
-    @staticmethod
-    def stops(num: float, bound: float) -> bool:
-        return num <= bound
-
-
-@dataclass(frozen=True)
-class KVPass(_FixedPoint):
-    """Constants of one K_V inner solve: inv(NHat1), the shift stack
-    (NHat2,) and the weight ratio.  Built by kv_pass."""
-
-    H1i: np.ndarray
-    shifts: np.ndarray
-    ratio: float
-
-    def step(self, B: np.ndarray) -> np.ndarray:
-        if self.ratio == 0.0:
-            return project_box(B @ self.H1i @ B + B)
-        return project_box(fixed_point_update(B, self.H1i, self.shifts, self.ratio))
-
-
-def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> KVPass:
-    """Validate the ratio and invert NHat1 once for a whole K_V inner solve."""
+def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> FixedPoint:
+    """GBA-P's map on the K_V block, NHat1 inverted once per inner solve.
+    The ratio lam0*alpha/(lam2 - lam0*abar) is positive for every valid
+    CommonInstance, so a ratio <= 0 is rejected."""
     ratio = float(ratio)
-    if not (np.isfinite(ratio) and ratio >= 0.0):
-        raise InvalidInputError(f"ratio must be finite and >= 0, got {ratio}")
-    return KVPass(H1i=inv(NHat1), shifts=np.asarray(NHat2, dtype=float)[None],
-                  ratio=ratio)
+    if not (np.isfinite(ratio) and ratio > 0.0):
+        raise InvalidInputError(f"ratio must be finite and > 0, got {ratio}")
+    return FixedPoint(_p_step, inv(NHat1), np.asarray(NHat2, dtype=float)[None],
+                      ratio)
 
 
-def kv_subproblem_step(B_V: np.ndarray, kv: KVPass | _Spg) -> np.ndarray | None:
+def kv_subproblem_step(B_V: np.ndarray, kv: FixedPoint | _Spg) -> np.ndarray | None:
     """One step of the K_V subproblem from a box-checked iterate.
 
-    For a KVPass, the projected fixed-point step: identical in shape to
-    the private-message update with the noise pair (NHat1, NHat2) and
-    weight ratio; ratio = 0 degenerates to projecting
-    B_V NHat1^{-1} B_V + B_V.  For an SPG pass, one SPG step from its
-    current iterate B_V, or None once no rise can be verified.
+    For a kv_pass, the projected fixed-point step: the private-message
+    update with the noise pair (NHat1, NHat2) and weight ratio.  For an
+    SPG pass, one SPG step from its current iterate B_V, or None once no
+    rise can be verified.
     """
     return kv.step(check_box(B_V, kv.rank))
 
 
-@dataclass(frozen=True)
-class KUPass(_FixedPoint):
-    """Constants of one K_U inner solve: inv(SigmaHat1), the shift stack
-    (MHat1, SigmaHat2, MHat2), the symmetrized coupling B_V' and the
-    weights lambda2/lambda1, lambda0/lambda1 and alpha.  Built by ku_pass."""
-
-    H1i: np.ndarray
-    shifts: np.ndarray
-    coupling: np.ndarray
-    w_mid: float
-    w_last: float
-    alpha: float
-
-    def step(self, A: np.ndarray) -> np.ndarray:
-        Wi = inv(step_stack(A, self.H1i, self.shifts))
-        M1i = Wi[1]
-        mid = self.w_mid * (Wi[2] @ self.coupling @ M1i)
-        mid = (mid + mid.T) / 2.0
-        a = self.alpha
-        last = self.w_last * (a * Wi[3] + (1.0 - a) * M1i)
-        return project_box(inv(Wi[0] + mid + last))
+def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
+             coupling: np.ndarray, w_mid: float, w_last: float,
+             alpha: float) -> np.ndarray:
+    Wi = inv(step_stack(A, H1i, shifts))
+    M1i = Wi[1]
+    mid = w_mid * (Wi[2] @ coupling @ M1i)
+    mid = (mid + mid.T) / 2.0
+    last = w_last * (alpha * Wi[3] + (1.0 - alpha) * M1i)
+    return project_box(inv(Wi[0] + mid + last))
 
 
 def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
-            MHat2: np.ndarray, BVprime: np.ndarray, inst: CommonInstance) -> KUPass:
-    """Invert SigmaHat1 and stack the shifts once for a whole K_U inner solve.
+            MHat2: np.ndarray, BVprime: np.ndarray, inst: CommonInstance) -> FixedPoint:
+    """The K_U map with its constants for a whole K_U inner solve:
+    inv(SigmaHat1), the shift stack (MHat1, SigmaHat2, MHat2), the
+    symmetrized coupling B_V' and the weights lambda2/lambda1,
+    lambda0/lambda1 and alpha.
 
     All hat matrices must come from the reduction of the current
     constraint K_C - K_V; MHat1 and MHat2 compress K_V + Sigma2 and
@@ -251,20 +214,15 @@ def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
     eigenvalue projection stays well defined.
     """
     l1 = float(inst.lambda1)
-    return KUPass(
-        H1i=inv(SigmaHat1),
-        shifts=np.stack((MHat1, SigmaHat2, MHat2)),
-        coupling=symmetrize(BVprime),
-        w_mid=float(inst.lambda2) / l1,
-        w_last=float(inst.lambda0) / l1,
-        alpha=float(inst.alpha),
-    )
+    return FixedPoint(_ku_step, inv(SigmaHat1), np.stack((MHat1, SigmaHat2, MHat2)),
+                      symmetrize(BVprime), float(inst.lambda2) / l1,
+                      float(inst.lambda0) / l1, float(inst.alpha))
 
 
-def ku_subproblem_step(A_U: np.ndarray, ku: KUPass | _Spg) -> np.ndarray | None:
+def ku_subproblem_step(A_U: np.ndarray, ku: FixedPoint | _Spg) -> np.ndarray | None:
     """One step of the K_U subproblem from a box-checked iterate.
 
-    For a KUPass, the projected fixed-point step inv(inv(T) + mid + last)
+    For a ku_pass, the projected fixed-point step inv(inv(T) + mid + last)
     with T = A SigmaHat1^{-1} A + A, mid the symmetrized coupling term
     through B_V' and last the mixed barrier; T, A + MHat1, A + SigmaHat2
     and A + MHat2 are inverted in one stacked call.  For an SPG pass, one
@@ -281,8 +239,8 @@ def _fro(M: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _inner_solve(step, ps, B: np.ndarray, inner_tol: float,
-                 warnings: list[str], label: str) -> tuple[np.ndarray, int]:
+def _inner_solve(step, ps, B: np.ndarray, inner_tol: float, label: str,
+                 warnings: list[str], stalls: dict[str, float]) -> tuple[np.ndarray, int]:
     """Run step(B, ps) from B until the pass's stop rule fires.
 
     An SPG pass stops on its KKT residual (already at B when it is
@@ -292,7 +250,9 @@ def _inner_solve(step, ps, B: np.ndarray, inner_tol: float,
     box-midpoint norm ||I/2||_F; the absolute anchor keeps the test
     meaningful for blocks shrinking to zero, where a purely relative
     test could never fire.  Only the outer loop owes the spectral-norm
-    criterion.  Returns the last iterate and the number of steps.
+    criterion.  A cap hit adds a warning; a roundoff stall records the
+    KKT residual in stalls[label], so each block reports its last stall
+    once.  Returns the last iterate and the number of steps.
     """
     anchor = 0.5 * float(np.sqrt(B.shape[0]))
     den = max(_fro(B), anchor)
@@ -304,8 +264,7 @@ def _inner_solve(step, ps, B: np.ndarray, inner_tol: float,
             break
         Bn = step(B, ps)
         if Bn is None:
-            warnings.append(f"{label} inner solve stopped on roundoff at KKT "
-                            f"residual {ps.kkt:.3e}")
+            stalls[label] = ps.kkt
             break
         count += 1
         stop = ps.stops(_fro(Bn - B), inner_tol * den)
@@ -430,56 +389,42 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     # blocks and budgets below this scale are numerically zero
     scale_eps = RANK_EPS * (1.0 + kc_norm)
     warnings: list[str] = []
+    stalls: dict[str, float] = {}
     kv_counts: list[int] = []
     ku_counts: list[int] = []
     trace = [objective_common(K_U, K_V, inst)]
     rels: list[float] = []
     converged = False
 
+    def solve_block(budget, block, stack, w, fixed_point, step, label):
+        """One inner solve: compress `stack` into the box of `budget`,
+        warm-start from `block`, run SPG with weights w or the EGBA-P pass
+        fixed_point(bt, heads), and lift the result.  Returns the new
+        block, its step count and the pass (None for a zero budget)."""
+        bt = _budget_transform(budget, scale_eps)
+        if bt is None:
+            return zero, 0, None
+        r = bt.rank
+        H = np.stack([schur_head(transform(bt, M), r) for M in stack])
+        B = _warm_start(bt, block, scale_eps)
+        ps = _Spg(B, H, w, inner_tol) if spg else fixed_point(bt, H)
+        B, count = _inner_solve(step, ps, B, inner_tol, label, warnings, stalls)
+        return lift(bt, B), count, ps
+
     for _ in range(1, int(opts.max_iters) + 1):
         K_U_prev = K_U
         K_V_prev = K_V
-
-        # K_V pass under the constraint K_C - K_U
-        bt = _budget_transform(K_C - K_U, scale_eps)
-        if bt is None:
-            K_V = zero
-            kv_counts.append(0)
-        else:
-            r = bt.rank
-            N1h = schur_head(transform(bt, K_U + S2), r)
-            N2h = schur_head(transform(bt, K_U + S1), r)
-            B = _warm_start(bt, K_V, scale_eps)
-            if spg:
-                kv = _Spg(B, np.stack((N1h, N2h)), w_v, inner_tol)
-            else:
-                kv = kv_pass(N1h, N2h, ratio)
-            B, cnt = _inner_solve(kv_subproblem_step, kv, B, inner_tol,
-                                  warnings, "K_V")
-            K_V = lift(bt, B)
-            kv_counts.append(cnt)
-
-        # K_U pass under the constraint K_C - K_V
-        ku = None
-        bt2 = _budget_transform(K_C - K_V, scale_eps)
-        if bt2 is None:
-            K_U = zero
-            ku_counts.append(0)
-        else:
-            r2 = bt2.rank
-            S1h = schur_head(transform(bt2, S1), r2)
-            S2h = schur_head(transform(bt2, S2), r2)
-            M1h = schur_head(transform(bt2, K_V + S2), r2)
-            M2h = schur_head(transform(bt2, K_V + S1), r2)
-            A = _warm_start(bt2, K_U, scale_eps)
-            if spg:
-                ku = _Spg(A, np.stack((M1h, M2h, S1h, S2h)), w_u, inner_tol)
-            else:
-                ku = ku_pass(S1h, S2h, M1h, M2h, transform(bt2, K_V)[:r2, :r2], inst)
-            A, cnt = _inner_solve(ku_subproblem_step, ku, A, inner_tol,
-                                  warnings, "K_U")
-            K_U = lift(bt2, A)
-            ku_counts.append(cnt)
+        # K_V under the budget K_C - K_U, then K_U under K_C - K_V
+        K_V, count, _ = solve_block(
+            K_C - K_U, K_V, (K_U + S2, K_U + S1), w_v,
+            lambda bt, H: kv_pass(H[0], H[1], ratio), kv_subproblem_step, "K_V")
+        kv_counts.append(count)
+        K_U, count, ku = solve_block(
+            K_C - K_V, K_U, (K_V + S2, K_V + S1, S1, S2), w_u,
+            lambda bt, H: ku_pass(H[2], H[3], H[0], H[1],
+                                  transform(bt, K_V)[:bt.rank, :bt.rank], inst),
+            ku_subproblem_step, "K_U")
+        ku_counts.append(count)
 
         trace.append(objective_common(K_U, K_V, inst))
         rel = (_rel_change(K_U, K_U_prev, scale_eps)
@@ -489,6 +434,8 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             converged = True
             break
 
+    warnings += [f"{label} inner solve stopped on roundoff at KKT residual {kkt:.3e}"
+                 for label, kkt in stalls.items()]
     if not (loewner_leq(zero, K_U) and loewner_leq(zero, K_V)
             and loewner_leq(K_U + K_V, K_C)):
         warnings.append("final covariances violate feasibility beyond slack 1e-8")

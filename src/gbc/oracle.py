@@ -19,19 +19,19 @@ from .errors import InvalidInputError, UnsupportedDimensionError
 from .psd import symmetrize
 from .reduction import PrivateInstance
 
+# grid points violating a constraint by more than this are infeasible
+FEASIBILITY_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid density and feasibility slack for the brute-force searches."""
+    """Grid density for the brute-force searches."""
 
     resolution: int = 400
-    feasibility_slack: float = 1e-9
 
     def __post_init__(self) -> None:
         if int(self.resolution) < 2:
             raise InvalidInputError("resolution must be at least 2")
-        if not (float(self.feasibility_slack) >= 0.0):
-            raise InvalidInputError("feasibility_slack must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ def grid_search_private_2x2(inst: PrivateInstance, spec: GridSpec = GridSpec()) 
     S2 = symmetrize(inst.Sigma2)
     lam = float(inst.lam)
     res = int(spec.resolution)
-    slack = float(spec.feasibility_slack)
 
     avals = np.linspace(0.0, K[0, 0], res)
     cvals = np.linspace(0.0, K[1, 1], res)[:, None]
@@ -85,7 +84,7 @@ def grid_search_private_2x2(inst: PrivateInstance, spec: GridSpec = GridSpec()) 
         det1 = (a + S1[0, 0]) * (cvals + S1[1, 1]) - (b + S1[0, 1]) ** 2
         det2 = (a + S2[0, 0]) * (cvals + S2[1, 1]) - (b + S2[0, 1]) ** 2
         vals = np.log(det1) - lam * np.log(det2)
-        vals[(ku_min < -slack) | (d_min < -slack)] = -np.inf
+        vals[(ku_min < -FEASIBILITY_SLACK) | (d_min < -FEASIBILITY_SLACK)] = -np.inf
         idx = int(np.argmax(vals))
         v = float(vals.flat[idx])
         if v > best_val:
@@ -127,7 +126,6 @@ def grid_search_common_scalar(inst: CommonInstance, spec: GridSpec = GridSpec(re
     c2 = l2p - l0p * (1.0 - a)
     c1 = l0p * a
     res = int(spec.resolution)
-    slack = float(spec.feasibility_slack)
 
     ku = np.linspace(0.0, kc, res)
     kv = np.linspace(0.0, kc, res)[None, :]
@@ -140,7 +138,7 @@ def grid_search_common_scalar(inst: CommonInstance, spec: GridSpec = GridSpec(re
         s = u + kv
         vals = (c2 * np.log(s + s2) - c1 * np.log(s + s1)
                 + np.log(u + s1) - l2p * np.log(u + s2))
-        vals[s > kc + slack] = -np.inf
+        vals[s > kc + FEASIBILITY_SLACK] = -np.inf
         idx = int(np.argmax(vals))
         v = float(vals.flat[idx])
         if v > best_val:

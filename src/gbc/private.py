@@ -163,17 +163,6 @@ def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
     return W
 
 
-def fixed_point_update(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
-                       lam: float) -> np.ndarray:
-    """Unprojected update inv(inv(T) + lam * inv(A + H2)), T = A H1i A + A.
-
-    H2s is the one-slice stack (H2,).  GBA-P and the EGBA K_V step (lam = its weight ratio) share it; the K_U step
-    adds its own terms to the inverses of the same stack form.
-    """
-    Wi = inv(step_stack(A, H1i, H2s))
-    return inv(Wi[0] + lam * Wi[1])
-
-
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
     """Reduced objective logdet(A_U + SigmaHat1) - lam * logdet(A_U + SigmaHat2)."""
     A = symmetrize(A_U)
@@ -233,12 +222,16 @@ def root_in_unit_interval(b, lam):
 
 def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
             lam: float) -> np.ndarray:
-    return project_box(fixed_point_update(A, H1i, H2s, lam))
+    """GBA-P (and EGBA K_V) map project_box(inv(inv(T) + lam inv(A + H2))),
+    T = A H1i A + A, with H2s the one-slice stack (H2,)."""
+    Wi = inv(step_stack(A, H1i, H2s))
+    return project_box(inv(Wi[0] + lam * Wi[1]))
 
 
 def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
             lam: float) -> np.ndarray:
-    # one stacked inverse of T, A + H2 and I - A
+    """GBA-A map: the eigenvalue-wise roots of the quadratic built from
+    one stacked inverse of T, A + H2 and I - A."""
     W = step_stack(A, H1i, H2s, spare=1)
     np.subtract(np.eye(A.shape[0]), A, out=W[2])
     Wi = inv(W)
@@ -310,7 +303,7 @@ class _Spg:
     def converged(self) -> bool:
         return self.kkt <= self.rel_tol
 
-    def stops(self, num: float, den: float) -> bool:
+    def stops(self, num: float, bound: float) -> bool:
         return self.converged
 
     def kkt_at(self, A: np.ndarray) -> float:
@@ -356,31 +349,46 @@ class _Spg:
         return An
 
 
-class _Gba:
-    """GBA-P or GBA-A behind the step interface of _Spg: `update` is
-    _p_step or _a_step, and the solve stops on the relative
-    spectral-norm step."""
+class FixedPoint:
+    """A fixed-point map `update(A, *args)` behind the step interface of
+    _Spg, with its constants built once per solve or EGBA pass; args[0]
+    is the r x r inverse of the first noise matrix.  A solve stops once
+    the step norm is within its bound."""
 
     converged = False
 
-    def __init__(self, update, f: float, H1i: np.ndarray, H12: np.ndarray,
-                 lam: float, rel_tol: float):
+    def __init__(self, update, *args):
         self.update = update
-        self.H1i = H1i
-        self.H12 = H12
-        self.lam = lam
-        self.w = (1.0, -lam)
-        self.rel_tol = rel_tol
-        self.f = f
+        self.args = args
 
-    def stops(self, num: float, den: float) -> bool:
-        return num <= self.rel_tol * den
+    @property
+    def rank(self) -> int:
+        return self.args[0].shape[0]
+
+    @staticmethod
+    def stops(num: float, bound: float) -> bool:
+        return num <= bound
+
+    def step(self, A: np.ndarray) -> np.ndarray:
+        return self.update(A, *self.args)
+
+
+class _Gba(FixedPoint):
+    """GBA-P or GBA-A for solve_private: the fixed-point pass, plus the
+    objective after each step and the KKT residual the report needs."""
+
+    def __init__(self, update, f: float, H1i: np.ndarray, H12: np.ndarray,
+                 lam: float):
+        super().__init__(update, H1i, H12[1:], lam)
+        self.H12 = H12
+        self.w = (1.0, -lam)
+        self.f = f
 
     def kkt_at(self, A: np.ndarray) -> float:
         return _kkt(A, _gradient(A, self.H12, self.w))
 
     def step(self, A: np.ndarray) -> np.ndarray:
-        An = self.update(A, self.H1i, self.H12[1:], self.lam)
+        An = super().step(A)
         self.f = _fast_objective(An, self.H12, self.w)
         return An
 
@@ -448,7 +456,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
         solver = _Spg(A, H12, w, opts.rel_tol, f)
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        solver = _Gba(update, f, inv(red.SigmaHat1), H12, lam, opts.rel_tol)
+        solver = _Gba(update, f, inv(red.SigmaHat1), H12, lam)
 
     w0 = np.linalg.eigvalsh(A)
     eig_min = float(w0[0])
@@ -471,7 +479,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
         E[1] = An
         w = np.linalg.eigvalsh(E)
         num = float(np.max(np.abs(w[0])))
-        converged = solver.stops(num, den)
+        converged = solver.stops(num, opts.rel_tol * den)
         wN = w[1]
         eig_min = min(eig_min, float(wN[0]))
         eig_max = max(eig_max, float(wN[-1]))

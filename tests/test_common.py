@@ -8,6 +8,7 @@ from gbc import (
     CommonInstance,
     GridSpec,
     SolveOptions,
+    gba_p_step,
     grid_search_common_scalar,
     ku_pass,
     ku_subproblem_step,
@@ -16,6 +17,7 @@ from gbc import (
     loewner_leq,
     objective_common,
     random_instance,
+    reduce,
     solve_common,
 )
 from gbc.errors import InvalidInputError, InvalidInstanceError
@@ -86,20 +88,6 @@ def test_objective_scalar_hand_value():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_kv_step_ratio_zero_collapses():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        G = rng.standard_normal((3, 3))
-        N1 = G @ G.T + 0.5 * np.eye(3)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        B = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
-        got = kv_subproblem_step(B, kv_pass(N1, np.eye(3), 0.0))
-        want_raw = B @ np.linalg.inv(N1) @ B + B
-        w, V = np.linalg.eigh((want_raw + want_raw.T) / 2.0)
-        want = (V * np.clip(w, 1e-10, 1.0)) @ V.T
-        assert np.linalg.norm(got - want) < 1e-12
-
-
 def test_kv_step_scalar_hand_value():
     got = kv_subproblem_step(np.array([[0.5]]),
                              kv_pass(np.array([[1.0]]), np.array([[1.0]]), 2.0))
@@ -109,6 +97,8 @@ def test_kv_step_scalar_hand_value():
 def test_kv_step_rejects_bad_ratio_and_box():
     with pytest.raises(InvalidInputError):
         kv_pass(np.eye(1), np.eye(1), -1.0)
+    with pytest.raises(InvalidInputError):
+        kv_pass(np.eye(1), np.eye(1), 0.0)
     with pytest.raises(InvalidInputError):
         kv_pass(np.eye(1), np.eye(1), float("nan"))
     with pytest.raises(InvalidInputError):
@@ -144,6 +134,20 @@ def test_ku_step_matches_kv_shape_when_uncoupled():
             A, ku_pass(S1h, S2h, M1h, M2h, np.zeros((3, 3)), inst))
         want = kv_subproblem_step(A, kv_pass(S1h, M2h, 1.2))
         assert np.linalg.norm(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("n,rank", [(1, None), (2, None), (3, None), (5, None),
+                                    (4, 2), (5, 3)])
+def test_kv_step_is_the_gba_p_step(n, rank):
+    # the K_V map is GBA-P's map with the block's noise pair and ratio
+    rng = np.random.default_rng(n)
+    for seed in (0, 1, 7):
+        red = reduce(random_instance(n, seed, rank=rank))
+        Q, _ = np.linalg.qr(rng.standard_normal((red.rank, red.rank)))
+        A = (Q * rng.uniform(0.05, 0.95, red.rank)) @ Q.T
+        A = (A + A.T) / 2.0
+        got = kv_subproblem_step(A, kv_pass(red.SigmaHat1, red.SigmaHat2, red.lam))
+        assert np.array_equal(got, gba_p_step(A, red, red.lam))
 
 
 def test_alpha_one_ratio_well_defined():

@@ -155,6 +155,15 @@ def test_roundoff_stall_is_reported_per_block(monkeypatch):
     assert len(calls) <= 2 * steps
 
 
+def test_each_block_reports_one_roundoff_stall():
+    # 54 passes, most of them stalling in both blocks
+    rep = solve_common(random_instance(4, 2, "common"), SolveOptions(rel_tol=1e-14))
+    assert len(rep.step_rel_changes) > 10
+    stalls = [w for w in rep.warnings if "roundoff" in w]
+    assert 1 <= len(stalls) <= 2
+    assert len({w.split()[0] for w in stalls}) == len(stalls)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 10_000))
 def test_spg_gives_feasible_answers(n, seed):

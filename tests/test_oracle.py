@@ -105,8 +105,6 @@ def test_dimension_guards():
 def test_gridspec_validation():
     with pytest.raises(InvalidInputError):
         GridSpec(resolution=1)
-    with pytest.raises(InvalidInputError):
-        GridSpec(resolution=100, feasibility_slack=-1e-3)
 
 
 def test_common_scalar_grid_fixture():
