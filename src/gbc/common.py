@@ -127,7 +127,8 @@ class CommonSolveReport:
     converged       whether the outer stopping rule fired before the cap
     kkt_residual    the larger of the K_U and K_V block KKT residuals at the
                     returned pair, each ||A - project_box(A + gradient)||_F
-                    in the reduced box of the block's budget
+                    on the block's own Schur-head stack, as SPG takes it;
+                    a block with a numerically zero budget counts as 0
     elapsed_seconds wall-clock time of the solve
     warnings        human-readable notes (feasibility slips, inner caps)
     step_rel_changes
@@ -300,33 +301,19 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray:
     return project_box(transform(bt, M)[:bt.rank, :bt.rank])
 
 
-def _block_kkt(block: np.ndarray, budget: np.ndarray, H: np.ndarray,
-               w: tuple[float, ...]) -> float:
-    """KKT residual of one block, the other held fixed.
-
-    The objective as a function of the block is sum_i w_i logdet(block +
-    H_i) up to a constant; its gradient is mapped into the reduced box of
-    the block's budget, where the residual is taken.  A budget with no
-    box leaves nothing to certify.
-    """
-    try:
-        bt = box_transform(budget)
-    except DegenerateInstanceError:
-        return 0.0
-    r = bt.rank
-    L = bt.lift_matrix
-    return _kkt(transform(bt, block)[:r, :r], L.T @ _gradient(block, H, w) @ L)
-
-
-def _budget_transform(budget: np.ndarray, scale_eps: float) -> BoxTransform | None:
-    """Box transform of a subproblem budget, or None when the budget is
-    numerically zero and the block it constrains must be zero."""
+def _block_box(budget: np.ndarray, stack: tuple[np.ndarray, ...],
+               scale_eps: float) -> tuple[BoxTransform, np.ndarray] | None:
+    """Box transform of a subproblem budget and the (k, r, r) stack of
+    Schur heads of `stack` in it, or None when the budget is numerically
+    zero and the block it constrains must be zero."""
     if spectral_norm(budget) <= scale_eps:
         return None
     try:
-        return box_transform(budget)
+        bt = box_transform(budget)
     except DegenerateInstanceError:
         return None
+    r = bt.rank
+    return bt, np.stack([schur_head(transform(bt, M), r) for M in stack])
 
 
 def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> CommonSolveReport:
@@ -400,16 +387,16 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         """One inner solve: compress `stack` into the box of `budget`,
         warm-start from `block`, run SPG with weights w or the EGBA-P pass
         fixed_point(bt, heads), and lift the result.  Returns the new
-        block, its step count and the pass (None for a zero budget)."""
-        bt = _budget_transform(budget, scale_eps)
-        if bt is None:
+        block, its step count and its reduced iterate and heads (None for
+        a zero budget)."""
+        box = _block_box(budget, stack, scale_eps)
+        if box is None:
             return zero, 0, None
-        r = bt.rank
-        H = np.stack([schur_head(transform(bt, M), r) for M in stack])
+        bt, H = box
         B = _warm_start(bt, block, scale_eps)
         ps = _Spg(B, H, w, inner_tol) if spg else fixed_point(bt, H)
         B, count = _inner_solve(step, ps, B, inner_tol, label, warnings, stalls)
-        return lift(bt, B), count, ps
+        return lift(bt, B), count, (B, H)
 
     for _ in range(1, int(opts.max_iters) + 1):
         K_U_prev = K_U
@@ -419,7 +406,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             K_C - K_U, K_V, (K_U + S2, K_U + S1), w_v,
             lambda bt, H: kv_pass(H[0], H[1], ratio), kv_subproblem_step, "K_V")
         kv_counts.append(count)
-        K_U, count, ku = solve_block(
+        K_U, count, ku_cert = solve_block(
             K_C - K_V, K_U, (K_V + S2, K_V + S1, S1, S2), w_u,
             lambda bt, H: ku_pass(H[2], H[3], H[0], H[1],
                                   transform(bt, K_V)[:bt.rank, :bt.rank], inst),
@@ -444,11 +431,17 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         warnings.append(
             f"objective decreased by {-float(np.min(drops)):.3e} across an outer pass"
         )
-    # the last K_U solve ran at the returned K_V, so an SPG pass already
-    # holds that block's residual; K_U moved after the last K_V solve
-    kkt_u = ku.kkt if isinstance(ku, _Spg) else _block_kkt(
-        K_U, K_C - K_V, np.stack((K_V + S2, K_V + S1, S1, S2)), w_u)
-    kkt_v = _block_kkt(K_V, K_C - K_U, np.stack((K_U + S2, K_U + S1)), w_v)
+    # each block's residual on its own stack, the one SPG stops on: K_U at
+    # the last inner iterate (that solve ran at the returned K_V), K_V on a
+    # fresh box, because K_U moved after the last K_V solve
+    box = _block_box(K_C - K_U, (K_U + S2, K_U + S1), scale_eps)
+    kv_cert = None if box is None else (
+        transform(box[0], K_V)[:box[0].rank, :box[0].rank], box[1])
+    kkt = 0.0
+    for cert, w in ((ku_cert, w_u), (kv_cert, w_v)):
+        if cert is not None:
+            A, H = cert
+            kkt = max(kkt, _kkt(A, _gradient(A, H, w)))
 
     return CommonSolveReport(
         K_U=K_U,
@@ -457,7 +450,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         objective_trace=np.asarray(trace),
         inner_iterations=(tuple(kv_counts), tuple(ku_counts)),
         converged=converged,
-        kkt_residual=max(kkt_u, kkt_v),
+        kkt_residual=kkt,
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
         step_rel_changes=np.asarray(rels),

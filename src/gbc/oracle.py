@@ -21,6 +21,8 @@ from .reduction import PrivateInstance
 
 # grid points violating a constraint by more than this are infeasible
 FEASIBILITY_SLACK = 1e-9
+# central-difference step of fd_gradient
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -156,24 +158,23 @@ def grid_search_common_scalar(inst: CommonInstance, spec: GridSpec = GridSpec(re
     )
 
 
-def fd_gradient(f, X: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def fd_gradient(f, X: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar field over symmetric matrices.
 
-    Off-diagonal entries are perturbed symmetrically at (i, j) and (j, i)
-    together and the directional derivative is halved, matching the
-    convention df = trace(G dX) for symmetric dX.
+    Each entry is perturbed by FD_STEP.  Off-diagonal entries are
+    perturbed symmetrically at (i, j) and (j, i) together and the
+    directional derivative is halved, matching the convention
+    df = trace(G dX) for symmetric dX.
     """
-    if not (float(step) > 0.0):
-        raise InvalidInputError("step must be positive")
     X = symmetrize(X)
     n = X.shape[0]
     G = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
             E = np.zeros((n, n))
-            E[i, j] = step
-            E[j, i] = step
-            d = (f(X + E) - f(X - E)) / (2.0 * step)
+            E[i, j] = FD_STEP
+            E[j, i] = FD_STEP
+            d = (f(X + E) - f(X - E)) / (2.0 * FD_STEP)
             if i == j:
                 G[i, i] = d
             else:
@@ -182,16 +183,14 @@ def fd_gradient(f, X: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def random_instance(n: int, seed: int, kind: str = "private", *,
-                    lam: float | None = None, rank: int | None = None,
-                    lambda0: float = 1.2, lambda1: float = 1.0,
-                    lambda2: float = 1.1, alpha: float = 0.5):
+                    lam: float | None = None, rank: int | None = None):
     """Seeded random instance with a documented ensemble.
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
     exactly rank-deficient constraint.  Sigma_j = G_j G_j^T + 0.5 I.  For
-    private instances lam defaults to a uniform draw from [1.1, 5]; for
-    common instances the weight arguments are used as given.
+    private instances lam defaults to a uniform draw from [1.1, 5]; common
+    instances take (lambda0, lambda1, lambda2, alpha) = (1.2, 1.0, 1.1, 0.5).
     """
     if int(n) < 1:
         raise InvalidInputError("n must be at least 1")
@@ -214,8 +213,7 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
         inst = PrivateInstance(K=K, Sigma1=S1, Sigma2=S2, lam=float(lam))
     elif kind == "common":
         inst = CommonInstance(K_C=K, Sigma1=S1, Sigma2=S2,
-                              lambda0=float(lambda0), lambda1=float(lambda1),
-                              lambda2=float(lambda2), alpha=float(alpha))
+                              lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=0.5)
     else:
         raise InvalidInputError(f"kind must be 'private' or 'common', got {kind!r}")
     inst.validate()

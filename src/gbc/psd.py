@@ -7,8 +7,6 @@ exact symmetry is preserved through chains of operations.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -28,13 +26,6 @@ RANK_EPS = 1e-9
 PD_FLOOR = 1e-10
 # Largest asymmetry accepted from external input before folding.
 SYM_TOL = 1e-8
-
-
-class EigenPair(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted in descending order."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -57,16 +48,6 @@ def _finite_sym(M: np.ndarray) -> np.ndarray:
     return S
 
 
-def eig_sym(M: np.ndarray) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns, so (vectors * values) @ vectors.T rebuilds M.
-    """
-    w, V = np.linalg.eigh(_finite_sym(M))
-    return EigenPair(w[::-1].copy(), V[:, ::-1].copy())
-
-
 def logdet(M: np.ndarray) -> float:
     """Natural-log determinant of a symmetric positive definite matrix.
 
@@ -74,12 +55,12 @@ def logdet(M: np.ndarray) -> float:
     NotPositiveDefiniteError when the smallest eigenvalue is at or below
     RANK_EPS.
     """
-    w = eig_sym(M).values
+    w = np.linalg.eigvalsh(_finite_sym(M))
     if w.size == 0:
         return 0.0
-    if w[-1] <= RANK_EPS:
+    if w[0] <= RANK_EPS:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {w[-1]:.3e})"
+            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
         )
     return float(np.sum(np.log(w)))
 
@@ -88,12 +69,12 @@ def project_box(M: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto the box {X : 0 <= X <= I}.
 
     Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
-    result invertible.  Same arithmetic as clipping the eig_sym pair,
-    without its wrapper calls: this runs once per solver step.
+    result invertible.
     """
     w, V = np.linalg.eigh(_finite_sym(M))
     w = np.minimum(np.maximum(w[::-1], PD_FLOOR), 1.0)
-    # a contiguous copy keeps the product on the same BLAS path as eig_sym
+    # the reversed view has negative strides, which matmul does not hand
+    # to BLAS; the contiguous copy keeps the product there
     V = V[:, ::-1].copy()
     P = (V * w) @ V.T
     return (P + P.T) / 2.0

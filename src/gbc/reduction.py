@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidInstanceError,
 )
-from .psd import RANK_EPS, SYM_TOL, eig_sym, logdet, symmetrize
+from .psd import RANK_EPS, SYM_TOL, _finite_sym, logdet, symmetrize
 
 CONDITION_WARN = 1e12
 
@@ -141,7 +141,9 @@ def box_transform(K: np.ndarray) -> BoxTransform:
     Raises DegenerateInstanceError when K is numerically zero.
     """
     n = np.asarray(K).shape[0]
-    l, P = eig_sym(K)
+    l, P = np.linalg.eigh(_finite_sym(K))
+    # descending; contiguous copies keep the products below on BLAS
+    l, P = l[::-1].copy(), P[:, ::-1].copy()
     rank = int(np.sum(l > RANK_EPS * max(l[0] if l.size else 0.0, 0.0)))
     if rank == 0:
         raise DegenerateInstanceError("constraint matrix is numerically zero")

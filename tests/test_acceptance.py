@@ -21,16 +21,16 @@ from gbc import (
     gradient_reduced,
     grid_search_common_scalar,
     grid_search_private_2x2,
-    lift,
     logdet,
     objective_reduced,
     random_instance,
     rates_private,
     reduce,
-    root_in_unit_interval,
     solve_common,
     solve_private,
 )
+from gbc.private import root_in_unit_interval
+from gbc.reduction import lift
 
 # 2x2 reference set: shared covariance constraint, identity first noise,
 # lam = 2 throughout; case 4 shrinks the constraint instead of the noise.
@@ -267,8 +267,7 @@ def test_criterion_07():
         s /= max(1.0, float(np.abs(np.linalg.eigvalsh(s)).max()))
         A = 0.5 * np.eye(red.rank) + 0.3 * s
         g = gradient_reduced(A, red, inst.lam)
-        g_fd = fd_gradient(lambda X: objective_reduced(X, red, inst.lam),
-                           A, step=1e-5)
+        g_fd = fd_gradient(lambda X: objective_reduced(X, red, inst.lam), A)
         rel = float(np.linalg.norm(g - g_fd) / max(np.linalg.norm(g_fd), 1e-300))
         if rel > 1e-6:
             failures.append(f"seed {seed} relative error {rel:.3e} > 1e-6")

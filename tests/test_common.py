@@ -8,19 +8,16 @@ from gbc import (
     CommonInstance,
     GridSpec,
     SolveOptions,
-    gba_p_step,
     grid_search_common_scalar,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
     loewner_leq,
     objective_common,
     random_instance,
     reduce,
     solve_common,
 )
+from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
 from gbc.errors import InvalidInputError, InvalidInstanceError
+from gbc.private import gba_p_step
 
 
 def _table2_weights():

@@ -21,6 +21,7 @@ from gbc import (
 from gbc import common, private
 from gbc.cli import main
 from gbc.common import INNER_CAP
+from gbc.psd import PD_FLOOR
 from test_bench_contract import _load
 from test_cli import _common_fixture
 
@@ -124,6 +125,15 @@ def test_kkt_residual_matches_the_quality_definition(algorithm):
         want = quality.kkt_common(inst, rep.K_U, rep.K_V)
         assert want > quality.KKT_FLOOR
         assert rep.kkt_residual == pytest.approx(want, rel=1e-9)
+
+
+def test_zero_budget_block_adds_no_residual():
+    # the solve ends with a K_V budget of spectral norm 5e-11, which it
+    # treats as zero; a box built on that budget would report the
+    # PD_FLOOR the projection puts under a zero block
+    rep = solve_common(random_instance(1, 4, "common"))
+    assert np.array_equal(rep.K_V, np.zeros((1, 1)))
+    assert rep.kkt_residual < PD_FLOOR
 
 
 def test_roundoff_stall_is_reported_per_block(monkeypatch):

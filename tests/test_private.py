@@ -8,19 +8,17 @@ from gbc import (
     PrivateInstance,
     SolveOptions,
     fd_gradient,
-    gba_a_step,
-    gba_p_step,
     gradient_reduced,
-    lift,
     loewner_leq,
     objective_reduced,
     random_instance,
     reduce,
-    root_in_unit_interval,
     solve_private,
-    symmetrize,
 )
 from gbc.errors import InvalidInputError
+from gbc.private import gba_a_step, gba_p_step, root_in_unit_interval
+from gbc.psd import symmetrize
+from gbc.reduction import lift
 
 
 def _case(idx):

@@ -7,25 +7,20 @@ from gbc import (
     CommonInstance,
     PrivateInstance,
     box_transform,
-    gba_a_step,
-    gba_p_step,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
-    lift,
     logdet,
     random_instance,
     reduce,
-    schur_head,
-    symmetrize,
     transform,
 )
+from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
 from gbc.errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
 )
+from gbc.private import gba_a_step, gba_p_step
+from gbc.psd import symmetrize
+from gbc.reduction import lift, schur_head
 
 
 def _objective_original(K_U, inst):

@@ -2,9 +2,10 @@
 
 The steps invert their independent matrices in one stacked call and
 project with a lean copy of the eigenvalue clip.  Each reference below
-inverts every matrix on its own and projects with the eig_sym ordering
-(eigenvalues descending, contiguous eigenvector copies), so any change
-to the arithmetic of a step shows up as a failed np.array_equal.
+inverts every matrix on its own and projects with eigenvalues in
+descending order and contiguous eigenvector copies (which keep the
+rebuilding product on BLAS), so any change to the arithmetic of a step
+shows up as a failed np.array_equal.
 """
 
 import numpy as np
@@ -12,17 +13,13 @@ import pytest
 
 from gbc import (
     box_transform,
-    gba_a_step,
-    gba_p_step,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
     random_instance,
     reduce,
-    schur_head,
     transform,
 )
+from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
+from gbc.private import gba_a_step, gba_p_step
+from gbc.reduction import schur_head
 
 FLOOR = 1e-10
 inv = np.linalg.inv
