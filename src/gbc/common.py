@@ -44,6 +44,7 @@ from .psd import (
     logdet,
     loewner_leq,
     project_box,
+    project_box_inverse,
     spectral_norm,
     symmetrize,
 )
@@ -193,13 +194,13 @@ def kv_subproblem_step(B_V: np.ndarray, kv: FixedPoint | _Spg) -> np.ndarray | N
 
 def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
              coupling: np.ndarray, w_mid: float, w_last: float,
-             alpha: float) -> np.ndarray:
+             alpha: float) -> tuple[np.ndarray, np.ndarray]:
     Wi = inv(step_stack(A, H1i, shifts))
     M1i = Wi[1]
     mid = w_mid * (Wi[2] @ coupling @ M1i)
     mid = (mid + mid.T) / 2.0
     last = w_last * (alpha * Wi[3] + (1.0 - alpha) * M1i)
-    return project_box(inv(Wi[0] + mid + last))
+    return project_box_inverse(Wi[0] + mid + last)
 
 
 def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,

@@ -10,16 +10,21 @@ monotone Armijo backtrack.  It stops when the KKT residual
 ||A - proj(A + grad f(A))||_F falls to rel_tol, so `converged` certifies
 a first-order optimal point of the box problem to that tolerance.
 
-GBA-P applies the unconstrained fixed-point update and projects the
-result back onto the box by eigenvalue clipping.
+GBA-P applies the unconstrained fixed-point update inv(S) and projects
+the result back onto the box by eigenvalue clipping, both from one eigh
+of S.
 
 GBA-A alternates closed-form coordinate updates: it assembles the
 difference matrix B = D_U - lam * D_V from the current iterate, then
 rebuilds the iterate eigenvalue by eigenvalue, each one the unique root
 in (0, 1) of a scalar quadratic.  Its objective trace is non-decreasing.
+The eigh of B gives the eigenpairs of the new iterate, which the next
+step inverts I - A through.
 
 GBA-P and GBA-A stop when the spectral norm of the iterate change falls
-below rel_tol times the spectral norm of the previous iterate.
+below rel_tol times the spectral norm of the previous iterate.  Each
+step returns the new iterate's eigenvalues, so the loop needs an
+eigvalsh of the change only.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .psd import PD_FLOOR, logdet, project_box, symmetrize
+from .psd import PD_FLOOR, logdet, project_box, project_box_inverse, symmetrize
 from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce
 
 
@@ -146,20 +151,18 @@ def inv(M: np.ndarray) -> np.ndarray:
         raise NumericalBreakdownError(f"matrix inverse failed: {e}") from e
 
 
-def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
-               spare: int = 0) -> np.ndarray:
+def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Workspace of the matrices one fixed-point step inverts.
 
-    Returns a (1 + k + spare, r, r) stack holding T = A H1i A + A, then
+    Returns a (1 + k, r, r) stack holding T = A H1i A + A, then
     A + shifts[i] for the k slices of the shift stack (built once per
-    solve or per EGBA pass), then `spare` unfilled slots for the caller.
-    Every step inverts its stack in one LAPACK call; each slice of that
-    call's result is bit-equal to inverting the matrix on its own.
+    solve or per EGBA pass).  Every step inverts its stack in one LAPACK
+    call; each slice of that call's result is bit-equal to inverting the
+    matrix on its own.
     """
-    k = len(shifts)
-    W = np.empty((1 + k + spare,) + A.shape)
+    W = np.empty((1 + len(shifts),) + A.shape)
     np.add(A @ H1i @ A, A, out=W[0])
-    np.add(A, shifts, out=W[1:1 + k])
+    np.add(A, shifts, out=W[1:])
     return W
 
 
@@ -199,10 +202,12 @@ def _kkt(A: np.ndarray, G: np.ndarray) -> float:
 def root_in_unit_interval(b, lam):
     """Root in (0, 1) of b*a^2 - (lam + 1 + b)*a + 1 = 0 for lam > 1.
 
-    Accepts a scalar or an array of b values.  Evaluated in the
-    subtraction-free form 2/(s + sqrt(s^2 - 4b)) with s = lam + 1 + b,
-    which is stable for either sign of b; b = 0 (where the quadratic
-    degenerates to a linear equation) returns exactly 1/(1 + lam).
+    Accepts a scalar or an array of b values.  With s = lam + 1 + b and
+    d = sqrt(s^2 - 4b), the root is 2/(s + d) = (s - d)/(2b); each form
+    is evaluated where it adds two terms of one sign, the first for
+    s >= 0 and the second for s < 0 (which needs b < -(lam + 1)), so
+    neither cancels.  b = 0 (where the quadratic degenerates to a linear
+    equation) returns exactly 1/(1 + lam).
     """
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam_arr)) or np.any(lam_arr <= 1.0):
@@ -211,9 +216,9 @@ def root_in_unit_interval(b, lam):
     if not np.all(np.isfinite(b_arr)):
         raise InvalidInputError("b must be finite")
     s = lam_arr + 1.0 + b_arr
-    disc = s * s - 4.0 * b_arr
-    with np.errstate(divide="ignore"):
-        root = 2.0 / (s + np.sqrt(disc))
+    d = np.sqrt(s * s - 4.0 * b_arr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(s < 0.0, (s - d) / (2.0 * b_arr), 2.0 / (s + d))
     root = np.where(b_arr == 0.0, 1.0 / (1.0 + lam_arr), root)
     if root.ndim == 0:
         return float(root)
@@ -221,37 +226,45 @@ def root_in_unit_interval(b, lam):
 
 
 def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
-            lam: float) -> np.ndarray:
-    """GBA-P (and EGBA K_V) map project_box(inv(inv(T) + lam inv(A + H2))),
-    T = A H1i A + A, with H2s the one-slice stack (H2,)."""
+            lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """GBA-P (and EGBA K_V) map: the box projection of
+    inv(inv(T) + lam inv(A + H2)), T = A H1i A + A, with H2s the
+    one-slice stack (H2,); returns the new iterate and its eigenvalues."""
     Wi = inv(step_stack(A, H1i, H2s))
-    return project_box(inv(Wi[0] + lam * Wi[1]))
+    return project_box_inverse(Wi[0] + lam * Wi[1])
 
 
-def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
-            lam: float) -> np.ndarray:
+def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
+            pairs: tuple[np.ndarray, np.ndarray]
+            ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """GBA-A map: the eigenvalue-wise roots of the quadratic built from
-    one stacked inverse of T, A + H2 and I - A."""
-    W = step_stack(A, H1i, H2s, spare=1)
-    np.subtract(np.eye(A.shape[0]), A, out=W[2])
-    Wi = inv(W)
+    one stacked inverse of T and A + H2, and inv(I - A) from the
+    eigenpairs (q, Q) of A, ordered as eigh returns them.  Returns the
+    new iterate and its eigenpairs."""
+    q, Q = pairs
+    gap = 1.0 - q
+    if not gap.all():
+        raise NumericalBreakdownError("I - A is singular: A has eigenvalue 1")
+    Wi = inv(step_stack(A, H1i, H2s))
     D_U = Wi[0]
-    D_V = Wi[2] - Wi[1]
+    D_V = (Q / gap) @ Q.T - Wi[1]
     b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
     a = np.clip(root_in_unit_interval(b, lam), PD_FLOOR, 1.0 - PD_FLOOR)
-    return symmetrize((H * a) @ H.T)
+    return symmetrize((H * a) @ H.T), (a, H)
 
 
 def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """One projected fixed-point step from a feasible reduced iterate."""
     A = check_box(A_U, red.rank)
-    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))
+    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))[0]
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
-    """One alternating closed-form step from a strictly interior iterate."""
+    """One alternating closed-form step from an iterate with I - A
+    nonsingular; raises NumericalBreakdownError otherwise."""
     A = check_box(A_U, red.rank)
-    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))
+    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam),
+                   np.linalg.eigh(A))[0]
 
 
 def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float:
@@ -294,6 +307,7 @@ class _Spg:
         self.G = _gradient(A, H, w)
         self.kkt = _kkt(A, self.G)
         self.alpha = 1.0
+        self.E = np.empty((2,) + A.shape)
 
     @property
     def rank(self) -> int:
@@ -308,6 +322,16 @@ class _Spg:
 
     def kkt_at(self, A: np.ndarray) -> float:
         return self.kkt
+
+    def spectra(self, A: np.ndarray, An: np.ndarray) -> tuple[float, float, float]:
+        """Largest absolute eigenvalue of the step An - A, and the
+        smallest and largest eigenvalue of An, from one stacked eigvalsh
+        on a workspace made once per solve."""
+        E = self.E
+        np.subtract(An, A, out=E[0])
+        E[1] = An
+        w = np.linalg.eigvalsh(E)
+        return float(np.max(np.abs(w[0]))), float(w[1][0]), float(w[1][-1])
 
     def stall_warning(self) -> str:
         return (f"SPG step fell below roundoff at KKT residual "
@@ -352,8 +376,9 @@ class _Spg:
 class FixedPoint:
     """A fixed-point map `update(A, *args)` behind the step interface of
     _Spg, with its constants built once per solve or EGBA pass; args[0]
-    is the r x r inverse of the first noise matrix.  A solve stops once
-    the step norm is within its bound."""
+    is the r x r inverse of the first noise matrix.  The map returns the
+    new iterate first, then what it learned of its spectrum.  A solve
+    stops once the step norm is within its bound."""
 
     converged = False
 
@@ -370,27 +395,41 @@ class FixedPoint:
         return num <= bound
 
     def step(self, A: np.ndarray) -> np.ndarray:
-        return self.update(A, *self.args)
+        return self.update(A, *self.args)[0]
 
 
 class _Gba(FixedPoint):
     """GBA-P or GBA-A for solve_private: the fixed-point pass, plus the
-    objective after each step and the KKT residual the report needs."""
+    objective and eigenvalues of each new iterate and the KKT residual
+    the report needs.  GBA-A also carries the eigenpairs of its current
+    iterate, starting from one eigh of A, for its map's inv(I - A)."""
 
-    def __init__(self, update, f: float, H1i: np.ndarray, H12: np.ndarray,
-                 lam: float):
+    def __init__(self, update, A: np.ndarray, f: float, H1i: np.ndarray,
+                 H12: np.ndarray, lam: float):
         super().__init__(update, H1i, H12[1:], lam)
         self.H12 = H12
         self.w = (1.0, -lam)
         self.f = f
+        self.pairs = np.linalg.eigh(A) if update is _a_step else None
 
     def kkt_at(self, A: np.ndarray) -> float:
         return _kkt(A, _gradient(A, self.H12, self.w))
 
     def step(self, A: np.ndarray) -> np.ndarray:
-        An = super().step(A)
+        if self.pairs is None:
+            An, self.eigs = self.update(A, *self.args)
+        else:
+            An, self.pairs = self.update(A, *self.args, self.pairs)
+            self.eigs = self.pairs[0]
         self.f = _fast_objective(An, self.H12, self.w)
         return An
+
+    def spectra(self, A: np.ndarray, An: np.ndarray) -> tuple[float, float, float]:
+        """Largest absolute eigenvalue of the step An - A, and the
+        smallest and largest eigenvalue of An, which the step made."""
+        e = self.eigs
+        return (float(np.max(np.abs(np.linalg.eigvalsh(An - A)))),
+                float(e.min()), float(e.max()))
 
 
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
@@ -456,7 +495,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
         solver = _Spg(A, H12, w, opts.rel_tol, f)
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        solver = _Gba(update, f, inv(red.SigmaHat1), H12, lam)
+        solver = _Gba(update, A, f, inv(red.SigmaHat1), H12, lam)
 
     w0 = np.linalg.eigvalsh(A)
     eig_min = float(w0[0])
@@ -466,8 +505,6 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     rels: list[float] = []
     converged = solver.converged
     iterations = 0
-    # the step An - A and the new iterate An, for one stacked eigvalsh
-    E = np.empty((2,) + A.shape)
 
     while not converged and iterations < int(opts.max_iters):
         An = solver.step(A)
@@ -475,18 +512,14 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
             warnings.append(solver.stall_warning())
             break
         iterations += 1
-        np.subtract(An, A, out=E[0])
-        E[1] = An
-        w = np.linalg.eigvalsh(E)
-        num = float(np.max(np.abs(w[0])))
+        num, lo, hi = solver.spectra(A, An)
         converged = solver.stops(num, opts.rel_tol * den)
-        wN = w[1]
-        eig_min = min(eig_min, float(wN[0]))
-        eig_max = max(eig_max, float(wN[-1]))
+        eig_min = min(eig_min, lo)
+        eig_max = max(eig_max, hi)
         trace.append(solver.f + red.offset)
         rels.append(num / den if den > 0.0 else 0.0)
         A = An
-        den = float(max(abs(wN[0]), abs(wN[-1])))
+        den = max(abs(lo), abs(hi))
 
     return SolveReport(
         final_AU=A,

@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    NumericalBreakdownError,
 )
 
 
@@ -78,6 +79,23 @@ def project_box(M: np.ndarray) -> np.ndarray:
     V = V[:, ::-1].copy()
     P = (V * w) @ V.T
     return (P + P.T) / 2.0
+
+
+def project_box_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box projection of the inverse of S, with its clipped eigenvalues,
+    from one eigh(S).
+
+    S is symmetric and nonsingular, not necessarily definite: each
+    eigenvalue 1/sigma of the inverse is clipped to [PD_FLOOR, 1], so a
+    negative sigma lands on the floor.  Raises NumericalBreakdownError
+    when an eigenvalue of S is exactly zero.
+    """
+    sig, V = np.linalg.eigh(_finite_sym(S))
+    if not sig.all():
+        raise NumericalBreakdownError("matrix inverse failed: Singular matrix")
+    w = np.minimum(np.maximum(1.0 / sig, PD_FLOOR), 1.0)
+    P = (V * w) @ V.T
+    return (P + P.T) / 2.0, w
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:

@@ -32,6 +32,9 @@ from gbc import (
 from gbc.private import root_in_unit_interval
 from gbc.reduction import lift
 
+# the module takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 # 2x2 reference set: shared covariance constraint, identity first noise,
 # lam = 2 throughout; case 4 shrinks the constraint instead of the noise.
 _KU_STAR_1 = np.array([[1.0, 1.0], [1.0, 2.0]])

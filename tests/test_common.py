@@ -231,6 +231,7 @@ def test_solve_feasible_and_monotone():
         assert rep.step_rel_changes[-1] <= 1e-3
 
 
+@pytest.mark.slow
 def test_solve_table2_scale_converges():
     # heavyweight regression: EGBA-P must converge at n = 50 under the
     # default stopping rule

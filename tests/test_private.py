@@ -1,5 +1,8 @@
 """Tests for the private-message solvers and their step maps."""
 
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from gbc import (
     reduce,
     solve_private,
 )
-from gbc.errors import InvalidInputError
+from gbc import private
+from gbc.errors import InvalidInputError, NumericalBreakdownError
 from gbc.private import gba_a_step, gba_p_step, root_in_unit_interval
 from gbc.psd import symmetrize
 from gbc.reduction import lift
@@ -53,6 +57,28 @@ def test_root_quadratic_residual_and_range():
     assert np.all(a < 1.0)
     res = b * a * a - (lam + 1.0 + b) * a + 1.0
     assert np.max(np.abs(res) / (1.0 + np.abs(b))) < 1e-12
+
+
+def _decimal_root(b, lam):
+    """The root at 60 significant digits, from the exact binary inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, lam = Decimal(b), Decimal(lam)
+        s = lam + 1 + b
+        d = (s * s - 4 * b).sqrt()
+        return (s - d) / (2 * b) if s < 0 else 2 / (s + d)
+
+
+def test_root_is_accurate_for_large_negative_b():
+    """For b < -(lam + 1), 2/(s + sqrt(s^2 - 4b)) cancels: at lam = 4,
+    b = -1e8 it is off by 2.7e-9 relative, so 1 - a is off by 7%."""
+    eps = np.finfo(float).eps
+    mags = np.logspace(-3, 15, 73)
+    for lam in (1.0 + 1e-7, 1.5, 4.0, 100.0):
+        for b in np.concatenate((-mags, mags)):
+            got = root_in_unit_interval(float(b), lam)
+            want = _decimal_root(float(b), lam)
+            assert abs((Decimal(got) - want) / want) <= 4 * eps, (b, lam)
 
 
 def test_root_rejects_bad_lambda():
@@ -181,3 +207,46 @@ def test_rank_deficient_constraint_solves():
     assert loewner_leq(rep.final_KU, inst.K)
     # objective trace stays monotone through the reduction
     assert np.min(np.diff(rep.objective_trace)) > -1e-10
+
+
+@pytest.mark.parametrize("init", [np.eye(3), np.diag([1.0, 0.5, 0.5])])
+def test_gba_a_boundary_start_is_an_error(init):
+    """I - A is singular at a start with eigenvalue 1: GBA-A raises
+    NumericalBreakdownError, with no divide-by-zero warning on the way."""
+    inst = random_instance(3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalBreakdownError):
+            solve_private(inst, SolveOptions(algorithm=Algorithm.GBA_A, init=init))
+        with pytest.raises(NumericalBreakdownError):
+            gba_a_step(init, reduce(inst), inst.lam)
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])
+@pytest.mark.parametrize("n,seed", [(3, 11), (6, 12), (12, 13)])
+def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
+    """The GBA loop takes each new iterate's eigenvalues from the step;
+    they must agree with eigvalsh of the iterates themselves."""
+    iterates = []
+    step = private._Gba.step
+
+    def recording_step(self, A):
+        if not iterates:
+            iterates.append(A)
+        An = step(self, A)
+        iterates.append(An)
+        return An
+
+    monkeypatch.setattr(private._Gba, "step", recording_step)
+    rep = solve_private(random_instance(n, seed),
+                        SolveOptions(algorithm=algo, max_iters=40))
+    assert len(iterates) == rep.iterations + 1
+    assert np.array_equal(iterates[-1], rep.final_AU)
+    eigs = [np.linalg.eigvalsh(X) for X in iterates]
+    assert rep.iterate_eig_min == pytest.approx(min(w[0] for w in eigs),
+                                                rel=0, abs=1e-12)
+    assert rep.iterate_eig_max == pytest.approx(max(w[-1] for w in eigs),
+                                                rel=0, abs=1e-12)
+    rels = [np.max(np.abs(np.linalg.eigvalsh(Xn - X))) / np.max(np.abs(w))
+            for X, Xn, w in zip(iterates, iterates[1:], eigs)]
+    assert np.allclose(rep.step_rel_changes, rels, rtol=1e-12, atol=0)

@@ -8,8 +8,9 @@ from gbc.errors import (
     DimensionMismatchError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    NumericalBreakdownError,
 )
-from gbc.psd import PD_FLOOR, spectral_norm, symmetrize
+from gbc.psd import PD_FLOOR, project_box_inverse, spectral_norm, symmetrize
 
 
 def test_symmetrize_is_exactly_symmetric():
@@ -66,6 +67,16 @@ def test_project_box_clips_spectrum():
     # the zero matrix lands on the pd floor, not on zero
     w0 = np.linalg.eigvalsh(project_box(np.zeros((3, 3))))
     assert np.allclose(w0, PD_FLOOR)
+
+
+def test_project_box_inverse_clips_and_rejects_singular():
+    P, w = project_box_inverse(np.diag([-2.0, 0.5, 4.0]))
+    assert np.array_equal(w, [PD_FLOOR, 1.0, 0.25])
+    assert np.array_equal(P, np.diag(w))
+    with pytest.raises(NumericalBreakdownError):
+        project_box_inverse(np.diag([1.0, 0.0]))
+    with pytest.raises(InvalidInputError):
+        project_box_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_loewner_leq_basics():
