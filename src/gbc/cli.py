@@ -42,7 +42,10 @@ def _note(msg: str) -> None:
 def _matrix_from(doc: dict, key: str, n: int) -> np.ndarray:
     if key not in doc:
         raise InvalidInputError(f"instance file is missing the {key!r} field")
-    M = np.asarray(doc[key], dtype=float)
+    try:
+        M = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{key} must be a numeric {n}x{n} array") from None
     if M.shape != (n, n):
         raise InvalidInputError(
             f"{key} must be an {n}x{n} array, got shape {M.shape}"
@@ -56,7 +59,10 @@ def _matrix_from(doc: dict, key: str, n: int) -> np.ndarray:
 def _scalar_from(doc: dict, key: str) -> float:
     if key not in doc:
         raise InvalidInputError(f"instance file is missing the {key!r} field")
-    return float(doc[key])
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{key} must be a number, got {doc[key]!r}") from None
 
 
 def load_instance(path: str) -> PrivateInstance | CommonInstance:
@@ -118,8 +124,7 @@ def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> N
 def _write_trace(path: str, trace: np.ndarray, rels: np.ndarray, summary: dict) -> None:
     rows = [["0", repr(float(trace[0])), ""]]
     for i in range(1, len(trace)):
-        rel = repr(float(rels[i - 1])) if i - 1 < len(rels) else ""
-        rows.append([str(i), repr(float(trace[i])), rel])
+        rows.append([str(i), repr(float(trace[i])), repr(float(rels[i - 1]))])
     _write_rows(path, ["iter", "objective", "step_rel_change"], rows)
     with open(path + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -261,10 +266,10 @@ def cmd_trace_region(args) -> int:
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
     if isinstance(inst, PrivateInstance):
-        spec = GridSpec(resolution=args.resolution or 400)
+        spec = GridSpec(resolution=400 if args.resolution is None else args.resolution)
         res = grid_search_private_2x2(inst, spec)
     else:
-        spec = GridSpec(resolution=args.resolution or 2000)
+        spec = GridSpec(resolution=2000 if args.resolution is None else args.resolution)
         res = grid_search_common_scalar(inst, spec)
     result = {
         "best_KU": _mat(res.best_KU),

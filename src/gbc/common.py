@@ -16,14 +16,15 @@ with w = (c, -lam0'*alpha), c = lam2' - lam0'*abar; the K_U block has
 H = (MHat1, MHat2, SigmaHat1, SigmaHat2) with w = (c, -lam0'*alpha, 1,
 -lam2').
 
-Two inner solvers are available.  SPG (the default) runs the spectral
-projected gradient ascent of the private solver on these weighted
-stacks and stops each block on its KKT residual.  EGBA-P, the paper's
-extension of GBA-P, iterates fixed-point maps on the FixedPoint pass of
-the private solver: the K_V map is GBA-P's map (weight ratio
-lam0*alpha/(lam2 - lam0*abar) > 0), and the K_U map adds a coupling term
-through K_V and a mixed barrier to the private-message update; it stops
-each block on the relative step.
+Both inner solvers build each pass from its block's (H, w).  SPG (the
+default) runs the spectral projected gradient ascent of the private
+solver on them and stops each block on its KKT residual.  EGBA-P, the
+paper's extension of GBA-P, iterates fixed-point maps on the FixedPoint
+pass of the private solver and stops each block on the relative step:
+the K_V map is GBA-P's map with T from H[0] and ratio -w[1]/w[0], and
+the K_U map (ku_pass) adds a coupling term through K_V and a mixed
+barrier to the private-message update, with T from H[2] and its scalars
+read from w.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .private import (
     _kkt,
     _p_step,
     _Spg,
+    _weighted,
     inv,
     step_stack,
 )
@@ -152,86 +154,78 @@ class CommonSolveReport:
         return float(self.objective_trace[-1])
 
 
+def _weights(inst: CommonInstance) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The block weights (w_v, w_u) of the module docstring, which also
+    weight the four log-determinants of objective_common."""
+    l1 = float(inst.lambda1)
+    l0p = float(inst.lambda0) / l1
+    l2p = float(inst.lambda2) / l1
+    a = float(inst.alpha)
+    w_v = (l2p - l0p * (1.0 - a), -l0p * a)
+    return w_v, w_v + (1.0, -l2p)
+
+
 def objective_common(K_U: np.ndarray, K_V: np.ndarray,
                      inst: CommonInstance) -> float:
     """Normalized private-plus-common objective at (K_U, K_V)."""
     KU = symmetrize(K_U)
     KV = symmetrize(K_V)
-    l0p = float(inst.lambda0) / float(inst.lambda1)
-    l2p = float(inst.lambda2) / float(inst.lambda1)
-    a = float(inst.alpha)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    return (
-        (l2p - l0p * (1.0 - a)) * logdet(KU + KV + S2)
-        - l0p * a * logdet(KU + KV + S1)
-        + logdet(KU + S1)
-        - l2p * logdet(KU + S2)
-    )
+    return _weighted(_weights(inst)[1], [logdet(M) for M in (
+        KU + KV + S2, KU + KV + S1, KU + S1, KU + S2)])
 
 
-def kv_pass(NHat1: np.ndarray, NHat2: np.ndarray, ratio: float) -> FixedPoint:
-    """GBA-P's map on the K_V block, NHat1 inverted once per inner solve.
-    The ratio lam0*alpha/(lam2 - lam0*abar) is positive for every valid
-    CommonInstance, so a ratio <= 0 is rejected."""
-    ratio = float(ratio)
+def kv_pass(H: np.ndarray, w: tuple[float, ...]) -> FixedPoint:
+    """GBA-P's map on the K_V block: T = A inv(H[0]) A + A with H[0]
+    inverted once per inner solve, the shift H[1] and the weight ratio
+    -w[1]/w[0].  H = (NHat1, NHat2) and w = w_v for the K_V block; a
+    ratio that is not finite and > 0 raises InvalidInputError."""
+    ratio = -w[1] / w[0] if w[0] else math.nan
     if not (np.isfinite(ratio) and ratio > 0.0):
-        raise InvalidInputError(f"ratio must be finite and > 0, got {ratio}")
-    return FixedPoint(_p_step, inv(NHat1), np.asarray(NHat2, dtype=float)[None],
-                      ratio)
+        raise InvalidInputError(f"ratio -w[1]/w[0] must be finite and > 0, got {ratio}")
+    return FixedPoint(_p_step, inv(H[0]), H[1:], ratio)
 
 
-def kv_subproblem_step(B_V: np.ndarray, kv: FixedPoint | _Spg) -> np.ndarray | None:
-    """One step of the K_V subproblem from a box-checked iterate.
+def kv_subproblem_step(A: np.ndarray, ps: FixedPoint | _Spg) -> np.ndarray | None:
+    """One step of a block subproblem from a box-checked iterate A: the
+    projected fixed-point step of a kv_pass or ku_pass, or one step of an
+    SPG pass, None once no rise can be verified."""
+    return ps.step(check_box(A, ps.rank))
 
-    For a kv_pass, the projected fixed-point step: the private-message
-    update with the noise pair (NHat1, NHat2) and weight ratio.  For an
-    SPG pass, one SPG step from its current iterate B_V, or None once no
-    rise can be verified.
-    """
-    return kv.step(check_box(B_V, kv.rank))
+
+# the same step; perfbench/tracing.py wraps each block's name on its own
+ku_subproblem_step = kv_subproblem_step
 
 
 def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
-             coupling: np.ndarray, w_mid: float, w_last: float,
-             alpha: float) -> tuple[np.ndarray, np.ndarray]:
+             coupling: np.ndarray, w_mid: float, w_m2: float,
+             w_m1: float) -> tuple[np.ndarray, np.ndarray]:
+    """EGBA-P's K_U map: the box projection of inv(inv(T) + mid + last),
+    T = A H1i A + A, mid the symmetrized w_mid inv(A + SigmaHat2) B_V'
+    inv(A + MHat1), last = w_m2 inv(A + MHat2) + w_m1 inv(A + MHat1); T
+    and A + (MHat1, SigmaHat2, MHat2) are inverted in one stacked call."""
     Wi = inv(step_stack(A, H1i, shifts))
     M1i = Wi[1]
     mid = w_mid * (Wi[2] @ coupling @ M1i)
     mid = (mid + mid.T) / 2.0
-    last = w_last * (alpha * Wi[3] + (1.0 - alpha) * M1i)
+    last = w_m2 * Wi[3] + w_m1 * M1i
     return project_box_inverse(Wi[0] + mid + last)
 
 
-def ku_pass(SigmaHat1: np.ndarray, SigmaHat2: np.ndarray, MHat1: np.ndarray,
-            MHat2: np.ndarray, BVprime: np.ndarray, inst: CommonInstance) -> FixedPoint:
-    """The K_U map with its constants for a whole K_U inner solve:
-    inv(SigmaHat1), the shift stack (MHat1, SigmaHat2, MHat2), the
-    symmetrized coupling B_V' and the weights lambda2/lambda1,
-    lambda0/lambda1 and alpha.
+def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray) -> FixedPoint:
+    """The K_U map with its constants for a whole K_U inner solve.
 
-    All hat matrices must come from the reduction of the current
-    constraint K_C - K_V; MHat1 and MHat2 compress K_V + Sigma2 and
-    K_V + Sigma1.  The coupling B_V' is symmetrized here so the
-    eigenvalue projection stays well defined.
+    H = (MHat1, MHat2, SigmaHat1, SigmaHat2) is the K_U block's stack:
+    H[2] gives T and is inverted once, and H[0], H[3], H[1] are the
+    shifts.  w = w_u gives the map's scalars: lam2' = -w[3],
+    lam0'*alpha = -w[1] and lam0'*abar = -(w[0] + w[3]).  All hat
+    matrices and the coupling B_V' (the reduced K_V) come from the
+    reduction of the current constraint K_C - K_V; the coupling is
+    symmetrized here so the eigenvalue projection stays well defined.
     """
-    l1 = float(inst.lambda1)
-    return FixedPoint(_ku_step, inv(SigmaHat1), np.stack((MHat1, SigmaHat2, MHat2)),
-                      symmetrize(BVprime), float(inst.lambda2) / l1,
-                      float(inst.lambda0) / l1, float(inst.alpha))
-
-
-def ku_subproblem_step(A_U: np.ndarray, ku: FixedPoint | _Spg) -> np.ndarray | None:
-    """One step of the K_U subproblem from a box-checked iterate.
-
-    For a ku_pass, the projected fixed-point step inv(inv(T) + mid + last)
-    with T = A SigmaHat1^{-1} A + A, mid the symmetrized coupling term
-    through B_V' and last the mixed barrier; T, A + MHat1, A + SigmaHat2
-    and A + MHat2 are inverted in one stacked call.  For an SPG pass, one
-    SPG step from its current iterate A_U, or None once no rise can be
-    verified.
-    """
-    return ku.step(check_box(A_U, ku.rank))
+    return FixedPoint(_ku_step, inv(H[2]), H[[0, 3, 1]], symmetrize(coupling),
+                      -w[3], -w[1], -(w[0] + w[3]))
 
 
 def _fro(M: np.ndarray) -> float:
@@ -347,17 +341,10 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     K_C = symmetrize(inst.K_C)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    l0 = float(inst.lambda0)
-    l2 = float(inst.lambda2)
-    a = float(inst.alpha)
-    ratio = l0 * a / (l2 - l0 * (1.0 - a))
     inner_tol = float(opts.rel_tol) / 10.0
-    # block weights: K_V on (K_U + Sigma2, K_U + Sigma1), K_U on
-    # (K_V + Sigma2, K_V + Sigma1, Sigma1, Sigma2)
-    l0p = l0 / float(inst.lambda1)
-    l2p = l2 / float(inst.lambda1)
-    w_v = (l2p - l0p * (1.0 - a), -l0p * a)
-    w_u = w_v + (1.0, -l2p)
+    # K_V on (K_U + Sigma2, K_U + Sigma1), K_U on (K_V + Sigma2, K_V + Sigma1,
+    # Sigma1, Sigma2)
+    w_v, w_u = _weights(inst)
 
     zero = np.zeros((n, n))
     kc_norm = spectral_norm(K_C)
@@ -386,16 +373,16 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
 
     def solve_block(budget, block, stack, w, fixed_point, step, label):
         """One inner solve: compress `stack` into the box of `budget`,
-        warm-start from `block`, run SPG with weights w or the EGBA-P pass
-        fixed_point(bt, heads), and lift the result.  Returns the new
-        block, its step count and its reduced iterate and heads (None for
-        a zero budget)."""
+        warm-start from `block`, run SPG or the EGBA-P pass
+        fixed_point(bt, heads, w) on the heads and weights w, and lift the
+        result.  Returns the new block, its step count and its reduced
+        iterate and heads (None for a zero budget)."""
         box = _block_box(budget, stack, scale_eps)
         if box is None:
             return zero, 0, None
         bt, H = box
         B = _warm_start(bt, block, scale_eps)
-        ps = _Spg(B, H, w, inner_tol) if spg else fixed_point(bt, H)
+        ps = _Spg(B, H, w, inner_tol) if spg else fixed_point(bt, H, w)
         B, count = _inner_solve(step, ps, B, inner_tol, label, warnings, stalls)
         return lift(bt, B), count, (B, H)
 
@@ -405,12 +392,11 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         # K_V under the budget K_C - K_U, then K_U under K_C - K_V
         K_V, count, _ = solve_block(
             K_C - K_U, K_V, (K_U + S2, K_U + S1), w_v,
-            lambda bt, H: kv_pass(H[0], H[1], ratio), kv_subproblem_step, "K_V")
+            lambda bt, H, w: kv_pass(H, w), kv_subproblem_step, "K_V")
         kv_counts.append(count)
         K_U, count, ku_cert = solve_block(
             K_C - K_V, K_U, (K_V + S2, K_V + S1, S1, S2), w_u,
-            lambda bt, H: ku_pass(H[2], H[3], H[0], H[1],
-                                  transform(bt, K_V)[:bt.rank, :bt.rank], inst),
+            lambda bt, H, w: ku_pass(H, w, transform(bt, K_V)[:bt.rank, :bt.rank]),
             ku_subproblem_step, "K_U")
         ku_counts.append(count)
 

@@ -253,12 +253,6 @@ def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
     return symmetrize((H * a) @ H.T), (a, H)
 
 
-def gba_p_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
-    """One projected fixed-point step from a feasible reduced iterate."""
-    A = check_box(A_U, red.rank)
-    return _p_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam))[0]
-
-
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """One alternating closed-form step from an iterate with I - A
     nonsingular; raises NumericalBreakdownError otherwise."""
@@ -399,21 +393,23 @@ class FixedPoint:
 
 
 class _Gba(FixedPoint):
-    """GBA-P or GBA-A for solve_private: the fixed-point pass, plus the
-    objective and eigenvalues of each new iterate and the KKT residual
-    the report needs.  GBA-A also carries the eigenpairs of its current
-    iterate, starting from one eigh of A, for its map's inv(I - A)."""
+    """GBA-P or GBA-A for solve_private: the fixed-point pass on the stack
+    H and weights w that _Spg takes (T from H[0], the shift H[1], the
+    weight -w[1]/w[0]), plus the objective and eigenvalues of each new
+    iterate and the KKT residual the report needs.  GBA-A also carries
+    the eigenpairs of its current iterate, starting from one eigh of A,
+    for its map's inv(I - A)."""
 
-    def __init__(self, update, A: np.ndarray, f: float, H1i: np.ndarray,
-                 H12: np.ndarray, lam: float):
-        super().__init__(update, H1i, H12[1:], lam)
-        self.H12 = H12
-        self.w = (1.0, -lam)
+    def __init__(self, update, A: np.ndarray, f: float, H: np.ndarray,
+                 w: tuple[float, ...]):
+        super().__init__(update, inv(H[0]), H[1:], -w[1] / w[0])
+        self.H = H
+        self.w = w
         self.f = f
         self.pairs = np.linalg.eigh(A) if update is _a_step else None
 
     def kkt_at(self, A: np.ndarray) -> float:
-        return _kkt(A, _gradient(A, self.H12, self.w))
+        return _kkt(A, _gradient(A, self.H, self.w))
 
     def step(self, A: np.ndarray) -> np.ndarray:
         if self.pairs is None:
@@ -421,7 +417,7 @@ class _Gba(FixedPoint):
         else:
             An, self.pairs = self.update(A, *self.args, self.pairs)
             self.eigs = self.pairs[0]
-        self.f = _fast_objective(An, self.H12, self.w)
+        self.f = _fast_objective(An, self.H, self.w)
         return An
 
     def spectra(self, A: np.ndarray, An: np.ndarray) -> tuple[float, float, float]:
@@ -485,17 +481,16 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     except DegenerateInstanceError:
         return _degenerate_report(inst, t0)
 
-    lam = red.lam
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
-    H12 = np.stack((red.SigmaHat1, red.SigmaHat2))
-    w = (1.0, -lam)
-    f = _fast_objective(A, H12, w)
+    H = np.stack((red.SigmaHat1, red.SigmaHat2))
+    w = (1.0, -red.lam)
+    f = _fast_objective(A, H, w)
     if opts.algorithm is Algorithm.SPG:
-        solver = _Spg(A, H12, w, opts.rel_tol, f)
+        solver = _Spg(A, H, w, opts.rel_tol, f)
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        solver = _Gba(update, A, f, inv(red.SigmaHat1), H12, lam)
+        solver = _Gba(update, A, f, H, w)
 
     w0 = np.linalg.eigvalsh(A)
     eig_min = float(w0[0])
@@ -523,7 +518,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
 
     return SolveReport(
         final_AU=A,
-        final_KU=lift(red, A),
+        final_KU=lift(red.transform, A),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

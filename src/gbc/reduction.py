@@ -207,11 +207,10 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
     )
 
 
-def lift(red: ReducedPrivate | BoxTransform, A_U: np.ndarray) -> np.ndarray:
+def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:
     """Map a reduced variable back to the original coordinates.
 
     A_U must sit in the [0, I] box up to slack 1e-8.
     """
-    bt = red.transform if isinstance(red, ReducedPrivate) else red
     A_U = check_box(A_U, bt.rank)
     return symmetrize(bt.lift_matrix @ A_U @ bt.lift_matrix.T)

@@ -290,7 +290,7 @@ def test_criterion_08():
             s = (w + w.T) / 2.0
             s /= max(1.0, float(np.abs(np.linalg.eigvalsh(s)).max()))
             A = 0.5 * np.eye(red.rank) + 0.3 * s
-            diffs.append(_objective_original(inst, lift(red, A))
+            diffs.append(_objective_original(inst, lift(red.transform, A))
                          - objective_reduced(A, red, inst.lam))
         spread = max(diffs) - min(diffs)
         if spread > 1e-8:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gbc.cli
-from gbc import random_instance
+from gbc import SolveOptions, random_instance, solve_private
 from gbc.cli import main
 from gbc.errors import NumericalBreakdownError
 
@@ -95,6 +95,34 @@ def test_solve_trace_out(tmp_path, capsys):
     assert sidecar["iterations"] == doc["iterations"]
 
 
+def test_solve_trace_out_rows_follow_every_step(tmp_path, capsys):
+    inst = random_instance(3, 1)
+    path = _write(tmp_path, "r3.json", {
+        "kind": "private", "n": 3, "K": inst.K.tolist(),
+        "Sigma1": inst.Sigma1.tolist(), "Sigma2": inst.Sigma2.tolist(),
+        "lambda": inst.lam})
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["solve", path, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    assert rc == 0
+    rep = solve_private(gbc.cli.load_instance(path), SolveOptions())
+    assert rep.iterations > 1
+    rows = list(csv.reader(trace_path.read_text().splitlines()))[1:]
+    rels = [""] + [repr(float(r)) for r in rep.step_rel_changes]
+    assert rows == [[str(i), repr(float(f)), rel]
+                    for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
+
+
+@pytest.mark.parametrize("field,value", [("lambda", None), ("n", [2]),
+                                         ("K", {"a": 1})],
+                         ids=["lambda-null", "n-list", "K-object"])
+def test_solve_rejects_non_numeric_field(tmp_path, capsys, field, value):
+    rc = main(["solve", _case1(tmp_path, **{field: value})])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and field in err
+
+
 def test_solve_asymmetric_input_notes(tmp_path, capsys):
     path = _case1(tmp_path, Sigma2=[[3.0, 1.001], [1.0, 4.0]])
     rc = main(["solve", path])
@@ -153,6 +181,20 @@ def test_trace_region_flags_nonconvergence(tmp_path, capsys):
     assert "did not converge" in captured.err
 
 
+def test_trace_region_infeasible_alpha_row(tmp_path, capsys):
+    csv_path = tmp_path / "alpha.csv"
+    with pytest.warns(UserWarning, match="alpha=0 skipped"):
+        rc = main(["trace-region", _common_fixture(tmp_path), "--alpha-grid",
+                   "0.0,0.5", "--csv-out", str(csv_path)])
+    assert rc == 2
+    assert "alpha=0 skipped: weight combination infeasible" in capsys.readouterr().err
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert len(rows) == 3
+    assert rows[1][4] == "0.0" and rows[1][6] == "0"
+    assert all(np.isnan(float(rows[1][i])) for i in (1, 2, 3, 5))
+    assert np.isfinite([float(v) for v in rows[2]]).all()
+
+
 def test_trace_region_requires_exactly_one_sweep(tmp_path, capsys):
     rc = main(["trace-region", _case1(tmp_path)])
     assert rc == 1
@@ -184,6 +226,12 @@ def test_oracle_coarse_and_fields(tmp_path, capsys):
     assert np.isfinite(doc["best_objective"])
     assert doc["resolution_bound"] > 0.0
     assert np.asarray(doc["best_KU"]).shape == (2, 2)
+
+
+def test_oracle_rejects_resolution_zero(tmp_path, capsys):
+    rc = main(["oracle", _case1(tmp_path), "--resolution", "0"])
+    assert rc == 1
+    assert "at least 2" in capsys.readouterr().err
 
 
 def test_oracle_common_scalar(tmp_path, capsys):

@@ -15,9 +15,15 @@ from gbc import (
     reduce,
     solve_common,
 )
-from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
+from gbc.common import (
+    _weights,
+    ku_pass,
+    ku_subproblem_step,
+    kv_pass,
+    kv_subproblem_step,
+)
 from gbc.errors import InvalidInputError, InvalidInstanceError
-from gbc.private import gba_p_step
+from gbc.private import _Gba, _p_step
 
 
 def _table2_weights():
@@ -87,25 +93,26 @@ def test_objective_scalar_hand_value():
 
 def test_kv_step_scalar_hand_value():
     got = kv_subproblem_step(np.array([[0.5]]),
-                             kv_pass(np.array([[1.0]]), np.array([[1.0]]), 2.0))
+                             kv_pass(np.ones((2, 1, 1)), (1.0, -2.0)))
     assert got[0, 0] == pytest.approx(0.375, rel=1e-14)
 
 
 def test_kv_step_rejects_bad_ratio_and_box():
+    H = np.ones((2, 1, 1))
+    # ratios -1, 0, NaN, and a zero first weight
+    for w in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (0.0, -1.0)):
+        with pytest.raises(InvalidInputError):
+            kv_pass(H, w)
     with pytest.raises(InvalidInputError):
-        kv_pass(np.eye(1), np.eye(1), -1.0)
-    with pytest.raises(InvalidInputError):
-        kv_pass(np.eye(1), np.eye(1), 0.0)
-    with pytest.raises(InvalidInputError):
-        kv_pass(np.eye(1), np.eye(1), float("nan"))
-    with pytest.raises(InvalidInputError):
-        kv_subproblem_step(3.0 * np.eye(2), kv_pass(np.eye(2), np.eye(2), 1.0))
+        kv_subproblem_step(3.0 * np.eye(2),
+                           kv_pass(np.stack((np.eye(2),) * 2), (1.0, -1.0)))
 
 
 def test_ku_step_scalar_hand_value():
     inst = _scalar(2.0, 1.0, 2.0)
     one = np.array([[1.0]])
-    got = ku_subproblem_step(0.5 * one, ku_pass(one, one, one, one, 0.25 * one, inst))
+    got = ku_subproblem_step(0.5 * one, ku_pass(np.stack((one,) * 4), _weights(inst)[1],
+                                                0.25 * one))
     # T1 = 4/3, coupling = 1.1*0.25/2.25 = 11/90, barrier = 1.2/1.5 = 4/5
     assert got[0, 0] == pytest.approx(90.0 / 203.0, rel=1e-12)
 
@@ -128,23 +135,27 @@ def test_ku_step_matches_kv_shape_when_uncoupled():
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
         got = ku_subproblem_step(
-            A, ku_pass(S1h, S2h, M1h, M2h, np.zeros((3, 3)), inst))
-        want = kv_subproblem_step(A, kv_pass(S1h, M2h, 1.2))
+            A, ku_pass(np.stack((M1h, M2h, S1h, S2h)), _weights(inst)[1],
+                       np.zeros((3, 3))))
+        want = kv_subproblem_step(A, kv_pass(np.stack((S1h, M2h)), (1.0, -1.2)))
         assert np.linalg.norm(got - want) < 1e-12
 
 
 @pytest.mark.parametrize("n,rank", [(1, None), (2, None), (3, None), (5, None),
                                     (4, 2), (5, 3)])
 def test_kv_step_is_the_gba_p_step(n, rank):
-    # the K_V map is GBA-P's map with the block's noise pair and ratio
+    # on the private problem's stack and weights, a K_V pass takes the
+    # step solve_private's GBA-P pass takes
     rng = np.random.default_rng(n)
     for seed in (0, 1, 7):
         red = reduce(random_instance(n, seed, rank=rank))
         Q, _ = np.linalg.qr(rng.standard_normal((red.rank, red.rank)))
         A = (Q * rng.uniform(0.05, 0.95, red.rank)) @ Q.T
         A = (A + A.T) / 2.0
-        got = kv_subproblem_step(A, kv_pass(red.SigmaHat1, red.SigmaHat2, red.lam))
-        assert np.array_equal(got, gba_p_step(A, red, red.lam))
+        H = np.stack((red.SigmaHat1, red.SigmaHat2))
+        w = (1.0, -red.lam)
+        got = kv_subproblem_step(A, kv_pass(H, w))
+        assert np.array_equal(got, _Gba(_p_step, A, 0.0, H, w).step(A))
 
 
 def test_alpha_one_ratio_well_defined():

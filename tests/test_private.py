@@ -20,9 +20,15 @@ from gbc import (
 )
 from gbc import private
 from gbc.errors import InvalidInputError, NumericalBreakdownError
-from gbc.private import gba_a_step, gba_p_step, root_in_unit_interval
+from gbc.common import kv_pass, kv_subproblem_step
+from gbc.private import gba_a_step, root_in_unit_interval
 from gbc.psd import symmetrize
 from gbc.reduction import lift
+
+
+def _gba_p(red):
+    """GBA-P's map on a reduced private problem, as a K_V pass."""
+    return kv_pass(np.stack((red.SigmaHat1, red.SigmaHat2)), (1.0, -red.lam))
 
 
 def _case(idx):
@@ -91,7 +97,7 @@ def test_gba_p_step_scalar_value():
                            lam=2.0)
     red = reduce(inst)
     # inv(inv(0.25 + 0.5) + 2/1.5) = inv(8/3) = 0.375
-    out = gba_p_step(np.array([[0.5]]), red, 2.0)
+    out = kv_subproblem_step(np.array([[0.5]]), _gba_p(red))
     assert out[0, 0] == pytest.approx(0.375, abs=1e-12)
 
 
@@ -100,7 +106,7 @@ def test_steps_fix_the_case1_optimum():
     red = reduce(inst)
     # K_U* = K/2 reduces to A* = I/2, an interior stationary point
     A_star = 0.5 * np.eye(2)
-    assert np.allclose(gba_p_step(A_star, red, inst.lam), A_star, atol=1e-10)
+    assert np.allclose(kv_subproblem_step(A_star, _gba_p(red)), A_star, atol=1e-10)
     assert np.allclose(gba_a_step(A_star, red, inst.lam), A_star, atol=1e-10)
     g = gradient_reduced(A_star, red, inst.lam)
     assert np.max(np.abs(g)) < 1e-10

@@ -12,13 +12,19 @@ from gbc import (
     reduce,
     transform,
 )
-from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
+from gbc.common import (
+    _weights,
+    ku_pass,
+    ku_subproblem_step,
+    kv_pass,
+    kv_subproblem_step,
+)
 from gbc.errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
 )
-from gbc.private import gba_a_step, gba_p_step
+from gbc.private import gba_a_step
 from gbc.psd import symmetrize
 from gbc.reduction import lift, schur_head
 
@@ -101,7 +107,7 @@ def test_reduce_offset_makes_objectives_agree():
         assert red.rank == 4
         for _ in range(3):
             A_U = _random_box_point(rng, red.rank)
-            K_U = lift(red, A_U)
+            K_U = lift(red.transform, A_U)
             got = _objective_reduced_raw(A_U, red) + red.offset
             want = _objective_original(K_U, inst)
             assert got == pytest.approx(want, abs=1e-8)
@@ -115,7 +121,7 @@ def test_reduce_offset_rank_deficient():
         assert red.rank == 2
         for _ in range(3):
             A_U = _random_box_point(rng, 2)
-            K_U = lift(red, A_U)
+            K_U = lift(red.transform, A_U)
             got = _objective_reduced_raw(A_U, red) + red.offset
             want = _objective_original(K_U, inst)
             assert got == pytest.approx(want, abs=1e-8)
@@ -159,12 +165,12 @@ _PRIVATE = PrivateInstance(K=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lam=2.0)
 _COMMON = CommonInstance(K_C=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lambda0=1.2,
                          lambda1=1.0, lambda2=1.1, alpha=0.5)
 _BOX_CHECKED = {
-    "lift": lambda A: lift(reduce(_PRIVATE), A),
-    "gba_p_step": lambda A: gba_p_step(A, reduce(_PRIVATE), 2.0),
+    "lift": lambda A: lift(reduce(_PRIVATE).transform, A),
     "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
-    "kv_subproblem_step": lambda A: kv_subproblem_step(A, kv_pass(_I2, _I2, 1.0)),
+    "kv_subproblem_step": lambda A: kv_subproblem_step(
+        A, kv_pass(np.stack((_I2, _I2)), (1.0, -1.0))),
     "ku_subproblem_step": lambda A: ku_subproblem_step(
-        A, ku_pass(_I2, _I2, _I2, _I2, np.zeros((2, 2)), _COMMON)),
+        A, ku_pass(np.stack((_I2,) * 4), _weights(_COMMON)[1], np.zeros((2, 2)))),
 }
 
 
@@ -199,6 +205,6 @@ def test_lift_feasibility_mapping():
     red = reduce(inst)
     from gbc import loewner_leq
     for _ in range(10):
-        K_U = lift(red, _random_box_point(rng, red.rank))
+        K_U = lift(red.transform, _random_box_point(rng, red.rank))
         assert loewner_leq(np.zeros((4, 4)), K_U)
         assert loewner_leq(K_U, inst.K)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbc import (
+    Algorithm,
     CommonInstance,
     PrivateInstance,
     SolveOptions,
@@ -107,6 +108,17 @@ def test_trace_nonconvergence_is_flagged_not_fatal():
     for p in pts:
         assert np.isfinite(p.R1) and np.isfinite(p.R2)
     assert any(p.error and "did not converge" in p.error for p in pts)
+
+
+def test_trace_failed_solves_become_nan_points():
+    # GBA-A cannot start at A = I (I - A is singular); the failed solve
+    # leaves the next one the same start, so every lambda fails
+    opts = SolveOptions(algorithm=Algorithm.GBA_A, init=np.eye(3))
+    pts = trace_region_private(random_instance(3, 0), [2.0, 1.5], opts)
+    assert [p.lambda_tag for p in pts] == [1.5, 2.0]
+    for p in pts:
+        assert np.isnan([p.R0, p.R1, p.R2]).all()
+        assert "I - A is singular" in p.error
 
 
 def test_trace_rejects_bad_sweeps():

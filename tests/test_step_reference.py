@@ -20,8 +20,14 @@ from gbc import (
     reduce,
     transform,
 )
-from gbc.common import ku_pass, ku_subproblem_step, kv_pass, kv_subproblem_step
-from gbc.private import gba_a_step, gba_p_step
+from gbc.common import (
+    _weights,
+    ku_pass,
+    ku_subproblem_step,
+    kv_pass,
+    kv_subproblem_step,
+)
+from gbc.private import gba_a_step
 from gbc.psd import project_box, project_box_inverse
 from gbc.reduction import schur_head
 
@@ -99,7 +105,7 @@ def test_private_steps_match_reference(n, rank, seed):
         T = A @ inv(H1) @ A + A
         S = inv(T) + lam * inv(A + H2)
 
-        got_p = gba_p_step(A, red, lam)
+        got_p = kv_subproblem_step(A, kv_pass(np.stack((H1, H2)), (1.0, -lam)))
         assert np.array_equal(got_p, _project_inverse(S))
         assert _close(got_p, _project(inv(S)))
 
@@ -124,25 +130,30 @@ def test_common_steps_match_reference(n, rank, seed):
     M2h = schur_head(transform(bt, K_V + inst.Sigma1), r)
     BVp = transform(bt, K_V)[:r, :r]
     l0, l1, l2, alpha = inst.lambda0, inst.lambda1, inst.lambda2, inst.alpha
-    ku = ku_pass(S1h, S2h, M1h, M2h, BVp, inst)
+    w = _weights(inst)[1]
+    ku = ku_pass(np.stack((M1h, M2h, S1h, S2h)), w, BVp)
     for _ in range(3):
         A = _sym(_interior_point(rng, r))
 
         T = A @ inv(S2h) @ A + A
         S = inv(T) + 0.75 * inv(A + S1h)
-        got = kv_subproblem_step(A, kv_pass(S2h, S1h, 0.75))
+        got = kv_subproblem_step(A, kv_pass(np.stack((S2h, S1h)), (1.0, -0.75)))
         assert np.array_equal(got, _project_inverse(S))
         assert _close(got, _project(inv(S)))
 
         T = A @ inv(S1h) @ A + A
         M1i = inv(A + M1h)
+        # the step reads lam2', lam0'*alpha and lam0'*abar from the weights
+        mid = -w[3] * (inv(A + S2h) @ _sym(BVp) @ M1i)
+        mid = (mid + mid.T) / 2.0
+        last = -w[1] * inv(A + M2h) - (w[0] + w[3]) * M1i
+        got = ku_subproblem_step(A, ku)
+        assert np.array_equal(got, _project_inverse(inv(T) + mid + last))
+        # the paper's form, with the weights written in lambda
         mid = (l2 / l1) * (inv(A + S2h) @ _sym(BVp) @ M1i)
         mid = (mid + mid.T) / 2.0
         last = (l0 / l1) * (alpha * inv(A + M2h) + (1.0 - alpha) * M1i)
-        S = inv(T) + mid + last
-        got = ku_subproblem_step(A, ku)
-        assert np.array_equal(got, _project_inverse(S))
-        assert _close(got, _project(inv(S)))
+        assert _close(got, _project(inv(inv(T) + mid + last)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
