@@ -50,7 +50,7 @@ def _matrix_from(doc: dict, key: str, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"{key} must be an {n}x{n} array, got shape {M.shape}"
         )
-    asym = float(np.max(np.abs(M - M.T))) if n else 0.0
+    asym = float(np.max(np.abs(M - M.T)))
     if asym > 1e-8:
         _note(f"{key} asymmetry {asym:.3e} exceeds 1e-8; averaging with transpose")
     return symmetrize(M)
@@ -76,7 +76,10 @@ def load_instance(path: str) -> PrivateInstance | CommonInstance:
         raise InvalidInputError(
             f"instance 'kind' must be 'private' or 'common', got {kind!r}"
         )
-    n = int(_scalar_from(doc, "n"))
+    n = doc.get("n")
+    # JSON reads 1.5 and 1e400 as floats; bool is a subclass of int
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
     S1 = _matrix_from(doc, "Sigma1", n)
     S2 = _matrix_from(doc, "Sigma2", n)
     if kind == "private":

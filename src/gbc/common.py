@@ -16,20 +16,21 @@ with w = (c, -lam0'*alpha), c = lam2' - lam0'*abar; the K_U block has
 H = (MHat1, MHat2, SigmaHat1, SigmaHat2) with w = (c, -lam0'*alpha, 1,
 -lam2').
 
-Both inner solvers build each pass from its block's (H, w).  SPG (the
-default) runs the spectral projected gradient ascent of the private
-solver on them and stops each block on its KKT residual.  EGBA-P, the
-paper's extension of GBA-P, iterates fixed-point maps on the FixedPoint
-pass of the private solver and stops each block on the relative step:
-the K_V map is GBA-P's map with T from H[0] and ratio -w[1]/w[0], and
-the K_U map (ku_pass) adds a coupling term through K_V and a mixed
-barrier to the private-message update, with T from H[2] and its scalars
-read from w.
+Each block builds its box with gbc.reduction.build_box and runs one
+pass on its (H, w) through the private solver's run_pass, the loop of
+every solve.  SPG (the default) runs the spectral projected gradient
+ascent of the private solver and stops each block on its KKT residual
+(_Spg.stops).  EGBA-P, the paper's extension of GBA-P, iterates
+fixed-point maps on the FixedPoint pass of the private solver and stops
+each block on the relative Frobenius step (FixedPoint.stops): the K_V
+map is GBA-P's map (kv_pass, the private solver's gba_pass), and the K_U
+map (ku_pass) adds a coupling term through K_V and a mixed barrier to
+the private-message update, with T from H[2] and its scalars read from
+w.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,20 +56,23 @@ from .private import (
     SolveOptions,
     _gradient,
     _kkt,
-    _p_step,
     _Spg,
-    _weighted,
+    gba_pass as kv_pass,
     inv,
+    run_pass,
     step_stack,
 )
-from .reduction import (
-    BoxTransform,
+# box_transform and schur_head run inside build_box; perfbench/tracing.py
+# also wraps them under these names
+from .reduction import (  # noqa: F401
     box_transform,
+    build_box,
     check_box,
     check_matrices,
     lift,
     schur_head,
     transform,
+    weighted,
 )
 
 INNER_CAP = 50_000
@@ -172,19 +176,8 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
     KV = symmetrize(K_V)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    return _weighted(_weights(inst)[1], [logdet(M) for M in (
+    return weighted(_weights(inst)[1], [logdet(M) for M in (
         KU + KV + S2, KU + KV + S1, KU + S1, KU + S2)])
-
-
-def kv_pass(H: np.ndarray, w: tuple[float, ...]) -> FixedPoint:
-    """GBA-P's map on the K_V block: T = A inv(H[0]) A + A with H[0]
-    inverted once per inner solve, the shift H[1] and the weight ratio
-    -w[1]/w[0].  H = (NHat1, NHat2) and w = w_v for the K_V block; a
-    ratio that is not finite and > 0 raises InvalidInputError."""
-    ratio = -w[1] / w[0] if w[0] else math.nan
-    if not (np.isfinite(ratio) and ratio > 0.0):
-        raise InvalidInputError(f"ratio -w[1]/w[0] must be finite and > 0, got {ratio}")
-    return FixedPoint(_p_step, inv(H[0]), H[1:], ratio)
 
 
 def kv_subproblem_step(A: np.ndarray, ps: FixedPoint | _Spg) -> np.ndarray | None:
@@ -213,7 +206,8 @@ def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
     return project_box_inverse(Wi[0] + mid + last)
 
 
-def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray) -> FixedPoint:
+def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray,
+            tol: float = 0.0) -> FixedPoint:
     """The K_U map with its constants for a whole K_U inner solve.
 
     H = (MHat1, MHat2, SigmaHat1, SigmaHat2) is the K_U block's stack:
@@ -224,49 +218,8 @@ def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray) -> FixedP
     reduction of the current constraint K_C - K_V; the coupling is
     symmetrized here so the eigenvalue projection stays well defined.
     """
-    return FixedPoint(_ku_step, inv(H[2]), H[[0, 3, 1]], symmetrize(coupling),
-                      -w[3], -w[1], -(w[0] + w[3]))
-
-
-def _fro(M: np.ndarray) -> float:
-    """Frobenius norm with the bits of np.linalg.norm(M), minus its
-    wrapper; the inner loop takes two per step."""
-    x = M.ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
-def _inner_solve(step, ps, B: np.ndarray, inner_tol: float, label: str,
-                 warnings: list[str], stalls: dict[str, float]) -> tuple[np.ndarray, int]:
-    """Run step(B, ps) from B until the pass's stop rule fires.
-
-    An SPG pass stops on its KKT residual (already at B when it is
-    small enough, after no step), or on roundoff when no rise can be
-    verified.  An EGBA-P pass stops when the Frobenius change falls
-    below inner_tol times the larger of the iterate norm and the
-    box-midpoint norm ||I/2||_F; the absolute anchor keeps the test
-    meaningful for blocks shrinking to zero, where a purely relative
-    test could never fire.  Only the outer loop owes the spectral-norm
-    criterion.  A cap hit adds a warning; a roundoff stall records the
-    KKT residual in stalls[label], so each block reports its last stall
-    once.  Returns the last iterate and the number of steps.
-    """
-    anchor = 0.5 * float(np.sqrt(B.shape[0]))
-    den = max(_fro(B), anchor)
-    count = 0
-    stop = ps.converged
-    while not stop:
-        if count == INNER_CAP:
-            warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
-            break
-        Bn = step(B, ps)
-        if Bn is None:
-            stalls[label] = ps.kkt
-            break
-        count += 1
-        stop = ps.stops(_fro(Bn - B), inner_tol * den)
-        B = Bn
-        den = max(_fro(B), anchor)
-    return B, count
+    return FixedPoint(_ku_step, H, w, tol, inv(H[2]), H[[0, 3, 1]],
+                      symmetrize(coupling), -w[3], -w[1], -(w[0] + w[3]))
 
 
 def _psd_part(M: np.ndarray) -> np.ndarray:
@@ -294,21 +247,6 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray:
     if spectral_norm(M) <= scale_eps:
         return 0.5 * np.eye(bt.rank)
     return project_box(transform(bt, M)[:bt.rank, :bt.rank])
-
-
-def _block_box(budget: np.ndarray, stack: tuple[np.ndarray, ...],
-               scale_eps: float) -> tuple[BoxTransform, np.ndarray] | None:
-    """Box transform of a subproblem budget and the (k, r, r) stack of
-    Schur heads of `stack` in it, or None when the budget is numerically
-    zero and the block it constrains must be zero."""
-    if spectral_norm(budget) <= scale_eps:
-        return None
-    try:
-        bt = box_transform(budget)
-    except DegenerateInstanceError:
-        return None
-    r = bt.rank
-    return bt, np.stack([schur_head(transform(bt, M), r) for M in stack])
 
 
 def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> CommonSolveReport:
@@ -371,20 +309,24 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     rels: list[float] = []
     converged = False
 
-    def solve_block(budget, block, stack, w, fixed_point, step, label):
-        """One inner solve: compress `stack` into the box of `budget`,
+    def solve_block(budget, block, stack, w, make_pass, step, label):
+        """One inner solve: build the box of `budget` with `stack`,
         warm-start from `block`, run SPG or the EGBA-P pass
-        fixed_point(bt, heads, w) on the heads and weights w, and lift the
-        result.  Returns the new block, its step count and its reduced
-        iterate and heads (None for a zero budget)."""
-        box = _block_box(budget, stack, scale_eps)
-        if box is None:
-            return zero, 0, None
-        bt, H = box
-        B = _warm_start(bt, block, scale_eps)
-        ps = _Spg(B, H, w, inner_tol) if spg else fixed_point(bt, H, w)
-        B, count = _inner_solve(step, ps, B, inner_tol, label, warnings, stalls)
-        return lift(bt, B), count, (B, H)
+        make_pass(box, w) on the box's heads and the weights w, and lift
+        the result.  Returns the new block, its step count and its KKT
+        residual (a zero block, 0 and 0.0 for a zero budget)."""
+        try:
+            box = build_box(budget, stack, scale_eps)
+        except DegenerateInstanceError:
+            return zero, 0, 0.0
+        B = _warm_start(box.transform, block, scale_eps)
+        ps = _Spg(B, box.H, w, inner_tol) if spg else make_pass(box, w)
+        B, count, stop, kkt, _ = run_pass(step, ps, B, INNER_CAP)
+        if stop == "cap":
+            warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
+        elif stop == "stall":
+            stalls[label] = kkt
+        return lift(box.transform, B), count, kkt
 
     for _ in range(1, int(opts.max_iters) + 1):
         K_U_prev = K_U
@@ -392,11 +334,12 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         # K_V under the budget K_C - K_U, then K_U under K_C - K_V
         K_V, count, _ = solve_block(
             K_C - K_U, K_V, (K_U + S2, K_U + S1), w_v,
-            lambda bt, H, w: kv_pass(H, w), kv_subproblem_step, "K_V")
+            lambda box, w: kv_pass(box.H, w, inner_tol), kv_subproblem_step, "K_V")
         kv_counts.append(count)
-        K_U, count, ku_cert = solve_block(
+        K_U, count, kkt = solve_block(
             K_C - K_V, K_U, (K_V + S2, K_V + S1, S1, S2), w_u,
-            lambda bt, H, w: ku_pass(H, w, transform(bt, K_V)[:bt.rank, :bt.rank]),
+            lambda box, w: ku_pass(box.H, w, transform(box.transform, K_V)[
+                :box.rank, :box.rank], inner_tol),
             ku_subproblem_step, "K_U")
         ku_counts.append(count)
 
@@ -418,17 +361,16 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         warnings.append(
             f"objective decreased by {-float(np.min(drops)):.3e} across an outer pass"
         )
-    # each block's residual on its own stack, the one SPG stops on: K_U at
-    # the last inner iterate (that solve ran at the returned K_V), K_V on a
+    # each block's residual on its own stack, the one SPG stops on: K_U's
+    # from its last solve, which ran at the returned K_V, and K_V's on a
     # fresh box, because K_U moved after the last K_V solve
-    box = _block_box(K_C - K_U, (K_U + S2, K_U + S1), scale_eps)
-    kv_cert = None if box is None else (
-        transform(box[0], K_V)[:box[0].rank, :box[0].rank], box[1])
-    kkt = 0.0
-    for cert, w in ((ku_cert, w_u), (kv_cert, w_v)):
-        if cert is not None:
-            A, H = cert
-            kkt = max(kkt, _kkt(A, _gradient(A, H, w)))
+    try:
+        box = build_box(K_C - K_U, (K_U + S2, K_U + S1), scale_eps)
+    except DegenerateInstanceError:
+        pass
+    else:
+        A = transform(box.transform, K_V)[:box.rank, :box.rank]
+        kkt = max(kkt, _kkt(A, _gradient(A, box.H, w_v)))
 
     return CommonSolveReport(
         K_U=K_U,

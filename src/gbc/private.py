@@ -21,15 +21,18 @@ in (0, 1) of a scalar quadratic.  Its objective trace is non-decreasing.
 The eigh of B gives the eigenpairs of the new iterate, which the next
 step inverts I - A through.
 
-GBA-P and GBA-A stop when the spectral norm of the iterate change falls
-below rel_tol times the spectral norm of the previous iterate.  Each
-step returns the new iterate's eigenvalues, so the loop needs an
-eigvalsh of the change only.
+Every solve, here and in gbc.common, runs one pass on the stack H and
+weights w of a gbc.reduction box through run_pass, and each pass owns
+its stop rule: _Spg.stops is the KKT test above, and FixedPoint.stops
+the relative spectral-norm step for GBA-P and GBA-A (each step returns
+the new iterate's eigenvalues, so a step needs an eigvalsh of the
+change only) or the Frobenius step of EGBA-P's passes.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -42,7 +45,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .psd import PD_FLOOR, logdet, project_box, project_box_inverse, symmetrize
-from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce
+from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce, weighted
 
 
 class Algorithm(enum.Enum):
@@ -172,26 +175,15 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
     return logdet(A + red.SigmaHat1) - float(lam) * logdet(A + red.SigmaHat2)
 
 
-def _weighted(w: tuple[float, ...], X) -> float | np.ndarray:
-    """w[0] X[0] + w[1] X[1] + ..., summed in slice order; for the private
-    weights (1, -lam) the bits of X[0] - lam X[1].  X is a stack of
-    matrices or a list of floats (faster than numpy scalars)."""
-    total = w[0] * X[0]
-    for i in range(1, len(w)):
-        total += w[i] * X[i]
-    return total
-
-
 def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
     """Gradient sum_i w_i inv(A + H_i) of sum_i w_i logdet(A + H_i), from
     one stacked inverse."""
-    return symmetrize(_weighted(w, inv(A + H)))
+    return symmetrize(weighted(w, inv(A + H)))
 
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
-    return _gradient(symmetrize(A_U), np.stack((red.SigmaHat1, red.SigmaHat2)),
-                     (1.0, -float(lam)))
+    return _gradient(symmetrize(A_U), red.H, (1.0, -float(lam)))
 
 
 def _kkt(A: np.ndarray, G: np.ndarray) -> float:
@@ -267,7 +259,7 @@ def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float
     s, ld = np.linalg.slogdet(A + H)
     if min(s.tolist()) <= 0.0:
         raise NumericalBreakdownError("iterate lost positive definiteness")
-    return _weighted(w, ld.tolist())
+    return weighted(w, ld.tolist())
 
 
 def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
@@ -278,7 +270,7 @@ def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
     difference of two log-determinants loses everything below the
     rounding error of f.
     """
-    return _weighted(w, np.log1p(t * mu).sum(axis=1).tolist())
+    return weighted(w, np.log1p(t * mu).sum(axis=1).tolist())
 
 
 class _Spg:
@@ -301,7 +293,6 @@ class _Spg:
         self.G = _gradient(A, H, w)
         self.kkt = _kkt(A, self.G)
         self.alpha = 1.0
-        self.E = np.empty((2,) + A.shape)
 
     @property
     def rank(self) -> int:
@@ -311,25 +302,11 @@ class _Spg:
     def converged(self) -> bool:
         return self.kkt <= self.rel_tol
 
-    def stops(self, num: float, bound: float) -> bool:
+    def stops(self, A: np.ndarray, An: np.ndarray) -> bool:
         return self.converged
 
     def kkt_at(self, A: np.ndarray) -> float:
         return self.kkt
-
-    def spectra(self, A: np.ndarray, An: np.ndarray) -> tuple[float, float, float]:
-        """Largest absolute eigenvalue of the step An - A, and the
-        smallest and largest eigenvalue of An, from one stacked eigvalsh
-        on a workspace made once per solve."""
-        E = self.E
-        np.subtract(An, A, out=E[0])
-        E[1] = An
-        w = np.linalg.eigvalsh(E)
-        return float(np.max(np.abs(w[0]))), float(w[1][0]), float(w[1][-1])
-
-    def stall_warning(self) -> str:
-        return (f"SPG step fell below roundoff at KKT residual "
-                f"{self.kkt:.3e}; stopped before reaching rel_tol")
 
     def step(self, A: np.ndarray) -> np.ndarray | None:
         """Next iterate, or None once no rise can be verified: the
@@ -344,7 +321,7 @@ class _Spg:
         except np.linalg.LinAlgError as e:
             raise NumericalBreakdownError("iterate lost positive definiteness") from e
         mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
-        noise = _ROUNDOFF * _weighted([abs(wi) for wi in self.w],
+        noise = _ROUNDOFF * weighted([abs(wi) for wi in self.w],
                                       np.abs(mu).sum(axis=1).tolist())
         if not rise > noise:
             return None
@@ -367,46 +344,44 @@ class _Spg:
         return An
 
 
+def _fro(M: np.ndarray) -> float:
+    """Frobenius norm with the bits of np.linalg.norm(M), minus its
+    wrapper; an EGBA-P step takes two."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 class FixedPoint:
-    """A fixed-point map `update(A, *args)` behind the step interface of
-    _Spg, with its constants built once per solve or EGBA pass; args[0]
-    is the r x r inverse of the first noise matrix.  The map returns the
-    new iterate first, then what it learned of its spectrum.  A solve
-    stops once the step norm is within its bound."""
+    """A fixed-point map `update(A, *args)` on the stack H and weights w,
+    with its constants args built once per solve or EGBA pass (args[0]
+    inverts the slice that gives T).  The map returns the new iterate,
+    then its eigenvalues, or for GBA-A, started from the eigenpairs
+    `pairs`, the eigenpairs the next step inverts I - A through.
+
+    stops(A, An) tests the relative step.  Started with `eigs`, the
+    eigenvalues of A (GBA-P, GBA-A), it compares the spectral norm `num`
+    of An - A with tol times A's largest absolute eigenvalue.  Otherwise
+    (EGBA-P) it compares the Frobenius norm with tol times the larger of
+    ||A||_F and ||I/2||_F, an anchor that lets a block shrinking to zero
+    stop, where a purely relative test could never fire.
+    """
 
     converged = False
 
-    def __init__(self, update, *args):
+    def __init__(self, update, H: np.ndarray, w: tuple[float, ...],
+                 tol: float, *args, eigs: np.ndarray | None = None,
+                 pairs: tuple[np.ndarray, np.ndarray] | None = None):
         self.update = update
+        self.H = H
+        self.w = w
+        self.tol = tol
         self.args = args
+        self.pairs = pairs
+        self.den = None if eigs is None else float(max(abs(eigs[0]), abs(eigs[-1])))
 
     @property
     def rank(self) -> int:
-        return self.args[0].shape[0]
-
-    @staticmethod
-    def stops(num: float, bound: float) -> bool:
-        return num <= bound
-
-    def step(self, A: np.ndarray) -> np.ndarray:
-        return self.update(A, *self.args)[0]
-
-
-class _Gba(FixedPoint):
-    """GBA-P or GBA-A for solve_private: the fixed-point pass on the stack
-    H and weights w that _Spg takes (T from H[0], the shift H[1], the
-    weight -w[1]/w[0]), plus the objective and eigenvalues of each new
-    iterate and the KKT residual the report needs.  GBA-A also carries
-    the eigenpairs of its current iterate, starting from one eigh of A,
-    for its map's inv(I - A)."""
-
-    def __init__(self, update, A: np.ndarray, f: float, H: np.ndarray,
-                 w: tuple[float, ...]):
-        super().__init__(update, inv(H[0]), H[1:], -w[1] / w[0])
-        self.H = H
-        self.w = w
-        self.f = f
-        self.pairs = np.linalg.eigh(A) if update is _a_step else None
+        return self.H.shape[-1]
 
     def kkt_at(self, A: np.ndarray) -> float:
         return _kkt(A, _gradient(A, self.H, self.w))
@@ -417,15 +392,56 @@ class _Gba(FixedPoint):
         else:
             An, self.pairs = self.update(A, *self.args, self.pairs)
             self.eigs = self.pairs[0]
-        self.f = _fast_objective(An, self.H, self.w)
         return An
 
-    def spectra(self, A: np.ndarray, An: np.ndarray) -> tuple[float, float, float]:
-        """Largest absolute eigenvalue of the step An - A, and the
-        smallest and largest eigenvalue of An, which the step made."""
-        e = self.eigs
-        return (float(np.max(np.abs(np.linalg.eigvalsh(An - A)))),
-                float(e.min()), float(e.max()))
+    def stops(self, A: np.ndarray, An: np.ndarray) -> bool:
+        if self.den is None:  # started without eigs: EGBA-P's test
+            return _fro(An - A) <= self.tol * max(_fro(A), 0.5 * math.sqrt(self.rank))
+        self.num = float(np.max(np.abs(np.linalg.eigvalsh(An - A))))
+        stop = self.num <= self.tol * self.den
+        self.den = max(abs(float(self.eigs.min())), abs(float(self.eigs.max())))
+        return stop
+
+
+def gba_pass(H: np.ndarray, w: tuple[float, ...], tol: float = 0.0,
+             update=_p_step, eigs=None, pairs=None) -> FixedPoint:
+    """GBA-P's map (GBA-A's with update=_a_step) on the stack H and
+    weights w: T from inv(H[0]), the shift H[1] and the ratio -w[1]/w[0],
+    which must be finite and > 0 (else InvalidInputError).  solve_private's
+    GBA passes and, as common.kv_pass, the EGBA-P K_V pass; eigs and
+    pairs are FixedPoint's."""
+    ratio = -w[1] / w[0] if w[0] else math.nan
+    if not (np.isfinite(ratio) and ratio > 0.0):
+        raise InvalidInputError(f"ratio -w[1]/w[0] must be finite and > 0, got {ratio}")
+    return FixedPoint(update, H, w, tol, inv(H[0]), H[1:], ratio, eigs=eigs, pairs=pairs)
+
+
+def run_pass(step, ps, A: np.ndarray, cap: int, watch=None):
+    """Run step(A, ps) from A until the pass's stop rule ps.stops(A, An)
+    fires (or ps.converged holds at A, after no step), the step returns
+    None because it can verify no rise, or cap steps have run.  Every
+    solve_private solve and every solve_common block runs here.
+
+    Returns the last iterate, the number of steps, how the run stopped
+    ("rule", "stall" or "cap"), the KKT residual of the last iterate on
+    the pass's stack and weights, and the trace: the record watch(A, An)
+    made of each step, when a watch is given."""
+    trace = []
+    steps = 0
+    stop = "rule" if ps.converged else None
+    while stop is None:
+        if steps == cap:
+            stop = "cap"
+        elif (An := step(A, ps)) is None:
+            stop = "stall"
+        else:
+            steps += 1
+            if ps.stops(A, An):
+                stop = "rule"
+            if watch is not None:
+                trace.append(watch(A, An))
+            A = An
+    return A, steps, stop, ps.kkt_at(A), trace
 
 
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
@@ -483,49 +499,53 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
 
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
-    H = np.stack((red.SigmaHat1, red.SigmaHat2))
-    w = (1.0, -red.lam)
-    f = _fast_objective(A, H, w)
+    H, w = red.H, (1.0, -red.lam)
+    offset = red.offset
+    f0 = _fast_objective(A, H, w)
+    e0 = np.linalg.eigvalsh(A)
+    # each step's record: objective, spectral norm of the step, and the
+    # smallest and largest eigenvalue of the new iterate
     if opts.algorithm is Algorithm.SPG:
-        solver = _Spg(A, H, w, opts.rel_tol, f)
+        ps = _Spg(A, H, w, opts.rel_tol, f0)
+        E = np.empty((2,) + A.shape)
+
+        def watch(A, An):
+            # SPG's step makes no spectrum: one stacked eigvalsh of the
+            # step and the new iterate
+            np.subtract(An, A, out=E[0])
+            E[1] = An
+            d, e = np.linalg.eigvalsh(E)
+            return ps.f, float(np.max(np.abs(d))), float(e[0]), float(e[-1])
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        solver = _Gba(update, A, f, H, w)
+        ps = gba_pass(H, w, opts.rel_tol, update, eigs=e0,
+                      pairs=np.linalg.eigh(A) if update is _a_step else None)
 
-    w0 = np.linalg.eigvalsh(A)
-    eig_min = float(w0[0])
-    eig_max = float(w0[-1])
-    den = float(max(abs(w0[0]), abs(w0[-1])))
-    trace = [f + red.offset]
-    rels: list[float] = []
-    converged = solver.converged
-    iterations = 0
+        def watch(A, An):
+            # the stop rule measured the step and the step made the eigenvalues
+            return (_fast_objective(An, H, w), ps.num,
+                    float(ps.eigs.min()), float(ps.eigs.max()))
 
-    while not converged and iterations < int(opts.max_iters):
-        An = solver.step(A)
-        if An is None:
-            warnings.append(solver.stall_warning())
-            break
-        iterations += 1
-        num, lo, hi = solver.spectra(A, An)
-        converged = solver.stops(num, opts.rel_tol * den)
-        eig_min = min(eig_min, lo)
-        eig_max = max(eig_max, hi)
-        trace.append(solver.f + red.offset)
+    A, steps, stop, kkt, trace = run_pass(lambda A, ps: ps.step(A), ps, A,
+                                          int(opts.max_iters), watch)
+    if stop == "stall":
+        warnings.append(f"SPG step fell below roundoff at KKT residual "
+                        f"{kkt:.3e}; stopped before reaching rel_tol")
+    den = float(max(abs(e0[0]), abs(e0[-1])))
+    rels = []
+    for _, num, lo, hi in trace:
         rels.append(num / den if den > 0.0 else 0.0)
-        A = An
         den = max(abs(lo), abs(hi))
-
     return SolveReport(
         final_AU=A,
         final_KU=lift(red.transform, A),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        kkt_residual=solver.kkt_at(A),
+        objective_trace=np.asarray([f0 + offset] + [r[0] + offset for r in trace]),
+        iterations=steps,
+        converged=stop == "rule",
+        kkt_residual=kkt,
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
-        iterate_eig_min=eig_min,
-        iterate_eig_max=eig_max,
+        iterate_eig_min=min([float(e0[0])] + [r[2] for r in trace]),
+        iterate_eig_max=max([float(e0[-1])] + [r[3] for r in trace]),
         step_rel_changes=np.asarray(rels),
     )

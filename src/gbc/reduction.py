@@ -118,23 +118,6 @@ class BoxTransform:
     lift_matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReducedPrivate:
-    """Reduced private problem: maximize logdet(A_U + SigmaHat1)
-    - lam * logdet(A_U + SigmaHat2) over 0 <= A_U <= I."""
-
-    SigmaHat1: np.ndarray
-    SigmaHat2: np.ndarray
-    lam: float
-    offset: float
-    transform: BoxTransform
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def rank(self) -> int:
-        return self.transform.rank
-
-
 def box_transform(K: np.ndarray) -> BoxTransform:
     """Build the congruence that maps {0 <= K_U <= K} onto {0 <= A_U <= I_r}.
 
@@ -174,6 +157,78 @@ def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
     return symmetrize(A - B @ np.linalg.solve(C, B.T))
 
 
+def weighted(w: tuple[float, ...], X) -> float | np.ndarray:
+    """w[0] X[0] + w[1] X[1] + ..., summed in slice order; for the private
+    weights (1, -lam) the bits of X[0] - lam X[1].  X is a stack of
+    matrices or a list of floats (faster than numpy scalars)."""
+    total = w[0] * X[0]
+    for i in range(1, len(w)):
+        total += w[i] * X[i]
+    return total
+
+
+@dataclass(frozen=True)
+class Box:
+    """A budget K's box {0 <= A <= I_r} with k noise matrices M_i
+    compressed into it: the congruence `transform` of K, the (k, r, r)
+    stack H of Schur heads of the transformed M_i, and `tails`, the
+    log-determinants of their trailing (n - r) x (n - r) blocks."""
+
+    transform: BoxTransform
+    H: np.ndarray
+    tails: tuple[float, ...]
+
+    @property
+    def rank(self) -> int:
+        return self.transform.rank
+
+
+def box_offset(box: Box, w: tuple[float, ...]) -> float:
+    """The constant c with sum_i w_i logdet(lift(A) + M_i) =
+    sum_i w_i logdet(A + H_i) + c for every A in the box:
+    sum_i w_i tails_i + (sum_i w_i) * sum log l[:r]."""
+    logl = float(np.sum(np.log(box.transform.eigvals[:box.rank])))
+    return weighted(w, box.tails) + sum(w) * logl
+
+
+def build_box(K: np.ndarray, stack, floor: float = 0.0) -> Box:
+    """The box of the budget K with the matrices of `stack` compressed
+    into it.  Raises DegenerateInstanceError when K is numerically zero:
+    no eigenvalue above the rank threshold, or none of absolute value
+    above `floor`."""
+    bt = box_transform(K)
+    l = bt.eigvals
+    if max(l[0], -l[-1]) <= floor:
+        raise DegenerateInstanceError("constraint matrix is numerically zero")
+    r = bt.rank
+    mats = [transform(bt, M) for M in stack]
+    # a full-rank budget leaves empty tails, whose logdet is 0
+    tails = tuple(logdet(Mt[r:, r:]) if r < l.size else 0.0 for Mt in mats)
+    return Box(bt, np.stack([schur_head(Mt, r) for Mt in mats]), tails)
+
+
+@dataclass(frozen=True)
+class ReducedPrivate(Box):
+    """Reduced private problem: maximize logdet(A_U + SigmaHat1)
+    - lam * logdet(A_U + SigmaHat2) over 0 <= A_U <= I, the box of K
+    with the stack (Sigma1, Sigma2)."""
+
+    lam: float
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def SigmaHat1(self) -> np.ndarray:
+        return self.H[0]
+
+    @property
+    def SigmaHat2(self) -> np.ndarray:
+        return self.H[1]
+
+    @property
+    def offset(self) -> float:
+        return box_offset(self, (1.0, -self.lam))
+
+
 def reduce(inst: PrivateInstance) -> ReducedPrivate:
     """Reduce a validated private instance to its r x r box form.
 
@@ -181,10 +236,9 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
     objective(lift(A_U)) = reduced objective(A_U) + offset for every
     feasible A_U.
     """
-    bt = box_transform(inst.K)
-    r = bt.rank
+    box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
     warnings: list[str] = []
-    l = bt.eigvals
+    l = box.transform.eigvals
     # full-spectrum check: strictly positive but ill-conditioned K loses
     # accuracy in the congruence (exact zeros are the clean reduced case)
     dust = 100.0 * np.finfo(float).eps * max(float(l[0]), 0.0)
@@ -192,19 +246,8 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
         warnings.append(
             "constraint eigenvalue spread exceeds 1e12; reduction may lose accuracy"
         )
-    St1 = transform(bt, inst.Sigma1)
-    St2 = transform(bt, inst.Sigma2)
-    lam = float(inst.lam)
-    offset = logdet(St1[r:, r:]) - lam * logdet(St2[r:, r:])
-    offset -= (lam - 1.0) * float(np.sum(np.log(bt.eigvals[:r])))
-    return ReducedPrivate(
-        SigmaHat1=schur_head(St1, r),
-        SigmaHat2=schur_head(St2, r),
-        lam=lam,
-        offset=offset,
-        transform=bt,
-        warnings=tuple(warnings),
-    )
+    return ReducedPrivate(box.transform, box.H, box.tails, float(inst.lam),
+                          tuple(warnings))
 
 
 def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:

@@ -296,3 +296,15 @@ def test_bench_invalid_n_list(capsys):
     rc = main(["bench", "--n-list", "two"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1.5", "1e400", "true", "0", "-1"])
+def test_solve_rejects_n_that_is_not_a_positive_integer(tmp_path, capsys, value):
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({
+        "kind": "private", "n": "N", "K": [[2.0]], "Sigma1": [[1.0]],
+        "Sigma2": [[3.0]], "lambda": 2.0}).replace('"N"', value))
+    rc = main(["solve", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: n must be")

@@ -234,7 +234,7 @@ def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
     """The GBA loop takes each new iterate's eigenvalues from the step;
     they must agree with eigvalsh of the iterates themselves."""
     iterates = []
-    step = private._Gba.step
+    step = private.FixedPoint.step
 
     def recording_step(self, A):
         if not iterates:
@@ -243,7 +243,7 @@ def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
         iterates.append(An)
         return An
 
-    monkeypatch.setattr(private._Gba, "step", recording_step)
+    monkeypatch.setattr(private.FixedPoint, "step", recording_step)
     rep = solve_private(random_instance(n, seed),
                         SolveOptions(algorithm=algo, max_iters=40))
     assert len(iterates) == rep.iterations + 1
@@ -256,3 +256,26 @@ def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
     rels = [np.max(np.abs(np.linalg.eigvalsh(Xn - X))) / np.max(np.abs(w))
             for X, Xn, w in zip(iterates, iterates[1:], eigs)]
     assert np.allclose(rep.step_rel_changes, rels, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("algo", list(Algorithm))
+@pytest.mark.parametrize("n,seed,rank", [(2, 0, None), (3, 5, None), (4, 8, 2),
+                                         (6, 1, None)])
+def test_capped_trace_is_a_prefix_of_a_longer_run(algo, n, seed, rank):
+    # the loop's cap cuts the run and changes nothing before the cut
+    inst = random_instance(n, seed, rank=rank)
+    for k in (1, 3, 8):
+        short = solve_private(inst, SolveOptions(algorithm=algo, rel_tol=1e-9,
+                                                 max_iters=k))
+        long = solve_private(inst, SolveOptions(algorithm=algo, rel_tol=1e-9,
+                                                max_iters=k + 5))
+        m = short.iterations
+        assert m == min(k, long.iterations)
+        assert np.array_equal(short.objective_trace, long.objective_trace[:m + 1])
+        assert np.array_equal(short.step_rel_changes, long.step_rel_changes[:m])
+        assert long.iterate_eig_min <= short.iterate_eig_min
+        assert long.iterate_eig_max >= short.iterate_eig_max
+        if long.iterations == m:
+            assert short.iterate_eig_min == long.iterate_eig_min
+            assert short.iterate_eig_max == long.iterate_eig_max
+            assert np.array_equal(short.final_AU, long.final_AU)

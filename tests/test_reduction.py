@@ -14,6 +14,7 @@ from gbc import (
 )
 from gbc.common import (
     _weights,
+    objective_common,
     ku_pass,
     ku_subproblem_step,
     kv_pass,
@@ -26,7 +27,7 @@ from gbc.errors import (
 )
 from gbc.private import gba_a_step
 from gbc.psd import symmetrize
-from gbc.reduction import lift, schur_head
+from gbc.reduction import box_offset, build_box, lift, schur_head
 
 
 def _objective_original(K_U, inst):
@@ -208,3 +209,59 @@ def test_lift_feasibility_mapping():
         K_U = lift(red.transform, _random_box_point(rng, red.rank))
         assert loewner_leq(np.zeros((4, 4)), K_U)
         assert loewner_leq(K_U, inst.K)
+
+
+def _block_objective(w, box, B):
+    return sum(wi * logdet(B + Hi) for wi, Hi in zip(w, box.H)) + box_offset(box, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", [None, 1])
+def test_box_offset_lifts_both_common_blocks(n, rank):
+    # a block's reduced objective plus the box offset is its terms of
+    # objective_common at the lifted point, for full and deficient budgets
+    rng = np.random.default_rng(10 * n + (rank or 0))
+    deficient = 0
+    for seed in range(3):
+        inst = random_instance(n, seed, "common", rank=rank)
+        w_v, w_u = _weights(inst)
+        S1, S2 = inst.Sigma1, inst.Sigma2
+        bt = box_transform(inst.K_C)
+        for pinned in (0, 1):
+            # eigenvalues of the K_U point pinned at 1 leave the K_V budget
+            # K_C - K_U rank-deficient
+            A = _random_box_point(rng, bt.rank)
+            if pinned and bt.rank > 1:
+                q, Q = np.linalg.eigh(A)
+                q[-1] = 1.0
+                A = symmetrize((Q * q) @ Q.T)
+            K_U = lift(bt, A)
+            box = build_box(inst.K_C - K_U, (K_U + S2, K_U + S1))
+            deficient += box.rank < n
+            B = _random_box_point(rng, box.rank)
+            K_V = lift(box.transform, B)
+            fixed = w_u[2] * logdet(K_U + S1) + w_u[3] * logdet(K_U + S2)
+            want = objective_common(K_U, K_V, inst) - fixed
+            assert _block_objective(w_v, box, B) == pytest.approx(want, rel=1e-10)
+            box = build_box(inst.K_C - K_V, (K_V + S2, K_V + S1, S1, S2))
+            B = _random_box_point(rng, box.rank)
+            want = objective_common(lift(box.transform, B), K_V, inst)
+            assert _block_objective(w_u, box, B) == pytest.approx(want, rel=1e-10)
+    assert deficient or n == 1
+
+
+@pytest.mark.parametrize("n,rank", [(1, None), (3, None), (4, 2), (5, 3), (6, None)])
+def test_private_offset_is_the_reduction_formula(n, rank):
+    # bit for bit the offset reduce() computed before boxes had weights:
+    # logdet of the noise tails, weighted (1, -lam), less (lam - 1) log|K_r|
+    for seed in range(4):
+        inst = random_instance(n, seed, rank=rank)
+        bt = box_transform(inst.K)
+        r = bt.rank
+        St1, St2 = transform(bt, inst.Sigma1), transform(bt, inst.Sigma2)
+        lam = inst.lam
+        want = logdet(St1[r:, r:]) - lam * logdet(St2[r:, r:])
+        want -= (lam - 1.0) * float(np.sum(np.log(bt.eigvals[:r])))
+        box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
+        assert box_offset(box, (1.0, -lam)) == want
+        assert reduce(inst).offset == want
