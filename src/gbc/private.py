@@ -92,12 +92,14 @@ class SolveOptions:
         """Raise InvalidInputError unless every field holds a usable value."""
         if not isinstance(self.algorithm, Algorithm):
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
+        # bool is a numbers.Real, but True is no iteration cap or tolerance
         m = self.max_iters
-        if not (isinstance(m, numbers.Real) and np.isfinite(m)
-                and m == int(m) and m >= 1):
+        if not (isinstance(m, numbers.Real) and not isinstance(m, bool)
+                and np.isfinite(m) and m == int(m) and m >= 1):
             raise InvalidInputError(f"max_iters must be a whole number >= 1, got {m!r}")
         t = self.rel_tol
-        if not (isinstance(t, numbers.Real) and np.isfinite(t) and t > 0.0):
+        if not (isinstance(t, numbers.Real) and not isinstance(t, bool)
+                and np.isfinite(t) and t > 0.0):
             raise InvalidInputError(f"rel_tol must be a positive finite real, got {t!r}")
         if self.init is not None:
             try:

@@ -7,6 +7,21 @@ set {0 <= K_U <= K} into the box {0 <= A_U <= I_r}.  Schur complements of
 the transformed noise covariances absorb the orthogonal complement, and
 the weighted logdet objective changes only by an additive constant, so
 the reduced problem can be solved in r x r matrices and lifted back.
+
+A region trace solves one channel (K, Sigma1, Sigma2) for many weights
+lam, and the box does not depend on lam.  So the private-instance entry
+points share one slot, a single entry that holds the lam-free results of
+the last channel seen: whether check_matrices passed, the Box of
+(K, (Sigma1, Sigma2)) with its eigenvalue-spread warning (or the fact
+that K is numerically zero), and logdet Sigma1 and logdet(K + Sigma2),
+the constant terms of the private rates.  Each part is filled the first
+time PrivateInstance.validate, reduce or channel_logdets needs it.  The
+key is the shape and byte content of np.asarray(M, float) for K, Sigma1
+and Sigma2, so equal matrices hit even as fresh arrays and a matrix
+changed in place misses; a channel with another key replaces the entry.
+lam is never in the slot: its range check, ReducedPrivate.lam and the
+offset are computed on every call.  A failed check stores nothing, so it
+raises again on the next call, and the cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -78,6 +93,31 @@ def check_box(A: np.ndarray, rank: int) -> np.ndarray:
     return A
 
 
+# the slot's one entry: "key", then each part once filled
+_slot: dict = {}
+
+
+def _memo(inst, part: str, compute):
+    """compute(), kept as `part` of the slot entry for inst's (K, Sigma1,
+    Sigma2).  The entry is replaced, by one assignment, when its key
+    differs; an exception from compute stores nothing, and matrices that
+    do not convert to float arrays skip the slot.  Threads that race to
+    fill a part store equal values, and one that finds the entry
+    replaced keeps filling its own, so no lock is needed."""
+    global _slot
+    try:
+        mats = [np.asarray(M, dtype=float) for M in (inst.K, inst.Sigma1, inst.Sigma2)]
+    except (TypeError, ValueError, OverflowError):
+        return compute()
+    key = tuple((M.shape, M.tobytes()) for M in mats)
+    entry = _slot
+    if entry.get("key") != key:
+        entry = _slot = {"key": key}
+    if part not in entry:
+        entry[part] = compute()
+    return entry[part]
+
+
 @dataclass(frozen=True)
 class PrivateInstance:
     """Private-message problem data: maximize logdet(K_U + Sigma1)
@@ -94,7 +134,8 @@ class PrivateInstance:
 
     def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
-        check_matrices("K", self.K, self.Sigma1, self.Sigma2)
+        _memo(self, "checked",
+              lambda: check_matrices("K", self.K, self.Sigma1, self.Sigma2))
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 1.0:
             raise InvalidInstanceError(
@@ -229,16 +270,18 @@ class ReducedPrivate(Box):
         return box_offset(self, (1.0, -self.lam))
 
 
-def reduce(inst: PrivateInstance) -> ReducedPrivate:
-    """Reduce a validated private instance to its r x r box form.
-
-    The returned offset makes the objectives agree exactly:
-    objective(lift(A_U)) = reduced objective(A_U) + offset for every
-    feasible A_U.
-    """
-    box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
+def _private_box(inst: PrivateInstance) -> tuple[Box, tuple[str, ...]] | str:
+    """The read-only box of (K, (Sigma1, Sigma2)) and its warnings, or the
+    message of the DegenerateInstanceError a numerically zero K raises."""
+    try:
+        box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
+    except DegenerateInstanceError as e:
+        return str(e)
+    bt = box.transform
+    for M in (bt.eigvals, bt.Ktilde, bt.lift_matrix, box.H):
+        M.flags.writeable = False
     warnings: list[str] = []
-    l = box.transform.eigvals
+    l = bt.eigvals
     # full-spectrum check: strictly positive but ill-conditioned K loses
     # accuracy in the congruence (exact zeros are the clean reduced case)
     dust = 100.0 * np.finfo(float).eps * max(float(l[0]), 0.0)
@@ -246,8 +289,30 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
         warnings.append(
             "constraint eigenvalue spread exceeds 1e12; reduction may lose accuracy"
         )
-    return ReducedPrivate(box.transform, box.H, box.tails, float(inst.lam),
-                          tuple(warnings))
+    return box, tuple(warnings)
+
+
+def reduce(inst: PrivateInstance) -> ReducedPrivate:
+    """Reduce a validated private instance to its r x r box form.
+
+    The returned offset makes the objectives agree exactly:
+    objective(lift(A_U)) = reduced objective(A_U) + offset for every
+    feasible A_U.  The box comes from the channel slot; its arrays are
+    read-only.
+    """
+    entry = _memo(inst, "box", lambda: _private_box(inst))
+    if isinstance(entry, str):
+        raise DegenerateInstanceError(entry)
+    box, warnings = entry
+    return ReducedPrivate(box.transform, box.H, box.tails, float(inst.lam), warnings)
+
+
+def channel_logdets(inst: PrivateInstance) -> tuple[float, float]:
+    """logdet Sigma1 and logdet(K + Sigma2), the lam-free terms of the
+    private rates, from the channel slot.  np.add, since K + Sigma2
+    would concatenate list-valued matrices."""
+    return _memo(inst, "logdets",
+                 lambda: (logdet(inst.Sigma1), logdet(np.add(inst.K, inst.Sigma2))))
 
 
 def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .common import CommonInstance, CommonSolveReport, solve_common
 from .errors import GbcError, InvalidInputError, InvalidSweepError
 from .psd import logdet, symmetrize
 from .private import SolveOptions, solve_private
-from .reduction import PrivateInstance
+from .reduction import PrivateInstance, channel_logdets
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     K_U = symmetrize(np.asarray(K_U, dtype=float))
     ld1u = logdet(K_U + inst.Sigma1)
     ld2u = logdet(K_U + inst.Sigma2)
-    r1 = 0.5 * (ld1u - logdet(inst.Sigma1))
-    r2 = 0.5 * (logdet(inst.K + inst.Sigma2) - ld2u)
+    ld1, ldk2 = channel_logdets(inst)
+    r1 = 0.5 * (ld1u - ld1)
+    r2 = 0.5 * (ldk2 - ld2u)
     return RatePoint(
         R0=0.0,
         R1=_clamp_rate(r1, "R1"),
@@ -123,8 +124,10 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
     initializes from the previous reduced iterate, which is sound because
     the feasible box does not depend on lambda.  A solve that raises
     produces a NaN point carrying the error string; a solve that merely
-    fails to converge still reports its rates, flagged in `error`.
+    fails to converge still reports its rates, flagged in `error`.  Bad
+    options, like a bad sweep, raise InvalidInputError before any solve.
     """
+    opts.validate()
     lams = [float(v) for v in lambdas]
     if not lams:
         raise InvalidSweepError("lambda sweep must be non-empty")

@@ -181,6 +181,18 @@ def test_trace_region_flags_nonconvergence(tmp_path, capsys):
     assert "did not converge" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--rel-tol", "-1"]])
+def test_trace_region_rejects_bad_options_once(tmp_path, capsys, flag):
+    # as `gbc solve` does: one error line and exit 1, not a NaN row and a
+    # note per lambda with the exit code of an unconverged sweep
+    rc = main(["trace-region", _case1(tmp_path), "--lambdas", "2,3", *flag])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "note:" not in captured.err
+
+
 def test_trace_region_infeasible_alpha_row(tmp_path, capsys):
     csv_path = tmp_path / "alpha.csv"
     with pytest.warns(UserWarning, match="alpha=0 skipped"):

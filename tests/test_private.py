@@ -205,6 +205,15 @@ def test_options_validation():
                                             max_iters=3.0)).iterations == 1
 
 
+@pytest.mark.parametrize("bad", [dict(max_iters=True), dict(rel_tol=True),
+                                 dict(max_iters=True, rel_tol=True)])
+def test_options_reject_bools(bad):
+    # bool is a numbers.Real: True once passed as a cap of 1 and a
+    # tolerance of 1, and a solve "converged" after 0 iterations
+    with pytest.raises(InvalidInputError, match="max_iters|rel_tol"):
+        solve_private(random_instance(2, 0), SolveOptions(**bad))
+
+
 def test_rank_deficient_constraint_solves():
     inst = random_instance(5, 23, rank=2, lam=2.0)
     rep = solve_private(inst, SolveOptions(max_iters=100_000, rel_tol=1e-6))

@@ -1,15 +1,22 @@
-"""Tests for the box reduction: transform, offset, lift."""
+"""Tests for the box reduction: transform, offset, lift, channel slot."""
+
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+import gbc.reduction
 from gbc import (
     CommonInstance,
     PrivateInstance,
+    SolveOptions,
     box_transform,
     logdet,
     random_instance,
+    rates_private,
     reduce,
+    solve_private,
+    trace_region_private,
     transform,
 )
 from gbc.common import (
@@ -265,3 +272,117 @@ def test_private_offset_is_the_reduction_formula(n, rank):
         box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
         assert box_offset(box, (1.0, -lam)) == want
         assert reduce(inst).offset == want
+
+
+# ---- the channel slot: lam-free work once per (K, Sigma1, Sigma2) ----
+
+_LAMS = tuple(float(v) for v in np.geomspace(1.25, 8.0, 8))
+
+
+def _evict():
+    """Replace the slot's entry by solving an unrelated instance."""
+    solve_private(random_instance(2, 991), SolveOptions(max_iters=2))
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(gbc.reduction, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(gbc.reduction, name, counted)
+    return calls
+
+
+def test_slot_checks_and_reduces_once_per_channel(monkeypatch):
+    a, b = random_instance(3, 4), random_instance(4, 5, rank=2)
+    _evict()
+    calls = _count_calls(monkeypatch, "check_matrices", "box_transform")
+    trace_region_private(a, _LAMS)
+    assert calls == {"check_matrices": 1, "box_transform": 1}
+    trace_region_private(b, _LAMS)
+    trace_region_private(a, _LAMS)
+    assert calls == {"check_matrices": 3, "box_transform": 3}
+
+
+def _solve_and_rate(inst):
+    rep = solve_private(inst, SolveOptions(max_iters=20))
+    return rep, rates_private(rep.final_KU, inst)
+
+
+def _same_solve(got, want):
+    (rep, pt), (ref, ref_pt) = got, want
+    for name in ("final_AU", "final_KU", "objective_trace", "step_rel_changes"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
+    assert (rep.iterations, rep.kkt_residual, rep.warnings) == \
+        (ref.iterations, ref.kkt_residual, ref.warnings)
+    assert astuple(pt) == astuple(ref_pt)
+
+
+@pytest.mark.parametrize("field", ["K", "Sigma1", "Sigma2"])
+def test_slot_misses_a_matrix_changed_in_place(field):
+    inst = random_instance(3, 6, rank=2)
+    _solve_and_rate(inst)
+    M = getattr(inst, field)
+    M *= 0.5 if field == "K" else 2.0  # stays PSD or PD, and a new channel
+    got = _solve_and_rate(inst)
+    _evict()
+    fresh = PrivateInstance(K=inst.K.copy(), Sigma1=inst.Sigma1.copy(),
+                            Sigma2=inst.Sigma2.copy(), lam=inst.lam)
+    _same_solve(got, _solve_and_rate(fresh))
+
+
+def test_slot_keeps_no_failed_check():
+    S = np.eye(2)
+    inst = PrivateInstance(K=np.diag([1.0, -0.5]), Sigma1=S, Sigma2=2.0 * S,
+                           lam=2.0)
+    # reduce does not validate; the box it caches must not pass the check
+    assert reduce(inst).rank == 1
+    bad_noise = replace(inst, K=S, Sigma1=np.zeros((2, 2)))
+    for bad, match in ((inst, "semidefinite"), (bad_noise, "Sigma1")):
+        for _ in range(2):
+            with pytest.raises(InvalidInstanceError, match=match):
+                bad.validate()
+
+
+def test_slot_reports_a_zero_constraint_every_time():
+    S = np.eye(2)
+    inst = PrivateInstance(K=np.zeros((2, 2)), Sigma1=S, Sigma2=2.0 * S, lam=2.0)
+    for _ in range(2):
+        rep = solve_private(inst)
+        assert rep.iterations == 0 and rep.converged
+        assert rep.final_AU.shape == (0, 0)
+        assert "constraint matrix is zero" in rep.warnings[0]
+        with pytest.raises(DegenerateInstanceError):
+            reduce(inst)
+
+
+def test_slot_arrays_are_read_only():
+    red = reduce(random_instance(3, 7))
+    bt = red.transform
+    for M in (red.H, bt.eigvals, bt.Ktilde, bt.lift_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            M.flat[0] = 1.0
+    # the next reduction of the same channel hands out the same values
+    assert np.array_equal(reduce(random_instance(3, 7)).H, red.H)
+
+
+def test_slot_sweep_equals_solves_with_the_slot_evicted():
+    base = random_instance(4, 8, rank=2)
+    opts = SolveOptions(max_iters=30)
+    points = trace_region_private(base, _LAMS, opts)
+    init = None
+    for lam, pt in zip(_LAMS, points):
+        _evict()
+        inst = replace(base, lam=lam)
+        rep = solve_private(inst, replace(opts, init=init))
+        init = rep.final_AU
+        _evict()
+        ref = rates_private(rep.final_KU, inst)
+        note = None if rep.converged else "did not converge within 30 iterations"
+        assert astuple(pt) == astuple(replace(ref, objective=rep.objective,
+                                              iterations=rep.iterations,
+                                              error=note))

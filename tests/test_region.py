@@ -121,9 +121,20 @@ def test_trace_failed_solves_become_nan_points():
         assert "I - A is singular" in p.error
 
 
+def test_trace_accepts_list_matrices():
+    # rates_private once added K + Sigma2 as lists, which concatenates
+    inst = random_instance(3, 2)
+    as_lists = PrivateInstance(K=inst.K.tolist(), Sigma1=inst.Sigma1.tolist(),
+                               Sigma2=inst.Sigma2.tolist(), lam=inst.lam)
+    assert trace_region_private(as_lists, [1.5, 3.0]) == \
+        trace_region_private(inst, [1.5, 3.0])
+
+
 def test_trace_rejects_bad_sweeps():
     with pytest.raises(InvalidSweepError):
         trace_region_private(_case1(), [])
+    with pytest.raises(InvalidInputError, match="max_iters"):
+        trace_region_private(_case1(), [2.0, 3.0], SolveOptions(max_iters=0))
     with pytest.raises(InvalidInputError):
         trace_region_private(_case1(), [1.0, 2.0])
     with pytest.raises(InvalidInputError):
