@@ -48,6 +48,7 @@ from .psd import (
     project_box,
     project_box_inverse,
     spectral_norm,
+    symmetric_matrix,
     symmetrize,
 )
 from .private import (
@@ -171,13 +172,14 @@ def _weights(inst: CommonInstance) -> tuple[tuple[float, ...], tuple[float, ...]
 
 def objective_common(K_U: np.ndarray, K_V: np.ndarray,
                      inst: CommonInstance) -> float:
-    """Normalized private-plus-common objective at (K_U, K_V)."""
-    KU = symmetrize(K_U)
-    KV = symmetrize(K_V)
+    """Normalized private-plus-common objective at (K_U, K_V); its four
+    log-determinants come from one stacked eigvalsh."""
+    KU = symmetric_matrix(K_U)
+    KUV = KU + symmetric_matrix(K_V)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    return weighted(_weights(inst)[1], [logdet(M) for M in (
-        KU + KV + S2, KU + KV + S1, KU + S1, KU + S2)])
+    return weighted(_weights(inst)[1], logdet(np.stack(
+        (KUV + S2, KUV + S1, KU + S1, KU + S2))).tolist())
 
 
 def kv_subproblem_step(A: np.ndarray, ps: FixedPoint | _Spg) -> np.ndarray | None:
@@ -229,11 +231,7 @@ def _psd_part(M: np.ndarray) -> np.ndarray:
     return symmetrize((V * w) @ V.T)
 
 
-def _rel_change(new: np.ndarray, prev: np.ndarray, floor: float) -> float:
-    return spectral_norm(new - prev) / max(spectral_norm(prev), floor)
-
-
-def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray:
+def _warm_start(bt, M: np.ndarray, norm: float, scale_eps: float) -> np.ndarray:
     """Previous outer iterate mapped into the current reduced box, or I/2.
 
     The previous covariance is feasible for the new constraint by
@@ -242,9 +240,10 @@ def _warm_start(bt, M: np.ndarray, scale_eps: float) -> np.ndarray:
     needs the clamped projection.  Warm-starting the inner loops at it
     removes the cost of re-approaching a boundary-active solution from
     I/2 on every outer pass.  A block that is numerically zero carries no
-    information; the inner loop then starts from I/2.
+    information; the inner loop then starts from I/2.  norm is the
+    spectral norm of M, which the outer loop has already taken.
     """
-    if spectral_norm(M) <= scale_eps:
+    if norm <= scale_eps:
         return 0.5 * np.eye(bt.rank)
     return project_box(transform(bt, M)[:bt.rank, :bt.rank])
 
@@ -299,6 +298,9 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
 
     K_U = K_C / 2.0
     K_V = zero
+    # spectral norms of the current K_U and K_V: the warm starts test
+    # them and the relative change divides by them
+    norms = spectral_norm(np.stack((K_U, K_V))).tolist()
     # blocks and budgets below this scale are numerically zero
     scale_eps = RANK_EPS * (1.0 + kc_norm)
     warnings: list[str] = []
@@ -309,17 +311,17 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     rels: list[float] = []
     converged = False
 
-    def solve_block(budget, block, stack, w, make_pass, step, label):
+    def solve_block(budget, block, norm, stack, w, make_pass, step, label):
         """One inner solve: build the box of `budget` with `stack`,
-        warm-start from `block`, run SPG or the EGBA-P pass
-        make_pass(box, w) on the box's heads and the weights w, and lift
-        the result.  Returns the new block, its step count and its KKT
+        warm-start from `block` (of spectral norm `norm`), run SPG or the
+        EGBA-P pass make_pass(box, w) on the box's heads and the weights
+        w, and lift the result.  Returns the new block, its step count and its KKT
         residual (a zero block, 0 and 0.0 for a zero budget)."""
         try:
             box = build_box(budget, stack, scale_eps)
         except DegenerateInstanceError:
             return zero, 0, 0.0
-        B = _warm_start(box.transform, block, scale_eps)
+        B = _warm_start(box.transform, block, norm, scale_eps)
         ps = _Spg(B, box.H, w, inner_tol) if spg else make_pass(box, w)
         B, count, stop, kkt, _ = run_pass(step, ps, B, INNER_CAP)
         if stop == "cap":
@@ -331,21 +333,25 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     for _ in range(1, int(opts.max_iters) + 1):
         K_U_prev = K_U
         K_V_prev = K_V
+        nu, nv = norms
         # K_V under the budget K_C - K_U, then K_U under K_C - K_V
         K_V, count, _ = solve_block(
-            K_C - K_U, K_V, (K_U + S2, K_U + S1), w_v,
+            K_C - K_U, K_V, nv, (K_U + S2, K_U + S1), w_v,
             lambda box, w: kv_pass(box.H, w, inner_tol), kv_subproblem_step, "K_V")
         kv_counts.append(count)
         K_U, count, kkt = solve_block(
-            K_C - K_V, K_U, (K_V + S2, K_V + S1, S1, S2), w_u,
+            K_C - K_V, K_U, nu, (K_V + S2, K_V + S1, S1, S2), w_u,
             lambda box, w: ku_pass(box.H, w, transform(box.transform, K_V)[
                 :box.rank, :box.rank], inner_tol),
             ku_subproblem_step, "K_U")
         ku_counts.append(count)
 
         trace.append(objective_common(K_U, K_V, inst))
-        rel = (_rel_change(K_U, K_U_prev, scale_eps)
-               + _rel_change(K_V, K_V_prev, scale_eps))
+        # one stacked call for the norms of both steps and of both new
+        # blocks, which the next pass reads
+        du, dv, *norms = spectral_norm(np.stack(
+            (K_U - K_U_prev, K_V - K_V_prev, K_U, K_V))).tolist()
+        rel = du / max(nu, scale_eps) + dv / max(nv, scale_eps)
         rels.append(rel)
         if rel <= float(opts.rel_tol):
             converged = True

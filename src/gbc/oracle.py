@@ -16,7 +16,7 @@ import numpy as np
 
 from .common import CommonInstance
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .psd import symmetrize
+from .psd import symmetric_matrix, symmetrize
 from .reduction import PrivateInstance
 
 # grid points violating a constraint by more than this are infeasible
@@ -166,7 +166,7 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
     directional derivative is halved, matching the convention
     df = trace(G dX) for symmetric dX.
     """
-    X = symmetrize(X)
+    X = symmetric_matrix(X)
     n = X.shape[0]
     G = np.zeros((n, n))
     for i in range(n):

@@ -44,7 +44,14 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from .psd import PD_FLOOR, logdet, project_box, project_box_inverse, symmetrize
+from .psd import (
+    PD_FLOOR,
+    logdet,
+    project_box,
+    project_box_inverse,
+    symmetric_matrix,
+    symmetrize,
+)
 from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce, weighted
 
 
@@ -173,7 +180,7 @@ def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray) -> np.ndarray
 
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
     """Reduced objective logdet(A_U + SigmaHat1) - lam * logdet(A_U + SigmaHat2)."""
-    A = symmetrize(A_U)
+    A = symmetric_matrix(A_U)
     return logdet(A + red.SigmaHat1) - float(lam) * logdet(A + red.SigmaHat2)
 
 
@@ -185,7 +192,7 @@ def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
-    return _gradient(symmetrize(A_U), red.H, (1.0, -float(lam)))
+    return _gradient(symmetric_matrix(A_U), red.H, (1.0, -float(lam)))
 
 
 def _kkt(A: np.ndarray, G: np.ndarray) -> float:
@@ -193,15 +200,29 @@ def _kkt(A: np.ndarray, G: np.ndarray) -> float:
     return float(np.linalg.norm(A - project_box(A + G)))
 
 
+def _root(b: np.ndarray, lam) -> np.ndarray:
+    """root_in_unit_interval without its checks, for finite b and lam > 1
+    that broadcast to an array of at least one dimension.  s + d > 0 for
+    every finite b, and (s - d)/(2b) is taken only where s < 0, which
+    needs b < -(lam + 1), so nothing divides by zero."""
+    s = lam + 1.0 + b
+    d = np.sqrt(s * s - 4.0 * b)
+    root = 2.0 / (s + d)
+    np.divide(s - d, 2.0 * b, out=root, where=s < 0.0)
+    return np.where(b == 0.0, 1.0 / (1.0 + lam), root)
+
+
 def root_in_unit_interval(b, lam):
     """Root in (0, 1) of b*a^2 - (lam + 1 + b)*a + 1 = 0 for lam > 1.
 
-    Accepts a scalar or an array of b values.  With s = lam + 1 + b and
+    Accepts a scalar or an array of b values (and of lam values that
+    broadcast against them).  With s = lam + 1 + b and
     d = sqrt(s^2 - 4b), the root is 2/(s + d) = (s - d)/(2b); each form
     is evaluated where it adds two terms of one sign, the first for
     s >= 0 and the second for s < 0 (which needs b < -(lam + 1)), so
     neither cancels.  b = 0 (where the quadratic degenerates to a linear
-    equation) returns exactly 1/(1 + lam).
+    equation) returns exactly 1/(1 + lam).  Raises InvalidInputError
+    unless every lam is finite and > 1 and every b finite.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam_arr)) or np.any(lam_arr <= 1.0):
@@ -209,14 +230,9 @@ def root_in_unit_interval(b, lam):
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)):
         raise InvalidInputError("b must be finite")
-    s = lam_arr + 1.0 + b_arr
-    d = np.sqrt(s * s - 4.0 * b_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.where(s < 0.0, (s - d) / (2.0 * b_arr), 2.0 / (s + d))
-    root = np.where(b_arr == 0.0, 1.0 / (1.0 + lam_arr), root)
-    if root.ndim == 0:
-        return float(root)
-    return root
+    if b_arr.ndim == 0 and lam_arr.ndim == 0:
+        return float(_root(b_arr.reshape(1), lam_arr)[0])
+    return _root(b_arr, lam_arr)
 
 
 def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
@@ -233,8 +249,9 @@ def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
             ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """GBA-A map: the eigenvalue-wise roots of the quadratic built from
     one stacked inverse of T and A + H2, and inv(I - A) from the
-    eigenpairs (q, Q) of A, ordered as eigh returns them.  Returns the
-    new iterate and its eigenpairs."""
+    eigenpairs (q, Q) of A, ordered as eigh returns them.  lam must be
+    finite and > 1: the callers check it once.  Returns the new iterate
+    and its eigenpairs."""
     q, Q = pairs
     gap = 1.0 - q
     if not gap.all():
@@ -243,15 +260,20 @@ def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
     D_U = Wi[0]
     D_V = (Q / gap) @ Q.T - Wi[1]
     b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
-    a = np.clip(root_in_unit_interval(b, lam), PD_FLOOR, 1.0 - PD_FLOOR)
+    a = np.clip(_root(b, lam), PD_FLOOR, 1.0 - PD_FLOOR)
     return symmetrize((H * a) @ H.T), (a, H)
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """One alternating closed-form step from an iterate with I - A
-    nonsingular; raises NumericalBreakdownError otherwise."""
+    nonsingular.  Raises InvalidInputError unless lam is finite and > 1
+    (checked first) and A_U is in the box, NumericalBreakdownError when
+    I - A is singular."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 1.0):
+        raise InvalidInputError(f"lam must be a finite weight > 1, got {lam}")
     A = check_box(A_U, red.rank)
-    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], float(lam),
+    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], lam,
                    np.linalg.eigh(A))[0]
 
 
@@ -282,8 +304,12 @@ class _Spg:
     H is a (k, r, r) stack of PD matrices and w the k weights: (SigmaHat1,
     SigmaHat2) with (1, -lam) for the private problem, and the four or two
     slices of an EGBA block.  Holds f (the objective, or its change from
-    the start), the gradient G and KKT residual at the current iterate,
-    and the Barzilai-Borwein step length for the next step.
+    the start) and, for the current iterate, the gradient G, the inverse
+    Cholesky factors Li of A + H_i, the KKT residual and the projected
+    point P of the next step, with the Barzilai-Borwein step length it
+    was taken at.  Each iterate is factored once (_factor) and projected
+    once (_project), so a step makes four LAPACK calls: an eigvalsh, a
+    Cholesky, an inv and an eigh, each on a stack.
     """
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
@@ -292,9 +318,9 @@ class _Spg:
         self.w = w
         self.rel_tol = rel_tol
         self.f = f
-        self.G = _gradient(A, H, w)
-        self.kkt = _kkt(A, self.G)
         self.alpha = 1.0
+        self.G, self.Li = self._factor(A)
+        self._project(A)
 
     @property
     def rank(self) -> int:
@@ -310,18 +336,38 @@ class _Spg:
     def kkt_at(self, A: np.ndarray) -> float:
         return self.kkt
 
+    def _factor(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The gradient at A, as _gradient takes it, and the stack Li of
+        inverse Cholesky factors of A + H_i, from one Cholesky and one
+        stacked inv of [L, A + H].  Li is None when the Cholesky fails;
+        the next step raises then, so a stop at A still reports."""
+        AH = A + self.H
+        try:
+            L = np.linalg.cholesky(AH)
+        except np.linalg.LinAlgError:
+            return _gradient(A, self.H, self.w), None
+        k = len(AH)
+        Wi = inv(np.concatenate((L, AH)))
+        return symmetrize(weighted(self.w, Wi[k:])), Wi[:k]
+
+    def _project(self, A: np.ndarray) -> None:
+        """The KKT residual at A, as _kkt takes it, and the next step's
+        projection P of A + alpha G, from one stacked project_box."""
+        P = project_box(np.stack((A + self.G, A + self.alpha * self.G)))
+        self.kkt = float(np.linalg.norm(A - P[0]))
+        self.P = P[1]
+
     def step(self, A: np.ndarray) -> np.ndarray | None:
         """Next iterate, or None once no rise can be verified: the
         predicted rise is within the rounding error of the measured
         change, or the backtracked step no longer moves the unit box."""
+        Li = self.Li
+        if Li is None:
+            raise NumericalBreakdownError("iterate lost positive definiteness")
         G = self.G
-        D = project_box(A + self.alpha * G) - A
+        D = self.P - A
         # >= ||D||^2 / alpha by the projection's variational inequality
         rise = float(np.vdot(G, D))
-        try:
-            Li = inv(np.linalg.cholesky(A + self.H))
-        except np.linalg.LinAlgError as e:
-            raise NumericalBreakdownError("iterate lost positive definiteness") from e
         mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
         noise = _ROUNDOFF * weighted([abs(wi) for wi in self.w],
                                       np.abs(mu).sum(axis=1).tolist())
@@ -334,7 +380,7 @@ class _Spg:
             if t * size <= np.finfo(float).eps:
                 return None
         An = A + t * D
-        Gn = _gradient(An, self.H, self.w)
+        Gn, self.Li = self._factor(An)
         # BB step <s, s> / <s, -y> for ascent, s = An - A, y = Gn - G
         s = t * D
         curv = -float(np.vdot(s, Gn - G))
@@ -342,7 +388,7 @@ class _Spg:
                       if curv > 0.0 else _BB_MAX)
         self.f += change
         self.G = Gn
-        self.kkt = _kkt(An, Gn)
+        self._project(An)
         return An
 
 
@@ -411,10 +457,13 @@ def gba_pass(H: np.ndarray, w: tuple[float, ...], tol: float = 0.0,
     weights w: T from inv(H[0]), the shift H[1] and the ratio -w[1]/w[0],
     which must be finite and > 0 (else InvalidInputError).  solve_private's
     GBA passes and, as common.kv_pass, the EGBA-P K_V pass; eigs and
-    pairs are FixedPoint's."""
+    pairs are FixedPoint's.  GBA-A's root needs a ratio > 1, so with
+    update=_a_step this is the one check of lam in a GBA-A solve."""
     ratio = -w[1] / w[0] if w[0] else math.nan
-    if not (np.isfinite(ratio) and ratio > 0.0):
-        raise InvalidInputError(f"ratio -w[1]/w[0] must be finite and > 0, got {ratio}")
+    least = 1.0 if update is _a_step else 0.0
+    if not (np.isfinite(ratio) and ratio > least):
+        raise InvalidInputError(
+            f"ratio -w[1]/w[0] must be finite and > {least:g}, got {ratio}")
     return FixedPoint(update, H, w, tol, inv(H[0]), H[1:], ratio, eigs=eigs, pairs=pairs)
 
 

@@ -3,6 +3,13 @@
 Every function here treats its matrix arguments as symmetric: inputs are
 folded to (M + M.T)/2 before use and outputs are folded the same way, so
 exact symmetry is preserved through chains of operations.
+
+symmetrize, logdet, spectral_norm and project_box also take a stack of
+matrices, (..., n, n) over the last two axes as np.linalg does, and act
+on each matrix of it in one LAPACK call: each slice of the result is
+bit-equal to the call on that matrix alone.  A 2-D input gives a matrix
+or a float, a stack an array of them; a check fails for the whole stack
+when it fails for one slice.
 """
 
 from __future__ import annotations
@@ -29,15 +36,30 @@ PD_FLOOR = 1e-10
 SYM_TOL = 1e-8
 
 
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (M.T for a matrix)."""
+    return M.swapaxes(-1, -2)
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M.T)/2 as a float array.
+    """Return (M + M.T)/2 as a float array, slice by slice for a stack.
 
     IEEE addition commutes, so the result is exactly symmetric entrywise.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
-    return (M + M.T) / 2.0
+    return (M + _t(M)) / 2.0
+
+
+def symmetric_matrix(M: np.ndarray) -> np.ndarray:
+    """symmetrize(M) for the entry points that take one matrix: a stack
+    raises InvalidInputError there, as any input that is not a square
+    matrix does."""
+    S = symmetrize(M)
+    if S.ndim != 2:
+        raise InvalidInputError(f"expected a square matrix, got shape {S.shape}")
+    return S
 
 
 def _finite_sym(M: np.ndarray) -> np.ndarray:
@@ -49,36 +71,40 @@ def _finite_sym(M: np.ndarray) -> np.ndarray:
     return S
 
 
-def logdet(M: np.ndarray) -> float:
-    """Natural-log determinant of a symmetric positive definite matrix.
+def logdet(M: np.ndarray) -> float | np.ndarray:
+    """Natural-log determinant of a symmetric positive definite matrix,
+    or of each matrix of a stack.
 
     Computed as the sum of eigenvalue logs.  Raises
-    NotPositiveDefiniteError when the smallest eigenvalue is at or below
+    NotPositiveDefiniteError when a smallest eigenvalue is at or below
     RANK_EPS.
     """
     w = np.linalg.eigvalsh(_finite_sym(M))
-    if w.size == 0:
-        return 0.0
-    if w[0] <= RANK_EPS:
+    if w.shape[-1] == 0:
+        return 0.0 if w.ndim == 1 else np.zeros(w.shape[:-1])
+    lo = float(w[..., 0].min())
+    if lo <= RANK_EPS:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
+            f"matrix is not positive definite (min eigenvalue {lo:.3e})"
         )
-    return float(np.sum(np.log(w)))
+    ld = np.log(w).sum(axis=-1)
+    return float(ld) if w.ndim == 1 else ld
 
 
 def project_box(M: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the box {X : 0 <= X <= I}.
+    """Project a symmetric matrix, or each matrix of a stack, onto the
+    box {X : 0 <= X <= I}.
 
     Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
     result invertible.
     """
     w, V = np.linalg.eigh(_finite_sym(M))
-    w = np.minimum(np.maximum(w[::-1], PD_FLOOR), 1.0)
+    w = np.minimum(np.maximum(w[..., ::-1], PD_FLOOR), 1.0)
     # the reversed view has negative strides, which matmul does not hand
     # to BLAS; the contiguous copy keeps the product there
-    V = V[:, ::-1].copy()
-    P = (V * w) @ V.T
-    return (P + P.T) / 2.0
+    V = V[..., ::-1].copy()
+    P = (V * w[..., None, :]) @ _t(V)
+    return (P + _t(P)) / 2.0
 
 
 def project_box_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +130,10 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     True when the smallest eigenvalue of B - A is >= -slack.  Raises
     InvalidInputError on non-finite input.
     """
-    A = _finite_sym(A)
-    B = _finite_sym(B)
+    A = symmetric_matrix(A)
+    B = symmetric_matrix(B)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise InvalidInputError("matrix has non-finite entries")
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes {A.shape} and {B.shape} differ")
     if A.shape[0] == 0:
@@ -113,10 +141,11 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     return bool(np.linalg.eigvalsh(B - A)[0] >= -slack)
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.  Raises
-    InvalidInputError on non-finite input."""
+def spectral_norm(M: np.ndarray) -> float | np.ndarray:
+    """Largest absolute eigenvalue of a symmetric matrix, or of each
+    matrix of a stack.  Raises InvalidInputError on non-finite input."""
     S = _finite_sym(M)
-    if S.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    if S.shape[-1] == 0:
+        return 0.0 if S.ndim == 2 else np.zeros(S.shape[:-2])
+    a = np.abs(np.linalg.eigvalsh(S)).max(axis=-1)
+    return float(a) if S.ndim == 2 else a

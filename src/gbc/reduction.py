@@ -43,13 +43,16 @@ CONDITION_WARN = 1e12
 def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
                    Sigma2: np.ndarray) -> None:
     """Raise InvalidInstanceError unless K, Sigma1 and Sigma2 are finite,
-    symmetric and n x n, K is positive semidefinite and both noise
-    covariances are positive definite; kname labels K in the messages."""
+    symmetric and n x n with n >= 1, K is positive semidefinite and both
+    noise covariances are positive definite; kname labels K in the
+    messages."""
     mats = {kname: K, "Sigma1": Sigma1, "Sigma2": Sigma2}
     shape = np.shape(K)
     if len(shape) != 2:
         raise InvalidInstanceError(f"{kname} must be a 2-D matrix, got shape {shape}")
     n = int(shape[0])
+    if n == 0:
+        raise InvalidInstanceError(f"{kname} is empty: an instance needs n >= 1")
     for name, M in mats.items():
         M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
@@ -179,23 +182,25 @@ def box_transform(K: np.ndarray) -> BoxTransform:
 
 
 def transform(bt: BoxTransform, M: np.ndarray) -> np.ndarray:
-    """Congruence Ktilde @ M @ Ktilde.T, symmetrized."""
+    """Congruence Ktilde @ M @ Ktilde.T, symmetrized; of each matrix of
+    M when M is a stack."""
     return symmetrize(bt.Ktilde @ symmetrize(M) @ bt.Ktilde.T)
 
 
 def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
-    """Schur complement of the leading rank x rank block of Mt.
+    """Schur complement of the leading rank x rank block of Mt, or of
+    each matrix of a stack Mt in one solve.
 
     For rank == n this is Mt itself; otherwise A - B C^{-1} B.T for the
     partition [[A, B], [B.T, C]].
     """
-    n = Mt.shape[0]
+    n = Mt.shape[-1]
     if rank == n:
         return symmetrize(Mt)
-    A = Mt[:rank, :rank]
-    B = Mt[:rank, rank:]
-    C = Mt[rank:, rank:]
-    return symmetrize(A - B @ np.linalg.solve(C, B.T))
+    A = Mt[..., :rank, :rank]
+    B = Mt[..., :rank, rank:]
+    C = Mt[..., rank:, rank:]
+    return symmetrize(A - B @ np.linalg.solve(C, B.swapaxes(-1, -2)))
 
 
 def weighted(w: tuple[float, ...], X) -> float | np.ndarray:
@@ -242,10 +247,11 @@ def build_box(K: np.ndarray, stack, floor: float = 0.0) -> Box:
     if max(l[0], -l[-1]) <= floor:
         raise DegenerateInstanceError("constraint matrix is numerically zero")
     r = bt.rank
-    mats = [transform(bt, M) for M in stack]
+    # one congruence, one Schur solve and one tail logdet for the stack
+    mats = transform(bt, stack)
     # a full-rank budget leaves empty tails, whose logdet is 0
-    tails = tuple(logdet(Mt[r:, r:]) if r < l.size else 0.0 for Mt in mats)
-    return Box(bt, np.stack([schur_head(Mt, r) for Mt in mats]), tails)
+    tails = logdet(mats[:, r:, r:]).tolist() if r < l.size else [0.0] * len(mats)
+    return Box(bt, schur_head(mats, r), tuple(tails))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .common import CommonInstance, CommonSolveReport, solve_common
 from .errors import GbcError, InvalidInputError, InvalidSweepError
-from .psd import logdet, symmetrize
+from .psd import logdet, symmetric_matrix
 from .private import SolveOptions, solve_private
 from .reduction import PrivateInstance, channel_logdets
 
@@ -62,11 +62,11 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     R1 = (1/2)(ln|K_U + Sigma1| - ln|Sigma1|),
     R2 = (1/2)(ln|K + Sigma2| - ln|K_U + Sigma2|).
     Tiny negatives from roundoff (>= -1e-10) clamp to zero; anything more
-    negative raises, since it signals an infeasible covariance.
+    negative raises, since it signals an infeasible covariance.  The two
+    K_U-dependent log-determinants come from one stacked call.
     """
-    K_U = symmetrize(np.asarray(K_U, dtype=float))
-    ld1u = logdet(K_U + inst.Sigma1)
-    ld2u = logdet(K_U + inst.Sigma2)
+    K_U = symmetric_matrix(K_U)
+    ld1u, ld2u = logdet(np.stack((K_U + inst.Sigma1, K_U + inst.Sigma2))).tolist()
     ld1, ldk2 = channel_logdets(inst)
     r1 = 0.5 * (ld1u - ld1)
     r2 = 0.5 * (ldk2 - ld2u)
@@ -85,18 +85,23 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray,
 
     R0 is the alpha-weighted combination of the two common-message mutual
     informations (the time-shared stand-in for min{I(W;Y), I(W;Z)}),
-    R2 = I(V;Z|W) and R1 = I(X;Y|V,W).
+    R2 = I(V;Z|W) and R1 = I(X;Y|V,W).  Its seven log-determinants come
+    from one stacked call.
     """
-    K_U = symmetrize(np.asarray(K_U, dtype=float))
-    K_V = symmetrize(np.asarray(K_V, dtype=float))
+    K_U = symmetric_matrix(K_U)
+    K_V = symmetric_matrix(K_V)
     a = float(inst.alpha)
-    ld1_uv = logdet(K_U + K_V + inst.Sigma1)
-    ld2_uv = logdet(K_U + K_V + inst.Sigma2)
-    iwy = 0.5 * (logdet(inst.K_C + inst.Sigma1) - ld1_uv)
-    iwz = 0.5 * (logdet(inst.K_C + inst.Sigma2) - ld2_uv)
+    S1 = np.asarray(inst.Sigma1, dtype=float)
+    S2 = np.asarray(inst.Sigma2, dtype=float)
+    K_C = np.asarray(inst.K_C, dtype=float)
+    ld1_uv, ld2_uv, ldc1, ldc2, ld2u, ld1u, ld1 = logdet(np.stack((
+        K_U + K_V + S1, K_U + K_V + S2, K_C + S1, K_C + S2,
+        K_U + S2, K_U + S1, S1))).tolist()
+    iwy = 0.5 * (ldc1 - ld1_uv)
+    iwz = 0.5 * (ldc2 - ld2_uv)
     r0 = a * iwy + (1.0 - a) * iwz
-    r2 = 0.5 * (ld2_uv - logdet(K_U + inst.Sigma2))
-    r1 = 0.5 * (logdet(K_U + inst.Sigma1) - logdet(inst.Sigma1))
+    r2 = 0.5 * (ld2_uv - ld2u)
+    r1 = 0.5 * (ld1u - ld1)
     return RatePoint(
         R0=_clamp_rate(r0, "R0"),
         R1=_clamp_rate(r1, "R1"),

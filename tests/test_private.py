@@ -92,6 +92,55 @@ def test_root_rejects_bad_lambda():
         root_in_unit_interval(0.0, 1.0)
 
 
+def _root_reference(b, lam):
+    """root_in_unit_interval's arithmetic as one np.where, both forms
+    evaluated everywhere."""
+    s = lam + 1.0 + b
+    d = np.sqrt(s * s - 4.0 * b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(s < 0.0, (s - d) / (2.0 * b), 2.0 / (s + d))
+    return np.where(b == 0.0, 1.0 / (1.0 + lam), root)
+
+
+def test_root_core_keeps_every_bit_and_shape():
+    """GBA-A steps call the unchecked core; it and the checked entry
+    point equal the reference bit for bit, and the entry point keeps
+    its scalar and broadcast shapes."""
+    rng = np.random.default_rng(9)
+    mags = np.logspace(-3, 15, 37)
+    b = np.concatenate((rng.uniform(-50.0, 50.0, 400), -mags, mags, [0.0, -0.0]))
+    for lam in (1.0 + 1e-7, 1.5, 4.0, 100.0):
+        want = _root_reference(b, lam)
+        assert np.array_equal(private._root(b, lam), want)
+        assert np.array_equal(root_in_unit_interval(b, lam), want)
+    lam = rng.uniform(1.01, 50.0, b.size)
+    assert np.array_equal(root_in_unit_interval(b, lam), _root_reference(b, lam))
+    assert root_in_unit_interval(0.0, lam).shape == lam.shape
+    assert root_in_unit_interval(b.reshape(2, -1), 3.0).shape == (2, b.size // 2)
+    got = root_in_unit_interval(-7.5, 2.0)
+    assert type(got) is float and got == float(_root_reference(-7.5, 2.0))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 1.0, 0.5, -3.0])
+def test_gba_a_step_checks_lam_first(lam):
+    """A bad weight is an InvalidInputError, raised before the iterate is
+    checked or any matrix decomposed (a NaN weight used to reach eigh)."""
+    red = reduce(_case(2))
+    for A in (0.5 * np.eye(2), 3.0 * np.eye(2)):
+        with pytest.raises(InvalidInputError, match="lam must be"):
+            gba_a_step(A, red, lam)
+
+
+def test_gba_a_pass_checks_its_weight_once():
+    """gba_pass takes GBA-A's weight -w[1]/w[0] only above 1, the root's
+    domain; GBA-P's map takes any positive one."""
+    H = np.stack((np.eye(2), 2.0 * np.eye(2)))
+    private.gba_pass(H, (1.0, -0.5))
+    for w in ((1.0, -0.5), (1.0, -1.0), (1.0, float("nan"))):
+        with pytest.raises(InvalidInputError):
+            private.gba_pass(H, w, update=private._a_step)
+
+
 def test_gba_p_step_scalar_value():
     inst = PrivateInstance(K=np.eye(1), Sigma1=np.eye(1), Sigma2=np.eye(1),
                            lam=2.0)

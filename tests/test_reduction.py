@@ -15,6 +15,7 @@ from gbc import (
     random_instance,
     rates_private,
     reduce,
+    solve_common,
     solve_private,
     trace_region_private,
     transform,
@@ -204,6 +205,21 @@ def test_box_checked_entry_points_reject_bad_iterates(entry, bad):
 def test_validate_rejects_constraint_that_is_not_a_matrix(make, K):
     with pytest.raises(InvalidInstanceError):
         make(K).validate()
+
+
+def test_empty_instances_are_invalid():
+    E = np.zeros((0, 0))
+    priv = PrivateInstance(K=E, Sigma1=E, Sigma2=E, lam=2.0)
+    with pytest.raises(InvalidInstanceError, match="empty"):
+        solve_private(priv)
+    with pytest.raises(InvalidInstanceError, match="K_C is empty"):
+        solve_common(CommonInstance(K_C=E, Sigma1=E, Sigma2=E, lambda0=1.2,
+                                    lambda1=1.0, lambda2=1.1, alpha=0.5))
+    points = trace_region_private(priv, [1.5, 3.0])
+    assert len(points) == 2
+    for pt in points:
+        assert np.isnan(pt.R1) and np.isnan(pt.R2)
+        assert "K is empty" in pt.error
 
 
 def test_lift_feasibility_mapping():
