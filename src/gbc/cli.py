@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .common import CommonInstance, solve_common
 from .errors import GbcError, InvalidInputError
 from .oracle import GridSpec, grid_search_common_scalar, grid_search_private_2x2, random_instance
 from .private import Algorithm, SolveOptions, solve_private
-from .psd import symmetrize
+from .psd import SYM_TOL, symmetrize
 from .reduction import PrivateInstance
 from .region import rates_common, rates_private, sweep_alpha_common, trace_region_private
 
@@ -39,30 +40,37 @@ def _note(msg: str) -> None:
     print(f"note: {msg}", file=sys.stderr)
 
 
-def _matrix_from(doc: dict, key: str, n: int) -> np.ndarray:
+def _is_number(v) -> bool:
+    # a JSON number reads as int or float; bool is a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _field(doc: dict, key: str, n: int | None = None):
+    """The numeric field `key` of an instance file, by one rule: every
+    number is a JSON number (int or float, never a bool or a string).
+    `n` must be an integer >= 1; with n given the field is an n x n list
+    of lists of numbers, returned symmetrized; any other field is one
+    number, returned as a float."""
     if key not in doc:
         raise InvalidInputError(f"instance file is missing the {key!r} field")
-    try:
-        M = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{key} must be a numeric {n}x{n} array") from None
-    if M.shape != (n, n):
-        raise InvalidInputError(
-            f"{key} must be an {n}x{n} array, got shape {M.shape}"
-        )
+    v = doc[key]
+    if key == "n":
+        if not (_is_number(v) and isinstance(v, int) and v >= 1):
+            raise InvalidInputError(f"n must be an integer >= 1, got {v!r}")
+        return v
+    if n is None:
+        if not _is_number(v):
+            raise InvalidInputError(f"{key} must be a number, got {v!r}")
+        return float(v)
+    if not (isinstance(v, list) and len(v) == n and all(
+            isinstance(row, list) and len(row) == n and all(map(_is_number, row))
+            for row in v)):
+        raise InvalidInputError(f"{key} must be an {n}x{n} list of lists of numbers")
+    M = np.array(v, dtype=float)
     asym = float(np.max(np.abs(M - M.T)))
-    if asym > 1e-8:
+    if asym > SYM_TOL:
         _note(f"{key} asymmetry {asym:.3e} exceeds 1e-8; averaging with transpose")
     return symmetrize(M)
-
-
-def _scalar_from(doc: dict, key: str) -> float:
-    if key not in doc:
-        raise InvalidInputError(f"instance file is missing the {key!r} field")
-    try:
-        return float(doc[key])
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{key} must be a number, got {doc[key]!r}") from None
 
 
 def load_instance(path: str) -> PrivateInstance | CommonInstance:
@@ -76,24 +84,17 @@ def load_instance(path: str) -> PrivateInstance | CommonInstance:
         raise InvalidInputError(
             f"instance 'kind' must be 'private' or 'common', got {kind!r}"
         )
-    n = doc.get("n")
-    # JSON reads 1.5 and 1e400 as floats; bool is a subclass of int
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
-    S1 = _matrix_from(doc, "Sigma1", n)
-    S2 = _matrix_from(doc, "Sigma2", n)
+    n = _field(doc, "n")
+    S1 = _field(doc, "Sigma1", n)
+    S2 = _field(doc, "Sigma2", n)
     if kind == "private":
         inst = PrivateInstance(
-            K=_matrix_from(doc, "K", n), Sigma1=S1, Sigma2=S2,
-            lam=_scalar_from(doc, "lambda"),
+            K=_field(doc, "K", n), Sigma1=S1, Sigma2=S2, lam=_field(doc, "lambda"),
         )
     else:
         inst = CommonInstance(
-            K_C=_matrix_from(doc, "K_C", n), Sigma1=S1, Sigma2=S2,
-            lambda0=_scalar_from(doc, "lambda0"),
-            lambda1=_scalar_from(doc, "lambda1"),
-            lambda2=_scalar_from(doc, "lambda2"),
-            alpha=_scalar_from(doc, "alpha"),
+            K_C=_field(doc, "K_C", n), Sigma1=S1, Sigma2=S2,
+            **{k: _field(doc, k) for k in ("lambda0", "lambda1", "lambda2", "alpha")},
         )
     inst.validate()
     return inst
@@ -165,39 +166,27 @@ def cmd_solve(args) -> int:
     opts = _solve_options(args, _algorithm(name, inst))
     if isinstance(inst, PrivateInstance):
         rep = solve_private(inst, opts)
-        pt = rates_private(rep.final_KU, inst)
-        result = {
-            "kind": "private",
-            "algorithm": name,
-            "converged": bool(rep.converged),
-            "iterations": int(rep.iterations),
-            "objective": float(rep.objective),
-            "kkt_residual": float(rep.kkt_residual),
-            "K_U": _mat(rep.final_KU),
-            "K_V": _mat(inst.K - rep.final_KU),
-            "rates": {"R0": pt.R0, "R1": pt.R1, "R2": pt.R2},
-            "warnings": list(rep.warnings),
-        }
+        K_U, K_V = rep.final_KU, inst.K - rep.final_KU
+        pt = rates_private(K_U, inst)
+        result = {"kind": "private", "iterations": int(rep.iterations)}
     else:
         rep = solve_common(inst, opts)
-        pt = rates_common(rep.K_U, rep.K_V, inst)
-        result = {
-            "kind": "common",
-            "algorithm": name,
-            "converged": bool(rep.converged),
-            "outer_passes": int(len(rep.step_rel_changes)),
-            "inner_iterations": {
-                "K_V": list(rep.inner_iterations[0]),
-                "K_U": list(rep.inner_iterations[1]),
-            },
-            "objective": float(rep.objective),
-            "kkt_residual": float(rep.kkt_residual),
-            "K_U": _mat(rep.K_U),
-            "K_V": _mat(rep.K_V),
-            "K_W": _mat(rep.K_W),
-            "rates": {"R0": pt.R0, "R1": pt.R1, "R2": pt.R2},
-            "warnings": list(rep.warnings),
-        }
+        K_U, K_V = rep.K_U, rep.K_V
+        pt = rates_common(K_U, K_V, inst)
+        result = {"kind": "common", "outer_passes": len(rep.step_rel_changes),
+                  "inner_iterations": {"K_V": list(rep.inner_iterations[0]),
+                                       "K_U": list(rep.inner_iterations[1])},
+                  "K_W": _mat(rep.K_W)}
+    result.update({
+        "algorithm": name,
+        "converged": bool(rep.converged),
+        "objective": float(rep.objective),
+        "kkt_residual": float(rep.kkt_residual),
+        "K_U": _mat(K_U),
+        "K_V": _mat(K_V),
+        "rates": {"R0": pt.R0, "R1": pt.R1, "R2": pt.R2},
+        "warnings": list(rep.warnings),
+    })
     if not args.no_timing:
         result["elapsed_seconds"] = float(rep.elapsed_seconds)
     if args.trace_out:
@@ -240,7 +229,9 @@ def cmd_trace_region(args) -> int:
     alphas = _parse_list(args.alpha_grid, "alpha", float)
     if alphas != sorted(alphas):
         _note("alpha values were not ascending; output rows follow the input order")
-    reports, argmin = sweep_alpha_common(inst, alphas, opts)
+    with warnings.catch_warnings():  # each skipped alpha gets one note below
+        warnings.filterwarnings("ignore", "alpha=.* skipped", UserWarning)
+        reports, argmin = sweep_alpha_common(inst, alphas, opts)
     rows = []
     failed = False
     nan = repr(float("nan"))
@@ -311,6 +302,8 @@ def cmd_bench(args) -> int:
         if count < 1:
             raise InvalidInputError("seed count must be at least 1")
         seeds = list(range(count))
+    if min(seeds) < 0:
+        raise InvalidInputError(f"every seed must be at least 0, got {min(seeds)}")
     names = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
     for name in names:
         if name not in _PRIVATE_ALGOS:
@@ -397,10 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GbcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # json.JSONDecodeError is a ValueError
+    except (GbcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

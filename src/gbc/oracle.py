@@ -10,6 +10,7 @@ best can sit below the true optimum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,8 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
 
 def random_instance(n: int, seed: int, kind: str = "private", *,
                     lam: float | None = None, rank: int | None = None):
-    """Seeded random instance with a documented ensemble.
+    """Seeded random instance with a documented ensemble; the seed is an
+    integer >= 0 (a numpy integer too, a bool never).
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
@@ -194,6 +196,8 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     """
     if int(n) < 1:
         raise InvalidInputError("n must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     if rank is not None and int(rank) < n:

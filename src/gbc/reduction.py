@@ -9,19 +9,18 @@ the weighted logdet objective changes only by an additive constant, so
 the reduced problem can be solved in r x r matrices and lifted back.
 
 A region trace solves one channel (K, Sigma1, Sigma2) for many weights
-lam, and the box does not depend on lam.  So the private-instance entry
-points share one slot, a single entry that holds the lam-free results of
-the last channel seen: whether check_matrices passed, the Box of
-(K, (Sigma1, Sigma2)) with its eigenvalue-spread warning (or the fact
-that K is numerically zero), and logdet Sigma1 and logdet(K + Sigma2),
-the constant terms of the private rates.  Each part is filled the first
-time PrivateInstance.validate, reduce or channel_logdets needs it.  The
-key is the shape and byte content of np.asarray(M, float) for K, Sigma1
-and Sigma2, so equal matrices hit even as fresh arrays and a matrix
-changed in place misses; a channel with another key replaces the entry.
-lam is never in the slot: its range check, ReducedPrivate.lam and the
-offset are computed on every call.  A failed check stores nothing, so it
-raises again on the next call, and the cached arrays are read-only.
+lam, and the box does not depend on lam.  So PrivateInstance.validate
+and reduce share one slot, a single entry that holds the lam-free
+results of the last channel seen: whether check_matrices passed, and the
+Box of (K, (Sigma1, Sigma2)) with its eigenvalue-spread warning (or the
+fact that K is numerically zero), each filled the first time it is
+needed.  The key is the shape and byte content of np.asarray(M, float)
+for K, Sigma1 and Sigma2, so equal matrices hit even as fresh arrays and
+a matrix changed in place misses; a channel with another key replaces
+the entry.  lam is never in the slot: its range check, ReducedPrivate.lam
+and the offset are computed on every call.  A failed check stores
+nothing, so it raises again on the next call, and the cached arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -311,14 +310,6 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
         raise DegenerateInstanceError(entry)
     box, warnings = entry
     return ReducedPrivate(box.transform, box.H, box.tails, float(inst.lam), warnings)
-
-
-def channel_logdets(inst: PrivateInstance) -> tuple[float, float]:
-    """logdet Sigma1 and logdet(K + Sigma2), the lam-free terms of the
-    private rates, from the channel slot.  np.add, since K + Sigma2
-    would concatenate list-valued matrices."""
-    return _memo(inst, "logdets",
-                 lambda: (logdet(inst.Sigma1), logdet(np.add(inst.K, inst.Sigma2))))
 
 
 def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:

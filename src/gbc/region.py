@@ -18,7 +18,7 @@ from .common import CommonInstance, CommonSolveReport, solve_common
 from .errors import GbcError, InvalidInputError, InvalidSweepError
 from .psd import logdet, symmetric_matrix
 from .private import SolveOptions, solve_private
-from .reduction import PrivateInstance, channel_logdets
+from .reduction import PrivateInstance
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,14 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     R1 = (1/2)(ln|K_U + Sigma1| - ln|Sigma1|),
     R2 = (1/2)(ln|K + Sigma2| - ln|K_U + Sigma2|).
     Tiny negatives from roundoff (>= -1e-10) clamp to zero; anything more
-    negative raises, since it signals an infeasible covariance.  The two
-    K_U-dependent log-determinants come from one stacked call.
+    negative raises, since it signals an infeasible covariance.  The four
+    log-determinants come from one stacked call; np.add, since
+    K + Sigma2 would concatenate list-valued matrices.
     """
     K_U = symmetric_matrix(K_U)
-    ld1u, ld2u = logdet(np.stack((K_U + inst.Sigma1, K_U + inst.Sigma2))).tolist()
-    ld1, ldk2 = channel_logdets(inst)
+    ld1u, ld2u, ld1, ldk2 = logdet(np.stack((
+        K_U + inst.Sigma1, K_U + inst.Sigma2, inst.Sigma1,
+        np.add(inst.K, inst.Sigma2)))).tolist()
     r1 = 0.5 * (ld1u - ld1)
     r2 = 0.5 * (ldk2 - ld2u)
     return RatePoint(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ def _case1(tmp_path, **overrides):
     return _write(tmp_path, "case1.json", doc)
 
 
-def _common_fixture(tmp_path):
-    return _write(tmp_path, "common.json", {
+def _common_fixture(tmp_path, **overrides):
+    doc = {
         "kind": "common",
         "n": 1,
         "K_C": [[2.0]],
@@ -42,7 +43,19 @@ def _common_fixture(tmp_path):
         "lambda1": 1.0,
         "lambda2": 1.1,
         "alpha": 0.5,
-    })
+    }
+    doc.update(overrides)
+    return _write(tmp_path, "common.json", doc)
+
+
+def _one_error(capsys, argv, match):
+    """main(argv) exits 1 with one `error:` line on stderr, naming match."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and match in err[0], err
 
 
 def test_solve_case1(tmp_path, capsys):
@@ -113,14 +126,47 @@ def test_solve_trace_out_rows_follow_every_step(tmp_path, capsys):
                     for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
 
 
-@pytest.mark.parametrize("field,value", [("lambda", None), ("n", [2]),
-                                         ("K", {"a": 1})],
-                         ids=["lambda-null", "n-list", "K-object"])
-def test_solve_rejects_non_numeric_field(tmp_path, capsys, field, value):
-    rc = main(["solve", _case1(tmp_path, **{field: value})])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error:") and field in err
+def _common_below_one(tmp_path, **overrides):
+    # weights under which lambda0 = 1 is valid, so that a bool read as 1
+    # would solve
+    return _common_fixture(tmp_path, **{"lambda1": 0.5, "lambda2": 0.8,
+                                        **overrides})
+
+
+# every number in an instance file is a JSON number: never a string or a
+# bool, inside a matrix or not
+@pytest.mark.parametrize("make,field,value", [
+    (_case1, "lambda", None), (_case1, "n", [2]), (_case1, "K", {"a": 1}),
+    (_case1, "lambda", "2.5"), (_common_below_one, "lambda0", True),
+    (_case1, "Sigma1", [["1.0", 0.0], [0.0, 1.0]]),
+    (_case1, "K", [[True, 2.0], [2.0, 4.0]]),
+    (_case1, "K", [[2.0, 2.0], [2.0]]), (_case1, "K", [[2.0]]),
+], ids=["lambda-null", "n-list", "K-object", "lambda-string", "lambda0-bool",
+        "Sigma1-string-entry", "K-bool-entry", "K-ragged", "K-1x1"])
+def test_solve_rejects_non_numeric_field(tmp_path, capsys, make, field, value):
+    _one_error(capsys, ["solve", make(tmp_path, **{field: value})], field)
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"kind": "private", "n": 1, "K": [[1.0]], "Sigma1": [[1.0]], '
+     '"lambda": 2.0}', "missing the 'Sigma2' field"),
+    ("[1, 2]", "must contain a JSON object"),
+    ('{"kind": "mixed", "n": 1}', "'kind' must be"),
+], ids=["missing-field", "not-an-object", "unknown-kind"])
+def test_solve_rejects_malformed_instance(tmp_path, capsys, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _one_error(capsys, ["solve", str(path)], match)
+
+
+def test_solve_json_out_writes_the_stdout_result(tmp_path, capsys):
+    argv = ["solve", _case1(tmp_path), "--no-timing"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    out_path = tmp_path / "result.json"
+    assert main([*argv, "--json-out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == want
 
 
 def test_solve_asymmetric_input_notes(tmp_path, capsys):
@@ -195,11 +241,14 @@ def test_trace_region_rejects_bad_options_once(tmp_path, capsys, flag):
 
 def test_trace_region_infeasible_alpha_row(tmp_path, capsys):
     csv_path = tmp_path / "alpha.csv"
-    with pytest.warns(UserWarning, match="alpha=0 skipped"):
+    with warnings.catch_warnings():
+        # the skipped alpha is reported once, by the note, and no warning escapes
+        warnings.simplefilter("error")
         rc = main(["trace-region", _common_fixture(tmp_path), "--alpha-grid",
                    "0.0,0.5", "--csv-out", str(csv_path)])
     assert rc == 2
-    assert "alpha=0 skipped: weight combination infeasible" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "note: alpha=0 skipped: weight combination infeasible"]
     rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert len(rows) == 3
     assert rows[1][4] == "0.0" and rows[1][6] == "0"
@@ -214,6 +263,28 @@ def test_trace_region_requires_exactly_one_sweep(tmp_path, capsys):
                "--alpha-grid", "0.5"])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_trace_region_alpha_notes_without_csv_out(tmp_path, capsys):
+    rc = main(["trace-region", _common_fixture(tmp_path), "--alpha-grid",
+               "0.75,0.5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert [r[4] for r in rows[1:]] == ["0.75", "0.5"]
+    err = captured.err.splitlines()
+    assert err[0] == ("note: alpha values were not ascending; output rows "
+                      "follow the input order")
+    assert len(err) == 2 and err[1].startswith("note: alpha argmin ")
+
+
+@pytest.mark.parametrize("make,sweep,match", [
+    (_common_fixture, ["--lambdas", "2"], "--lambdas requires a private instance"),
+    (_case1, ["--alpha-grid", "0.5"], "--alpha-grid requires a common instance"),
+    (_case1, ["--lambdas", ","], "lambda list is empty"),
+], ids=["lambdas-common", "alpha-grid-private", "empty-list"])
+def test_trace_region_rejects_sweep(tmp_path, capsys, make, sweep, match):
+    _one_error(capsys, ["trace-region", make(tmp_path), *sweep], match)
 
 
 def test_oracle_dimension_guard(tmp_path, capsys):
@@ -302,6 +373,18 @@ def test_bench_failed_cell_notes_its_error(monkeypatch, capsys):
         line if ",9," not in line else f"2,9,{line.split(',')[2]},0,False,,nan\n"
         for line in clean.splitlines(keepends=True))
     assert captured.out == want
+
+
+@pytest.mark.parametrize("flags,match", [
+    (["--n-list", "0"], "every n must be at least 1"),
+    (["--n-list", "2", "--seeds", "0"], "seed count must be at least 1"),
+    (["--n-list", "2", "--seeds", "1,-2"], "got -2"),
+    (["--n-list", "2", "--algorithms", "spg,egba-p"], "'egba-p'"),
+    (["--n-list", "2", "--algorithms", ","], "algorithm list is empty"),
+], ids=["n-zero", "seed-count-zero", "negative-seed", "unknown-algorithm",
+        "empty-algorithms"])
+def test_bench_rejects_bad_input(capsys, flags, match):
+    _one_error(capsys, ["bench", *flags], match)
 
 
 def test_bench_invalid_n_list(capsys):

@@ -172,3 +172,22 @@ def test_random_instance_common_kind():
 def test_random_instance_rejects_bad_kind():
     with pytest.raises(InvalidInputError):
         random_instance(2, 0, "mixed")
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+def test_random_instance_rejects_seed_that_is_not_a_natural_number(seed):
+    # None drew a fresh instance on every call; -1 and 1.5 failed in numpy
+    with pytest.raises(InvalidInputError, match=f"seed .*got {seed!r}"):
+        random_instance(2, seed)
+
+
+def test_random_instance_takes_numpy_integer_seeds():
+    a, b = random_instance(3, 7), random_instance(3, np.int64(7))
+    assert np.array_equal(a.K, b.K) and a.lam == b.lam
+
+
+@pytest.mark.parametrize("kwargs,match", [(dict(n=0), "n must be"),
+                                          (dict(n=3, rank=0), "rank must be")])
+def test_random_instance_rejects_bad_sizes(kwargs, match):
+    with pytest.raises(InvalidInputError, match=match):
+        random_instance(seed=0, **kwargs)

@@ -92,6 +92,12 @@ def test_root_rejects_bad_lambda():
         root_in_unit_interval(0.0, 1.0)
 
 
+@pytest.mark.parametrize("b", [float("nan"), float("inf"), [0.5, -np.inf]])
+def test_root_rejects_non_finite_b(b):
+    with pytest.raises(InvalidInputError, match="b must be finite"):
+        root_in_unit_interval(b, 2.0)
+
+
 def _root_reference(b, lam):
     """root_in_unit_interval's arithmetic as one np.where, both forms
     evaluated everywhere."""
@@ -245,7 +251,7 @@ def test_options_validation():
     with pytest.raises(InvalidInputError):
         solve_private(inst, SolveOptions(rel_tol=float("nan")))
     for bad in (dict(max_iters=float("nan")), dict(max_iters=float("inf")),
-                dict(max_iters=2.5), dict(init="x"),
+                dict(max_iters=2.5), dict(init="x"), dict(algorithm="spg"),
                 dict(init=np.full((2, 2), np.nan))):
         with pytest.raises(InvalidInputError):
             solve_private(inst, SolveOptions(**bad))

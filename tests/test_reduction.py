@@ -35,7 +35,7 @@ from gbc.errors import (
 )
 from gbc.private import gba_a_step
 from gbc.psd import symmetrize
-from gbc.reduction import box_offset, build_box, lift, schur_head
+from gbc.reduction import box_offset, build_box, check_matrices, lift, schur_head
 
 
 def _objective_original(K_U, inst):
@@ -207,6 +207,15 @@ def test_validate_rejects_constraint_that_is_not_a_matrix(make, K):
         make(K).validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["K", "Sigma1", "Sigma2"])
+def test_check_matrices_rejects_non_finite_entries(name, bad):
+    mats = {"K": np.eye(2), "Sigma1": np.eye(2), "Sigma2": 2.0 * np.eye(2)}
+    mats[name][0, 0] = bad
+    with pytest.raises(InvalidInstanceError, match=f"{name} has non-finite"):
+        check_matrices("K", mats["K"], mats["Sigma1"], mats["Sigma2"])
+
+
 def test_empty_instances_are_invalid():
     E = np.zeros((0, 0))
     priv = PrivateInstance(K=E, Sigma1=E, Sigma2=E, lam=2.0)
@@ -362,6 +371,17 @@ def test_slot_keeps_no_failed_check():
         for _ in range(2):
             with pytest.raises(InvalidInstanceError, match=match):
                 bad.validate()
+
+
+def test_slot_skips_matrices_that_are_not_numeric():
+    inst = random_instance(2, 3)
+    inst.validate()
+    entry = dict(gbc.reduction._slot)
+    bad = replace(inst, K="x")
+    for _ in range(2):
+        with pytest.raises(InvalidInstanceError):
+            bad.validate()
+    assert gbc.reduction._slot == entry
 
 
 def test_slot_reports_a_zero_constraint_every_time():
