@@ -6,8 +6,9 @@ instance benchmark table).  Instances are JSON documents; results are
 JSON on stdout or CSV files.  Outputs are deterministic for fixed
 inputs and seeds once timing fields are suppressed with --no-timing.
 
-Exit codes: 0 success, 1 invalid input or runtime failure, 2 solve ran
-but did not converge within the iteration cap (results still written).
+Exit codes: 0 success, 1 invalid input (bad flags included) or runtime
+failure, 2 solve ran but did not converge within the iteration cap
+(results still written).
 """
 
 from __future__ import annotations
@@ -104,34 +105,24 @@ def _mat(M: np.ndarray) -> list:
     return symmetrize(np.asarray(M, dtype=float)).tolist()
 
 
-def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write text to stdout, or to the file at path when one is given,
+    keeping its line ends as written."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_rows(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-
-
-def _write_trace(path: str, trace: np.ndarray, rels: np.ndarray, summary: dict) -> None:
-    rows = [["0", repr(float(trace[0])), ""]]
-    for i in range(1, len(trace)):
-        rows.append([str(i), repr(float(trace[i])), repr(float(rels[i - 1]))])
-    _write_rows(path, ["iter", "objective", "step_rel_change"], rows)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_list(text: str, what: str, cast: type) -> list:
@@ -190,26 +181,28 @@ def cmd_solve(args) -> int:
     if not args.no_timing:
         result["elapsed_seconds"] = float(rep.elapsed_seconds)
     if args.trace_out:
-        _write_trace(args.trace_out, np.asarray(rep.objective_trace),
-                     np.asarray(rep.step_rel_changes), result)
-    _emit_json(result, args.json_out)
+        rels = ["", *(repr(float(r)) for r in rep.step_rel_changes)]
+        rows = [[str(i), repr(float(f)), rel]
+                for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
+        _emit(_csv(["iter", "objective", "step_rel_change"], rows), args.trace_out)
+        _emit(_json(result), args.trace_out + ".json")
+    _emit(_json(result), args.json_out)
     return 0 if rep.converged else 2
 
 
 def cmd_trace_region(args) -> int:
     inst = load_instance(args.instance)
-    if args.lambdas is None and args.alpha_grid is None:
-        raise InvalidInputError("provide --lambdas (private) or --alpha-grid (common)")
-    if args.lambdas is not None and args.alpha_grid is not None:
-        raise InvalidInputError("--lambdas and --alpha-grid are mutually exclusive")
+    # the parser admits exactly one of --lambdas and --alpha-grid
+    private = args.lambdas is not None
+    if private != isinstance(inst, PrivateInstance):
+        flag, kind = ("--lambdas", "private") if private else ("--alpha-grid", "common")
+        raise InvalidInputError(f"{flag} requires a {kind} instance")
+    opts = _solve_options(args, _algorithm(args.algorithm, inst))
 
-    if args.lambdas is not None:
-        if not isinstance(inst, PrivateInstance):
-            raise InvalidInputError("--lambdas requires a private instance")
+    if private:
         lams = _parse_list(args.lambdas, "lambda", float)
         if lams != sorted(lams):
             _note("lambda values were not ascending; output rows are sorted ascending")
-        opts = _solve_options(args, _algorithm(args.algorithm, inst))
         points = trace_region_private(inst, lams, opts)
         rows = []
         failed = False
@@ -219,13 +212,10 @@ def cmd_trace_region(args) -> int:
                 _note(f"lambda={pt.lambda_tag:g}: {pt.error}")
             rows.append([repr(float(pt.lambda_tag)), repr(pt.R1), repr(pt.R2),
                          repr(pt.objective), str(pt.iterations)])
-        _write_rows(args.csv_out, ["lambda", "R1", "R2", "objective", "iterations"],
-                    rows)
+        _emit(_csv(["lambda", "R1", "R2", "objective", "iterations"], rows),
+              args.csv_out)
         return 2 if failed else 0
 
-    if not isinstance(inst, CommonInstance):
-        raise InvalidInputError("--alpha-grid requires a common instance")
-    opts = _solve_options(args, _algorithm(args.algorithm, inst))
     alphas = _parse_list(args.alpha_grid, "alpha", float)
     if alphas != sorted(alphas):
         _note("alpha values were not ascending; output rows follow the input order")
@@ -246,12 +236,11 @@ def cmd_trace_region(args) -> int:
         rows.append([repr(float(inst.lambda0)), repr(pt.R1), repr(pt.R2),
                      repr(pt.R0), repr(float(a)), repr(float(rep.objective)),
                      str(len(rep.step_rel_changes))])
-    _write_rows(args.csv_out,
-                ["lambda", "R1", "R2", "R0", "alpha", "objective", "iterations"],
-                rows)
+    _emit(_csv(["lambda", "R1", "R2", "R0", "alpha", "objective", "iterations"],
+               rows), args.csv_out)
     summary = {"alpha_argmin": argmin.alpha, "weighted_rate": argmin.value}
     if args.csv_out:
-        _emit_json(summary, None)
+        _emit(_json(summary), None)
     else:
         _note(f"alpha argmin {argmin.alpha:g} with weighted rate {argmin.value:.9g}")
     return 2 if failed else 0
@@ -273,20 +262,20 @@ def cmd_oracle(args) -> int:
     }
     if res.best_KV is not None:
         result["best_KV"] = _mat(res.best_KV)
-    _emit_json(result, args.json_out)
+    _emit(_json(result), args.json_out)
     return 0
 
 
-def _bench_cell(n: int, seed: int, name: str, args) -> list[str]:
+def _bench_cell(n: int, seed: int, opts: SolveOptions, no_timing: bool) -> list[str]:
+    name = opts.algorithm.value
     try:
-        inst = random_instance(n, seed, "private")
-        rep = solve_private(inst, _solve_options(args, _PRIVATE_ALGOS[name]))
+        rep = solve_private(random_instance(n, seed, "private"), opts)
         iters, conv = rep.iterations, rep.converged
         secs, obj = rep.elapsed_seconds, rep.objective
     except GbcError as exc:
         _note(f"n={n} seed={seed} {name}: {exc}")
         iters, conv, secs, obj = 0, False, 0.0, float("nan")
-    seconds = "" if args.no_timing else f"{secs:.6f}"
+    seconds = "" if no_timing else f"{secs:.6f}"
     return [str(n), str(seed), name, str(iters), str(bool(conv)), seconds,
             repr(float(obj))]
 
@@ -295,13 +284,11 @@ def cmd_bench(args) -> int:
     ns = _parse_list(args.n_list, "n", int)
     if any(n < 1 for n in ns):
         raise InvalidInputError("every n must be at least 1")
-    if "," in args.seeds:
-        seeds = _parse_list(args.seeds, "seed", int)
-    else:
-        count = int(args.seeds)
-        if count < 1:
+    seeds = _parse_list(args.seeds, "seed", int)
+    if "," not in args.seeds:  # a single value is a seed count
+        if seeds[0] < 1:
             raise InvalidInputError("seed count must be at least 1")
-        seeds = list(range(count))
+        seeds = list(range(seeds[0]))
     if min(seeds) < 0:
         raise InvalidInputError(f"every seed must be at least 0, got {min(seeds)}")
     names = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
@@ -310,14 +297,13 @@ def cmd_bench(args) -> int:
             raise InvalidInputError(f"unknown benchmark algorithm {name!r}")
     if not names:
         raise InvalidInputError("algorithm list is empty")
+    runs = [_solve_options(args, _PRIVATE_ALGOS[name]) for name in names]
 
-    rows = [_bench_cell(n, seed, name, args)
-            for n in ns for seed in seeds for name in names]
+    rows = [_bench_cell(n, seed, opts, args.no_timing)
+            for n in ns for seed in seeds for opts in runs]
     rows.sort(key=lambda r: (int(r[0]), int(r[1]), r[2]))
-    _write_rows(args.csv_out,
-                ["n", "seed", "algorithm", "iterations", "converged",
-                 "seconds", "final_objective"],
-                rows)
+    _emit(_csv(["n", "seed", "algorithm", "iterations", "converged",
+                "seconds", "final_objective"], rows), args.csv_out)
     return 0
 
 
@@ -329,8 +315,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration cap (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InvalidInputError, so that main
+    reports them as it does every other input error."""
+
+    def error(self, message: str):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbc",
         description="Boundary points of two-receiver Gaussian vector "
                     "broadcast-channel capacity regions.",
@@ -353,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-region", help="sweep weights and emit rate points")
     p.add_argument("instance", help="path to a JSON instance file")
-    p.add_argument("--lambdas", help="comma-separated lambda values (private)")
-    p.add_argument("--alpha-grid", help="comma-separated alpha values (common)")
+    sweep = p.add_mutually_exclusive_group(required=True)
+    sweep.add_argument("--lambdas", help="comma-separated lambda values (private)")
+    sweep.add_argument("--alpha-grid", help="comma-separated alpha values (common)")
     p.add_argument("--algorithm", default=_DEFAULT_ALGO.value,
                    choices=[*_PRIVATE_ALGOS, "egba-p"],
                    help=f"{'/'.join(_PRIVATE_ALGOS)} with --lambdas, "
@@ -387,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # json.JSONDecodeError is a ValueError
     except (GbcError, OSError, ValueError) as exc:

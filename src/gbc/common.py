@@ -266,7 +266,6 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     opts.rel_tol, or after opts.max_iters passes.  An init other than
     None raises InvalidInputError.
     """
-    opts.validate()
     if opts.algorithm is Algorithm.GBA_A:
         raise InvalidInputError("solve_common runs spg or gba-p (EGBA-P), not gba-a")
     if opts.init is not None:

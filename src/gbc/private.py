@@ -85,9 +85,10 @@ class SolveOptions:
     init        reduced starting matrix, projected onto the clamped box;
                 None starts from I/2
 
-    solve_common runs SPG or, for GBA_P, the paper's EGBA-P as its inner
-    solver; it raises InvalidInputError for GBA_A and for an init other
-    than None.
+    Building the options (dataclasses.replace included) checks every
+    field and raises InvalidInputError on a bad one.  solve_common runs
+    SPG or, for GBA_P, the paper's EGBA-P as its inner solver; it raises
+    InvalidInputError for GBA_A and for an init other than None.
     """
 
     algorithm: Algorithm = Algorithm.SPG
@@ -95,7 +96,7 @@ class SolveOptions:
     rel_tol: float = 1e-4
     init: np.ndarray | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise InvalidInputError unless every field holds a usable value."""
         if not isinstance(self.algorithm, Algorithm):
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
@@ -543,7 +544,6 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     plus the reduction offset) with one entry per iterate including the
     start.
     """
-    opts.validate()
     inst.validate()
     t0 = time.perf_counter()
     try:

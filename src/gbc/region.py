@@ -1,9 +1,11 @@
 """Rate computation and capacity-region tracing.
 
 Converts solver covariances into rate pairs/triples and sweeps the
-weight parameters to trace boundary points.  Tracing is fault tolerant:
-a failed solve yields a NaN-rated point carrying the error message, and
-the output always has one point per requested weight.
+weight parameters to trace boundary points.  trace_region_private is
+fault tolerant: a failed solve yields a NaN-rated point carrying the
+error message, so its output has one point per requested lambda.
+sweep_alpha_common is not: it skips an infeasible alpha with a None
+report, but an error from solve_common propagates to its caller.
 """
 
 from __future__ import annotations
@@ -131,10 +133,9 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
     initializes from the previous reduced iterate, which is sound because
     the feasible box does not depend on lambda.  A solve that raises
     produces a NaN point carrying the error string; a solve that merely
-    fails to converge still reports its rates, flagged in `error`.  Bad
-    options, like a bad sweep, raise InvalidInputError before any solve.
+    fails to converge still reports its rates, flagged in `error`.  A bad
+    sweep raises InvalidInputError before any solve.
     """
-    opts.validate()
     lams = [float(v) for v in lambdas]
     if not lams:
         raise InvalidSweepError("lambda sweep must be non-empty")
@@ -147,9 +148,8 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
     init = opts.init
     for lv in lams:
         inst = replace(base, lam=lv)
-        run_opts = replace(opts, init=init)
         try:
-            rep = solve_private(inst, run_opts)
+            rep = solve_private(inst, replace(opts, init=init))
         except GbcError as exc:
             points.append(RatePoint(R0=float("nan"), R1=float("nan"),
                                     R2=float("nan"), lambda_tag=lv,
@@ -157,7 +157,7 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
             continue
         pt = rates_private(rep.final_KU, inst)
         note = None if rep.converged else (
-            f"did not converge within {run_opts.max_iters} iterations"
+            f"did not converge within {opts.max_iters} iterations"
         )
         points.append(replace(pt, objective=rep.objective,
                               iterations=rep.iterations, error=note))
@@ -175,7 +175,7 @@ def sweep_alpha_common(inst: CommonInstance, alphas: Sequence[float],
     infeasible, i.e. lambda2 - lambda0(1-alpha) <= 0, with a warning) and
     the argmin of the weighted rate over the feasible alphas, resolving
     ties to the smaller alpha.  Raises InvalidSweepError if no alpha is
-    feasible.
+    feasible; an error from solve_common propagates.
     """
     avals = [float(a) for a in alphas]
     if not avals:

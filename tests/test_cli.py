@@ -282,7 +282,11 @@ def test_trace_region_alpha_notes_without_csv_out(tmp_path, capsys):
     (_common_fixture, ["--lambdas", "2"], "--lambdas requires a private instance"),
     (_case1, ["--alpha-grid", "0.5"], "--alpha-grid requires a common instance"),
     (_case1, ["--lambdas", ","], "lambda list is empty"),
-], ids=["lambdas-common", "alpha-grid-private", "empty-list"])
+    (_case1, [], "one of the arguments --lambdas --alpha-grid is required"),
+    (_case1, ["--lambdas", "2", "--alpha-grid", "0.5"],
+     "argument --alpha-grid: not allowed with argument --lambdas"),
+], ids=["lambdas-common", "alpha-grid-private", "empty-list", "no-sweep",
+        "two-sweeps"])
 def test_trace_region_rejects_sweep(tmp_path, capsys, make, sweep, match):
     _one_error(capsys, ["trace-region", make(tmp_path), *sweep], match)
 
@@ -378,13 +382,29 @@ def test_bench_failed_cell_notes_its_error(monkeypatch, capsys):
 @pytest.mark.parametrize("flags,match", [
     (["--n-list", "0"], "every n must be at least 1"),
     (["--n-list", "2", "--seeds", "0"], "seed count must be at least 1"),
+    (["--n-list", "2", "--seeds", "1.5"], "could not parse seed list '1.5'"),
     (["--n-list", "2", "--seeds", "1,-2"], "got -2"),
     (["--n-list", "2", "--algorithms", "spg,egba-p"], "'egba-p'"),
     (["--n-list", "2", "--algorithms", ","], "algorithm list is empty"),
-], ids=["n-zero", "seed-count-zero", "negative-seed", "unknown-algorithm",
-        "empty-algorithms"])
+    # options are checked before the first cell, not once per cell
+    (["--n-list", "2", "--seeds", "2", "--algorithms", "spg", "--max-iters", "0"],
+     "max_iters must be a whole number >= 1, got 0"),
+], ids=["n-zero", "seed-count-zero", "seed-count-not-integer", "negative-seed",
+        "unknown-algorithm", "empty-algorithms", "max-iters-zero"])
 def test_bench_rejects_bad_input(capsys, flags, match):
     _one_error(capsys, ["bench", *flags], match)
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["solve", "case.json", "--max-iters", "abc"],
+     "argument --max-iters: invalid int value: 'abc'"),
+    ([], "required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+], ids=["bad-int-flag", "no-command", "unknown-command"])
+def test_usage_errors_take_the_input_error_path(capsys, argv, match):
+    # one `error:` line and exit 1, as every input error; no usage block and
+    # no exit 2, which means "the solve ran but did not converge"
+    _one_error(capsys, argv, match)
 
 
 def test_bench_invalid_n_list(capsys):

@@ -1,5 +1,6 @@
 """Tests for the private-message solvers and their step maps."""
 
+import dataclasses
 import warnings
 from decimal import Decimal, localcontext
 
@@ -260,6 +261,15 @@ def test_options_validation():
                                             max_iters=3.0)).iterations == 1
 
 
+def test_options_are_checked_when_built():
+    # no solve is needed, and dataclasses.replace checks its result too
+    with pytest.raises(InvalidInputError, match="max_iters"):
+        SolveOptions(max_iters=0)
+    with pytest.raises(InvalidInputError, match="init"):
+        dataclasses.replace(SolveOptions(), init=np.full((2, 2), np.nan))
+    assert not hasattr(SolveOptions, "validate")
+
+
 @pytest.mark.parametrize("bad", [dict(max_iters=True), dict(rel_tol=True),
                                  dict(max_iters=True, rel_tol=True)])
 def test_options_reject_bools(bad):
@@ -290,6 +300,18 @@ def test_gba_a_boundary_start_is_an_error(init):
             solve_private(inst, SolveOptions(algorithm=Algorithm.GBA_A, init=init))
         with pytest.raises(NumericalBreakdownError):
             gba_a_step(init, reduce(inst), inst.lam)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: private.inv(np.zeros((2, 2))), "matrix inverse failed"),
+    # A + H_2 = diag(-0.5, 0.5) has a negative determinant
+    (lambda: private._fast_objective(
+        0.5 * np.eye(2), np.stack((np.eye(2), np.diag([-1.0, 0.0]))), (1.0, -2.0)),
+     "iterate lost positive definiteness"),
+], ids=["singular-inverse", "objective-off-the-pd-cone"])
+def test_linear_algebra_failures_are_breakdowns(call, match):
+    with pytest.raises(NumericalBreakdownError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])

@@ -85,6 +85,7 @@ def test_loewner_leq_basics():
     assert loewner_leq(A, B)
     assert not loewner_leq(B, A)
     assert loewner_leq(A, A)
+    assert loewner_leq(np.zeros((0, 0)), np.zeros((0, 0)))
     # slack admits tiny violations
     assert loewner_leq(A + 1e-10 * np.eye(2), A)
     assert not loewner_leq(A + 1e-6 * np.eye(2), A)

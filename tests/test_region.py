@@ -16,7 +16,8 @@ from gbc import (
     trace_region_private,
     weighted_rate_common,
 )
-from gbc.errors import InvalidInputError, InvalidSweepError
+import gbc.region
+from gbc.errors import InvalidInputError, InvalidSweepError, NumericalBreakdownError
 
 
 def _case1():
@@ -206,3 +207,14 @@ def test_sweep_alpha_rejects_bad_input():
         sweep_alpha_common(inst, [])
     with pytest.raises(InvalidInputError):
         sweep_alpha_common(inst, [1.5])
+
+
+def test_sweep_alpha_propagates_solve_errors(monkeypatch):
+    # unlike trace_region_private, the alpha sweep is not fault tolerant:
+    # a failed solve raises out of it, not into a NaN report
+    def failing(inst, opts):
+        raise NumericalBreakdownError("matrix inverse failed: Singular matrix")
+
+    monkeypatch.setattr(gbc.region, "solve_common", failing)
+    with pytest.raises(NumericalBreakdownError, match="Singular matrix"):
+        sweep_alpha_common(_scalar_common(), (0.5, 0.75))
