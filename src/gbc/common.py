@@ -43,8 +43,8 @@ from .errors import (
 )
 from .psd import (
     RANK_EPS,
+    _finite_sym,
     logdet,
-    loewner_leq,
     project_box,
     project_box_inverse,
     spectral_norm,
@@ -63,8 +63,9 @@ from .private import (
     run_pass,
     step_stack,
 )
-# box_transform and schur_head run inside build_box; perfbench/tracing.py
-# also wraps them under these names
+# box_transform and schur_head run inside build_box, and lift is for
+# callers' matrices (solve_block lifts its own iterates unchecked);
+# perfbench/tracing.py also wraps them under these names
 from .reduction import (  # noqa: F401
     box_transform,
     build_box,
@@ -183,10 +184,23 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
 
 
 def kv_subproblem_step(A: np.ndarray, ps: FixedPoint | _Spg) -> np.ndarray | None:
-    """One step of a block subproblem from a box-checked iterate A: the
-    projected fixed-point step of a kv_pass or ku_pass, or one step of an
-    SPG pass, None once no rise can be verified."""
-    return ps.step(check_box(A, ps.rank))
+    """One step of a block subproblem from the iterate A: the projected
+    fixed-point step of a kv_pass or ku_pass, or one step of an SPG pass,
+    None once no rise can be verified.
+
+    A goes through check_box unless it is the very array ps.last that
+    the pass's own previous step returned; any other array, a copy of
+    that one included, is checked.  A caller that edits a returned
+    iterate in place must pass a copy.  The skipped check cannot fire,
+    and would not change a bit: every iterate a pass returns is exactly
+    symmetric and in the box.  SPG's A + tD = (1 - t)A + tP, 0 < t <= 1,
+    is a convex combination of two points of the box; the fixed-point
+    maps end in project_box_inverse, whose eigenvalues are clipped to
+    [1e-10, 1], and GBA-A clips its roots to [1e-10, 1 - 1e-10].
+    """
+    if A is not ps.last:
+        A = check_box(A, ps.rank)
+    return ps.step(A)
 
 
 # the same step; perfbench/tracing.py wraps each block's name on its own
@@ -327,7 +341,10 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
         elif stop == "stall":
             stalls[label] = kkt
-        return lift(box.transform, B), count, kkt
+        # lift without its box check: B is the projected warm start or an
+        # iterate of the pass, in the box either way (kv_subproblem_step)
+        L = box.transform.lift_matrix
+        return symmetrize(L @ B @ L.T), count, kkt
 
     for _ in range(1, int(opts.max_iters) + 1):
         K_U_prev = K_U
@@ -358,8 +375,10 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
 
     warnings += [f"{label} inner solve stopped on roundoff at KKT residual {kkt:.3e}"
                  for label, kkt in stalls.items()]
-    if not (loewner_leq(zero, K_U) and loewner_leq(zero, K_V)
-            and loewner_leq(K_U + K_V, K_C)):
+    # 0 <= K_U, 0 <= K_V and K_U + K_V <= K_C, as loewner_leq tests each,
+    # from one stacked eigvalsh
+    low = np.linalg.eigvalsh(_finite_sym(np.stack((K_U, K_V, K_C - (K_U + K_V)))))
+    if not low[:, 0].min() >= -1e-8:
         warnings.append("final covariances violate feasibility beyond slack 1e-8")
     drops = np.diff(np.asarray(trace))
     if drops.size and float(np.min(drops)) < -1e-6:

@@ -308,10 +308,15 @@ class _Spg:
     the start) and, for the current iterate, the gradient G, the inverse
     Cholesky factors Li of A + H_i, the KKT residual and the projected
     point P of the next step, with the Barzilai-Borwein step length it
-    was taken at.  Each iterate is factored once (_factor) and projected
-    once (_project), so a step makes four LAPACK calls: an eigvalsh, a
-    Cholesky, an inv and an eigh, each on a stack.
+    was taken at, and `last`, the iterate its last step returned.  Each
+    iterate is factored once (_factor) and projected once: the start by
+    one project_box of A + G, which at the start's step length 1 is both
+    the KKT residual's point and the first step's, and every later
+    iterate by _project.  So a step makes four LAPACK calls: an
+    eigvalsh, a Cholesky, an inv and an eigh, each on a stack.
     """
+
+    last = None
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
                  rel_tol: float, f: float = 0.0):
@@ -321,7 +326,8 @@ class _Spg:
         self.f = f
         self.alpha = 1.0
         self.G, self.Li = self._factor(A)
-        self._project(A)
+        self.P = project_box(A + self.G)
+        self.kkt = float(np.linalg.norm(A - self.P))
 
     @property
     def rank(self) -> int:
@@ -390,6 +396,7 @@ class _Spg:
         self.f += change
         self.G = Gn
         self._project(An)
+        self.last = An
         return An
 
 
@@ -415,10 +422,12 @@ class FixedPoint:
     of An - A with tol times A's largest absolute eigenvalue.  Otherwise
     (EGBA-P) it compares the Frobenius norm with tol times the larger of
     ||A||_F and ||I/2||_F, an anchor that lets a block shrinking to zero
-    stop, where a purely relative test could never fire.
+    stop, where a purely relative test could never fire.  `last` is the
+    iterate the last step returned.
     """
 
     converged = False
+    last = None
 
     def __init__(self, update, H: np.ndarray, w: tuple[float, ...],
                  tol: float, *args, eigs: np.ndarray | None = None,
@@ -444,6 +453,7 @@ class FixedPoint:
         else:
             An, self.pairs = self.update(A, *self.args, self.pairs)
             self.eigs = self.pairs[0]
+        self.last = An
         return An
 
     def stops(self, A: np.ndarray, An: np.ndarray) -> bool:

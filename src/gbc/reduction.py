@@ -74,7 +74,10 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
 def check_box(A: np.ndarray, rank: int) -> np.ndarray:
     """Symmetrize a reduced iterate and verify it is rank x rank, finite
     and in the [0, I] box up to slack 1e-8; raise InvalidInputError
-    otherwise.  Runs once per solver step, so it skips symmetrize's
+    otherwise.  lift, gba_a_step and the common block steps run it on
+    every matrix they are handed, except that a block step skips the
+    iterate its own pass made (common.kv_subproblem_step says why), so
+    a block solve checks only its warm start.  It skips symmetrize's
     wrapper (the shape test here covers its squareness test)."""
     A = np.asarray(A, dtype=float)
     if A.shape != (rank, rank):

@@ -13,6 +13,8 @@ their bits, warnings and error messages by text) for this panel:
 - warm-started 8-lambda region traces, SPG and GBA-P;
 - solve_common at n = 1..5 with SPG (full-rank and rank-deficient), and
   with EGBA-P at a loose tolerance;
+- the four common-egba benchmark panel instances with EGBA-P at
+  rel_tol=1e-3, thousands of inner steps each;
 - n = 100 private solves with each algorithm, capped at a few steps;
 - the outputs of `gbc solve`, `gbc trace-region` and `gbc bench` with
   --no-timing, including the --trace-out files and the exit codes.
@@ -150,6 +152,13 @@ def common_solves():
                       SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=3e-2, max_iters=5))
 
 
+def egba_panel():
+    for i in range(4):
+        inst = random_instance((2, 3, 4, 2)[i], i, "common")
+        yield outcome(solve_common, inst,
+                      SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=1e-3))
+
+
 def large_solves():
     for seed in (0, 1):
         inst = random_instance(100, seed)
@@ -202,6 +211,7 @@ SECTIONS = (
     ("private", private_solves),
     ("region", region_traces),
     ("common", common_solves),
+    ("egba", egba_panel),
     ("large", large_solves),
     ("cli", cli_outputs),
 )
