@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .common import CommonInstance, solve_common
-from .errors import GbcError, InvalidInputError
+from .errors import GbcError, InvalidInputError, number
 from .oracle import GridSpec, grid_search_common_scalar, grid_search_private_2x2, random_instance
 from .private import Algorithm, SolveOptions, solve_private
 from .psd import SYM_TOL, symmetrize
@@ -41,33 +41,27 @@ def _note(msg: str) -> None:
     print(f"note: {msg}", file=sys.stderr)
 
 
-def _is_number(v) -> bool:
-    # a JSON number reads as int or float; bool is a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _field(doc: dict, key: str, n: int | None = None):
-    """The numeric field `key` of an instance file, by one rule: every
-    number is a JSON number (int or float, never a bool or a string).
-    `n` must be an integer >= 1; with n given the field is an n x n list
-    of lists of numbers, returned symmetrized; any other field is one
-    number, returned as a float."""
+    """The numeric field `key` of an instance file, each number in it,
+    matrix entries too, read by gbc.errors.number.  `n` is a whole
+    number >= 1, returned as an int; with n given the field is an n x n
+    list of lists of numbers, returned symmetrized; any other field is
+    one number, returned as a float."""
     if key not in doc:
         raise InvalidInputError(f"instance file is missing the {key!r} field")
     v = doc[key]
     if key == "n":
-        if not (_is_number(v) and isinstance(v, int) and v >= 1):
-            raise InvalidInputError(f"n must be an integer >= 1, got {v!r}")
-        return v
+        rule = "n must be a whole number >= 1"
+        if (size := number(v, rule, whole=True)) < 1:
+            raise InvalidInputError(f"{rule}, got {v!r}")
+        return size
     if n is None:
-        if not _is_number(v):
-            raise InvalidInputError(f"{key} must be a number, got {v!r}")
-        return float(v)
-    if not (isinstance(v, list) and len(v) == n and all(
-            isinstance(row, list) and len(row) == n and all(map(_is_number, row))
-            for row in v)):
-        raise InvalidInputError(f"{key} must be an {n}x{n} list of lists of numbers")
-    M = np.array(v, dtype=float)
+        return number(v, f"{key} must be a number")
+    rule = f"{key} must be an {n}x{n} list of lists of numbers"
+    if not (isinstance(v, list) and len(v) == n
+            and all(isinstance(row, list) and len(row) == n for row in v)):
+        raise InvalidInputError(rule)
+    M = np.array([[number(x, rule) for x in row] for row in v])
     asym = float(np.max(np.abs(M - M.T)))
     if asym > SYM_TOL:
         _note(f"{key} asymmetry {asym:.3e} exceeds 1e-8; averaging with transpose")

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
+    number,
 )
 from .psd import (
     RANK_EPS,
@@ -105,10 +106,9 @@ class CommonInstance:
     def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
         check_matrices("K_C", self.K_C, self.Sigma1, self.Sigma2)
-        l0, l1, l2 = (float(self.lambda0), float(self.lambda1), float(self.lambda2))
-        a = float(self.alpha)
-        if not all(np.isfinite(v) for v in (l0, l1, l2, a)):
-            raise InvalidInstanceError("weights must be finite")
+        l0, l1, l2, a = (number(getattr(self, k), f"{k} must be a finite real",
+                                error=InvalidInstanceError)
+                         for k in ("lambda0", "lambda1", "lambda2", "alpha"))
         if not (l0 > l2 > l1 > 0.0):
             raise InvalidInstanceError(
                 f"weights must satisfy lambda0 > lambda2 > lambda1 > 0, "
@@ -174,9 +174,10 @@ def _weights(inst: CommonInstance) -> tuple[tuple[float, ...], tuple[float, ...]
 def objective_common(K_U: np.ndarray, K_V: np.ndarray,
                      inst: CommonInstance) -> float:
     """Normalized private-plus-common objective at (K_U, K_V); its four
-    log-determinants come from one stacked eigvalsh."""
-    KU = symmetric_matrix(K_U)
-    KUV = KU + symmetric_matrix(K_V)
+    log-determinants come from one stacked eigvalsh.  A K_U or K_V that
+    is not n x n raises DimensionMismatchError."""
+    KU = symmetric_matrix(K_U, inst.n)
+    KUV = KU + symmetric_matrix(K_V, inst.n)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
     return weighted(_weights(inst)[1], logdet(np.stack(

@@ -10,13 +10,17 @@ best can sit below the true optimum.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .common import CommonInstance
-from .errors import InvalidInputError, UnsupportedDimensionError
+from .errors import (
+    InvalidInputError,
+    InvalidInstanceError,
+    UnsupportedDimensionError,
+    number,
+)
 from .psd import symmetric_matrix, symmetrize
 from .reduction import PrivateInstance
 
@@ -33,8 +37,9 @@ class GridSpec:
     resolution: int = 400
 
     def __post_init__(self) -> None:
-        if int(self.resolution) < 2:
-            raise InvalidInputError("resolution must be at least 2")
+        rule = "resolution must be a whole number, at least 2"
+        if number(self.resolution, rule, whole=True) < 2:
+            raise InvalidInputError(f"{rule}, got {self.resolution!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,9 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
 
 def random_instance(n: int, seed: int, kind: str = "private", *,
                     lam: float | None = None, rank: int | None = None):
-    """Seeded random instance with a documented ensemble; the seed is an
-    integer >= 0 (a numpy integer too, a bool never).
+    """Seeded random instance with a documented ensemble.  n >= 1,
+    seed >= 0 and rank >= 1 are whole numbers and lam a number, each
+    read by gbc.errors.number (2.0 is whole; a bool never a number).
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
@@ -194,16 +200,19 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     private instances lam defaults to a uniform draw from [1.1, 5]; common
     instances take (lambda0, lambda1, lambda2, alpha) = (1.2, 1.0, 1.1, 0.5).
     """
-    if int(n) < 1:
-        raise InvalidInputError("n must be at least 1")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    rule = "n must be a whole number >= 1"
+    if (n := number(n, rule, whole=True)) < 1:
+        raise InvalidInputError(f"{rule}, got {n}")
+    rule = "seed must be a whole number >= 0"
+    if (seed := number(seed, rule, whole=True)) < 0:
+        raise InvalidInputError(f"{rule}, got {seed}")
+    rule = "rank must be a whole number >= 1"
+    if rank is not None and (rank := number(rank, rule, whole=True)) < 1:
+        raise InvalidInputError(f"{rule}, got {rank}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
-    if rank is not None and int(rank) < n:
-        if int(rank) < 1:
-            raise InvalidInputError("rank must be at least 1")
-        K = G[:, : int(rank)] @ G[:, : int(rank)].T
+    if rank is not None and rank < n:
+        K = G[:, :rank] @ G[:, :rank].T
     else:
         K = G @ G.T + 0.1 * np.eye(n)
     K = symmetrize(K * (n / np.trace(K)))
@@ -214,7 +223,8 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     if kind == "private":
         if lam is None:
             lam = 1.1 + 3.9 * float(rng.uniform())
-        inst = PrivateInstance(K=K, Sigma1=S1, Sigma2=S2, lam=float(lam))
+        lam = number(lam, "lam must be a finite weight > 1", error=InvalidInstanceError)
+        inst = PrivateInstance(K=K, Sigma1=S1, Sigma2=S2, lam=lam)
     elif kind == "common":
         inst = CommonInstance(K_C=K, Sigma1=S1, Sigma2=S2,
                               lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=0.5)

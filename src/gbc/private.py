@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +42,7 @@ from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
     NumericalBreakdownError,
+    number,
 )
 from .psd import (
     PD_FLOOR,
@@ -100,15 +100,12 @@ class SolveOptions:
         """Raise InvalidInputError unless every field holds a usable value."""
         if not isinstance(self.algorithm, Algorithm):
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
-        # bool is a numbers.Real, but True is no iteration cap or tolerance
-        m = self.max_iters
-        if not (isinstance(m, numbers.Real) and not isinstance(m, bool)
-                and np.isfinite(m) and m == int(m) and m >= 1):
-            raise InvalidInputError(f"max_iters must be a whole number >= 1, got {m!r}")
-        t = self.rel_tol
-        if not (isinstance(t, numbers.Real) and not isinstance(t, bool)
-                and np.isfinite(t) and t > 0.0):
-            raise InvalidInputError(f"rel_tol must be a positive finite real, got {t!r}")
+        rule = "max_iters must be a whole number >= 1"
+        if number(self.max_iters, rule, whole=True) < 1:
+            raise InvalidInputError(f"{rule}, got {self.max_iters!r}")
+        rule = "rel_tol must be a positive finite real"
+        if not number(self.rel_tol, rule) > 0.0:
+            raise InvalidInputError(f"{rule}, got {self.rel_tol!r}")
         if self.init is not None:
             try:
                 finite = np.isfinite(np.asarray(self.init, dtype=float)).all()
@@ -182,7 +179,8 @@ def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray) -> np.ndarray
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
     """Reduced objective logdet(A_U + SigmaHat1) - lam * logdet(A_U + SigmaHat2)."""
     A = symmetric_matrix(A_U)
-    return logdet(A + red.SigmaHat1) - float(lam) * logdet(A + red.SigmaHat2)
+    lam = number(lam, "lam must be a number")
+    return logdet(A + red.SigmaHat1) - lam * logdet(A + red.SigmaHat2)
 
 
 def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
@@ -193,7 +191,8 @@ def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
-    return _gradient(symmetric_matrix(A_U), red.H, (1.0, -float(lam)))
+    return _gradient(symmetric_matrix(A_U), red.H,
+                     (1.0, -number(lam, "lam must be a number")))
 
 
 def _kkt(A: np.ndarray, G: np.ndarray) -> float:
@@ -270,9 +269,9 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     nonsingular.  Raises InvalidInputError unless lam is finite and > 1
     (checked first) and A_U is in the box, NumericalBreakdownError when
     I - A is singular."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 1.0):
-        raise InvalidInputError(f"lam must be a finite weight > 1, got {lam}")
+    rule = "lam must be a finite weight > 1"
+    if (lam := number(lam, rule)) <= 1.0:
+        raise InvalidInputError(f"{rule}, got {lam}")
     A = check_box(A_U, red.rank)
     return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], lam,
                    np.linalg.eigh(A))[0]

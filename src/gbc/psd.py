@@ -52,13 +52,16 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + _t(M)) / 2.0
 
 
-def symmetric_matrix(M: np.ndarray) -> np.ndarray:
+def symmetric_matrix(M: np.ndarray, n: int | None = None) -> np.ndarray:
     """symmetrize(M) for the entry points that take one matrix: a stack
     raises InvalidInputError there, as any input that is not a square
-    matrix does."""
+    matrix does, and a matrix that is not n x n, when n is given,
+    DimensionMismatchError naming both shapes."""
     S = symmetrize(M)
     if S.ndim != 2:
         raise InvalidInputError(f"expected a square matrix, got shape {S.shape}")
+    if n is not None and len(S) != n:
+        raise DimensionMismatchError(f"shapes {S.shape} and {(n, n)} differ")
     return S
 
 
@@ -128,14 +131,13 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     """Whether A <= B in the Loewner order, up to slack.
 
     True when the smallest eigenvalue of B - A is >= -slack.  Raises
-    InvalidInputError on non-finite input.
+    InvalidInputError on non-finite input, DimensionMismatchError on
+    shapes that differ.
     """
     A = symmetric_matrix(A)
-    B = symmetric_matrix(B)
+    B = symmetric_matrix(B, len(A))
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise InvalidInputError("matrix has non-finite entries")
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"shapes {A.shape} and {B.shape} differ")
     if A.shape[0] == 0:
         return True
     return bool(np.linalg.eigvalsh(B - A)[0] >= -slack)

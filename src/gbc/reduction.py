@@ -33,6 +33,7 @@ from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
+    number,
 )
 from .psd import RANK_EPS, SYM_TOL, _finite_sym, logdet, symmetrize
 
@@ -141,11 +142,9 @@ class PrivateInstance:
         """Raise InvalidInstanceError unless the instance invariants hold."""
         _memo(self, "checked",
               lambda: check_matrices("K", self.K, self.Sigma1, self.Sigma2))
-        lam = float(self.lam)
-        if not np.isfinite(lam) or lam <= 1.0:
-            raise InvalidInstanceError(
-                f"lam must be a finite weight > 1, got {lam}"
-            )
+        rule = "lam must be a finite weight > 1"
+        if number(self.lam, rule, error=InvalidInstanceError) <= 1.0:
+            raise InvalidInstanceError(f"{rule}, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

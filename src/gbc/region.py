@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .common import CommonInstance, CommonSolveReport, solve_common
-from .errors import GbcError, InvalidInputError, InvalidSweepError
+from .errors import GbcError, InvalidInputError, InvalidSweepError, number
 from .psd import logdet, symmetric_matrix
 from .private import SolveOptions, solve_private
 from .reduction import PrivateInstance
@@ -66,9 +66,10 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     Tiny negatives from roundoff (>= -1e-10) clamp to zero; anything more
     negative raises, since it signals an infeasible covariance.  The four
     log-determinants come from one stacked call; np.add, since
-    K + Sigma2 would concatenate list-valued matrices.
+    K + Sigma2 would concatenate list-valued matrices.  A K_U that is
+    not n x n raises DimensionMismatchError.
     """
-    K_U = symmetric_matrix(K_U)
+    K_U = symmetric_matrix(K_U, inst.n)
     ld1u, ld2u, ld1, ldk2 = logdet(np.stack((
         K_U + inst.Sigma1, K_U + inst.Sigma2, inst.Sigma1,
         np.add(inst.K, inst.Sigma2)))).tolist()
@@ -90,10 +91,11 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray,
     R0 is the alpha-weighted combination of the two common-message mutual
     informations (the time-shared stand-in for min{I(W;Y), I(W;Z)}),
     R2 = I(V;Z|W) and R1 = I(X;Y|V,W).  Its seven log-determinants come
-    from one stacked call.
+    from one stacked call.  A K_U or K_V that is not n x n raises
+    DimensionMismatchError.
     """
-    K_U = symmetric_matrix(K_U)
-    K_V = symmetric_matrix(K_V)
+    K_U = symmetric_matrix(K_U, inst.n)
+    K_V = symmetric_matrix(K_V, inst.n)
     a = float(inst.alpha)
     S1 = np.asarray(inst.Sigma1, dtype=float)
     S2 = np.asarray(inst.Sigma2, dtype=float)
@@ -123,6 +125,24 @@ def weighted_rate_common(K_U: np.ndarray, K_V: np.ndarray,
             + float(inst.lambda2) * pt.R2)
 
 
+def _sweep(values, name: str, rule: str, ok) -> list[float]:
+    """The entries of a `name` sweep as floats, each read by `number` and
+    tested by ok under `rule`.  Raises InvalidInputError when values is
+    not iterable or an entry fails, InvalidSweepError when it is empty."""
+    try:
+        entries = iter(values)
+    except TypeError:  # a 0-d array too, which is an Iterable by type
+        raise InvalidInputError(f"{name} sweep must be an iterable of numbers, "
+                                f"got {values!r}") from None
+    vals = [number(v, rule) for v in entries]
+    if not vals:
+        raise InvalidSweepError(f"{name} sweep must be non-empty")
+    for v in vals:
+        if not ok(v):
+            raise InvalidInputError(f"{rule}, got {v}")
+    return vals
+
+
 def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
                          opts: SolveOptions = SolveOptions(),
                          warm_start: bool = True) -> list[RatePoint]:
@@ -134,15 +154,12 @@ def trace_region_private(base: PrivateInstance, lambdas: Sequence[float],
     the feasible box does not depend on lambda.  A solve that raises
     produces a NaN point carrying the error string; a solve that merely
     fails to converge still reports its rates, flagged in `error`.  A bad
-    sweep raises InvalidInputError before any solve.
+    sweep, one that is not an iterable of numbers as gbc.errors.number
+    reads them or holds a lambda <= 1, raises InvalidInputError before
+    any solve.
     """
-    lams = [float(v) for v in lambdas]
-    if not lams:
-        raise InvalidSweepError("lambda sweep must be non-empty")
-    for v in lams:
-        if not np.isfinite(v) or v <= 1.0:
-            raise InvalidInputError(f"each lambda must be finite and > 1, got {v}")
-    lams.sort()
+    lams = sorted(_sweep(lambdas, "lambda", "each lambda must be finite and > 1",
+                         lambda v: v > 1.0))
 
     points: list[RatePoint] = []
     init = opts.init
@@ -174,15 +191,13 @@ def sweep_alpha_common(inst: CommonInstance, alphas: Sequence[float],
     Returns one report per alpha (None where the weight combination is
     infeasible, i.e. lambda2 - lambda0(1-alpha) <= 0, with a warning) and
     the argmin of the weighted rate over the feasible alphas, resolving
-    ties to the smaller alpha.  Raises InvalidSweepError if no alpha is
-    feasible; an error from solve_common propagates.
+    ties to the smaller alpha.  Raises InvalidInputError for a sweep that
+    is not an iterable of numbers (read by gbc.errors.number) or holds an
+    alpha outside [0, 1], InvalidSweepError if no alpha is feasible; an
+    error from solve_common propagates.
     """
-    avals = [float(a) for a in alphas]
-    if not avals:
-        raise InvalidSweepError("alpha sweep must be non-empty")
-    for a in avals:
-        if not np.isfinite(a) or a < 0.0 or a > 1.0:
-            raise InvalidInputError(f"each alpha must lie in [0, 1], got {a}")
+    avals = _sweep(alphas, "alpha", "each alpha must lie in [0, 1]",
+                   lambda a: 0.0 <= a <= 1.0)
 
     reports: list[CommonSolveReport | None] = []
     best: AlphaArgmin | None = None
