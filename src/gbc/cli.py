@@ -27,7 +27,7 @@ from .common import CommonInstance, solve_common
 from .errors import GbcError, InvalidInputError, number
 from .oracle import GridSpec, grid_search_common_scalar, grid_search_private_2x2, random_instance
 from .private import Algorithm, SolveOptions, solve_private
-from .psd import SYM_TOL, symmetrize
+from .psd import SYM_TOL, matrix, symmetrize
 from .reduction import PrivateInstance
 from .region import rates_common, rates_private, sweep_alpha_common, trace_region_private
 
@@ -42,11 +42,11 @@ def _note(msg: str) -> None:
 
 
 def _field(doc: dict, key: str, n: int | None = None):
-    """The numeric field `key` of an instance file, each number in it,
-    matrix entries too, read by gbc.errors.number.  `n` is a whole
+    """The numeric field `key` of an instance file.  `n` is a whole
     number >= 1, returned as an int; with n given the field is an n x n
-    list of lists of numbers, returned symmetrized; any other field is
-    one number, returned as a float."""
+    matrix as gbc.psd.matrix reads it, returned symmetrized; any other
+    field is one number as gbc.errors.number reads it, returned as a
+    float."""
     if key not in doc:
         raise InvalidInputError(f"instance file is missing the {key!r} field")
     v = doc[key]
@@ -57,11 +57,7 @@ def _field(doc: dict, key: str, n: int | None = None):
         return size
     if n is None:
         return number(v, f"{key} must be a number")
-    rule = f"{key} must be an {n}x{n} list of lists of numbers"
-    if not (isinstance(v, list) and len(v) == n
-            and all(isinstance(row, list) and len(row) == n for row in v)):
-        raise InvalidInputError(rule)
-    M = np.array([[number(x, rule) for x in row] for row in v])
+    M = matrix(v, key, n)
     asym = float(np.max(np.abs(M - M.T)))
     if asym > SYM_TOL:
         _note(f"{key} asymmetry {asym:.3e} exceeds 1e-8; averaging with transpose")
@@ -223,11 +219,11 @@ def cmd_trace_region(args) -> int:
         if rep is None:
             failed = True
             _note(f"alpha={a:g} skipped: weight combination infeasible")
-            rows.append([repr(float(inst.lambda0)), nan, nan, nan,
+            rows.append([repr(inst.lambda0), nan, nan, nan,
                          repr(float(a)), nan, "0"])
             continue
         pt = rates_common(rep.K_U, rep.K_V, dataclasses.replace(inst, alpha=a))
-        rows.append([repr(float(inst.lambda0)), repr(pt.R1), repr(pt.R2),
+        rows.append([repr(inst.lambda0), repr(pt.R1), repr(pt.R2),
                      repr(pt.R0), repr(float(a)), repr(float(rep.objective)),
                      str(len(rep.step_rel_changes))])
     _emit(_csv(["lambda", "R1", "R2", "R0", "alpha", "objective", "iterations"],

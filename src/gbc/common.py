@@ -36,20 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateInstanceError,
-    InvalidInputError,
-    InvalidInstanceError,
-    number,
-)
+from .errors import DegenerateInstanceError, InvalidInputError, InvalidInstanceError
 from .psd import (
     RANK_EPS,
     _finite_sym,
     logdet,
+    matrix,
     project_box,
     project_box_inverse,
     spectral_norm,
-    symmetric_matrix,
     symmetrize,
 )
 from .private import (
@@ -73,6 +68,7 @@ from .reduction import (  # noqa: F401
     check_box,
     check_matrices,
     lift,
+    read_fields,
     schur_head,
     transform,
     weighted,
@@ -89,6 +85,7 @@ class CommonInstance:
     noise covariances, lambda0 > lambda2 > lambda1 > 0 the rate weights
     and alpha in [0, 1] the split of the common-rate weight between the
     receivers.  The update requires lambda2 - lambda0*(1 - alpha) > 0.
+    Building it reads its fields as PrivateInstance does.
     """
 
     K_C: np.ndarray
@@ -99,16 +96,19 @@ class CommonInstance:
     lambda2: float
     alpha: float
 
+    def __post_init__(self) -> None:
+        read_fields(self, ("K_C", "Sigma1", "Sigma2"),
+                    {k: f"{k} must be a finite real"
+                     for k in ("lambda0", "lambda1", "lambda2", "alpha")})
+
     @property
     def n(self) -> int:
-        return int(np.asarray(self.K_C).shape[0])
+        return len(self.K_C)
 
     def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
         check_matrices("K_C", self.K_C, self.Sigma1, self.Sigma2)
-        l0, l1, l2, a = (number(getattr(self, k), f"{k} must be a finite real",
-                                error=InvalidInstanceError)
-                         for k in ("lambda0", "lambda1", "lambda2", "alpha"))
+        l0, l1, l2, a = self.lambda0, self.lambda1, self.lambda2, self.alpha
         if not (l0 > l2 > l1 > 0.0):
             raise InvalidInstanceError(
                 f"weights must satisfy lambda0 > lambda2 > lambda1 > 0, "
@@ -163,10 +163,10 @@ class CommonSolveReport:
 def _weights(inst: CommonInstance) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The block weights (w_v, w_u) of the module docstring, which also
     weight the four log-determinants of objective_common."""
-    l1 = float(inst.lambda1)
-    l0p = float(inst.lambda0) / l1
-    l2p = float(inst.lambda2) / l1
-    a = float(inst.alpha)
+    l1 = inst.lambda1
+    l0p = inst.lambda0 / l1
+    l2p = inst.lambda2 / l1
+    a = inst.alpha
     w_v = (l2p - l0p * (1.0 - a), -l0p * a)
     return w_v, w_v + (1.0, -l2p)
 
@@ -176,8 +176,8 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
     """Normalized private-plus-common objective at (K_U, K_V); its four
     log-determinants come from one stacked eigvalsh.  A K_U or K_V that
     is not n x n raises DimensionMismatchError."""
-    KU = symmetric_matrix(K_U, inst.n)
-    KUV = KU + symmetric_matrix(K_V, inst.n)
+    KU = symmetrize(matrix(K_U, "K_U", inst.n))
+    KUV = KU + symmetrize(matrix(K_V, "K_V", inst.n))
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
     return weighted(_weights(inst)[1], logdet(np.stack(

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import CommonInstance
-from .errors import (
-    InvalidInputError,
-    InvalidInstanceError,
-    UnsupportedDimensionError,
-    number,
-)
-from .psd import symmetric_matrix, symmetrize
+from .common import CommonInstance, _weights
+from .errors import InvalidInputError, UnsupportedDimensionError, number
+from .psd import matrix, symmetrize
 from .reduction import PrivateInstance
 
 # grid points violating a constraint by more than this are infeasible
@@ -75,7 +70,7 @@ def grid_search_private_2x2(inst: PrivateInstance, spec: GridSpec = GridSpec()) 
     K = symmetrize(inst.K)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    lam = float(inst.lam)
+    lam = inst.lam
     res = int(spec.resolution)
 
     avals = np.linspace(0.0, K[0, 0], res)
@@ -125,14 +120,9 @@ def grid_search_common_scalar(inst: CommonInstance, spec: GridSpec = GridSpec(re
             f"the common grid oracle supports n = 1 only, got n = {inst.n}"
         )
     inst.validate()
-    kc = float(np.asarray(inst.K_C).reshape(()))
-    s1 = float(np.asarray(inst.Sigma1).reshape(()))
-    s2 = float(np.asarray(inst.Sigma2).reshape(()))
-    l0p = float(inst.lambda0) / float(inst.lambda1)
-    l2p = float(inst.lambda2) / float(inst.lambda1)
-    a = float(inst.alpha)
-    c2 = l2p - l0p * (1.0 - a)
-    c1 = l0p * a
+    kc, s1, s2 = (M.item() for M in (inst.K_C, inst.Sigma1, inst.Sigma2))
+    w_v, w_u = _weights(inst)
+    c2, c1, l2p = w_v[0], -w_v[1], -w_u[3]
     res = int(spec.resolution)
 
     ku = np.linspace(0.0, kc, res)
@@ -172,7 +162,7 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
     directional derivative is halved, matching the convention
     df = trace(G dX) for symmetric dX.
     """
-    X = symmetric_matrix(X)
+    X = symmetrize(matrix(X, "X"))
     n = X.shape[0]
     G = np.zeros((n, n))
     for i in range(n):
@@ -191,8 +181,9 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
 def random_instance(n: int, seed: int, kind: str = "private", *,
                     lam: float | None = None, rank: int | None = None):
     """Seeded random instance with a documented ensemble.  n >= 1,
-    seed >= 0 and rank >= 1 are whole numbers and lam a number, each
-    read by gbc.errors.number (2.0 is whole; a bool never a number).
+    seed >= 0 and rank >= 1 are whole numbers, each read by
+    gbc.errors.number (2.0 is whole; a bool never a number), and lam is
+    read as PrivateInstance reads it.
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
@@ -223,7 +214,6 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     if kind == "private":
         if lam is None:
             lam = 1.1 + 3.9 * float(rng.uniform())
-        lam = number(lam, "lam must be a finite weight > 1", error=InvalidInstanceError)
         inst = PrivateInstance(K=K, Sigma1=S1, Sigma2=S2, lam=lam)
     elif kind == "common":
         inst = CommonInstance(K_C=K, Sigma1=S1, Sigma2=S2,

@@ -47,9 +47,9 @@ from .errors import (
 from .psd import (
     PD_FLOOR,
     logdet,
+    matrix,
     project_box,
     project_box_inverse,
-    symmetric_matrix,
     symmetrize,
 )
 from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce, weighted
@@ -107,12 +107,7 @@ class SolveOptions:
         if not number(self.rel_tol, rule) > 0.0:
             raise InvalidInputError(f"{rule}, got {self.rel_tol!r}")
         if self.init is not None:
-            try:
-                finite = np.isfinite(np.asarray(self.init, dtype=float)).all()
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                raise InvalidInputError("init must be None or a finite numeric matrix")
+            object.__setattr__(self, "init", matrix(self.init, "init"))
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray) -> np.ndarray
 
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
     """Reduced objective logdet(A_U + SigmaHat1) - lam * logdet(A_U + SigmaHat2)."""
-    A = symmetric_matrix(A_U)
+    A = symmetrize(matrix(A_U, "A_U", red.rank))
     lam = number(lam, "lam must be a number")
     return logdet(A + red.SigmaHat1) - lam * logdet(A + red.SigmaHat2)
 
@@ -191,7 +186,7 @@ def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     """Gradient of the reduced objective: (A+SigmaHat1)^{-1} - lam (A+SigmaHat2)^{-1}."""
-    return _gradient(symmetric_matrix(A_U), red.H,
+    return _gradient(symmetrize(matrix(A_U, "A_U", red.rank)), red.H,
                      (1.0, -number(lam, "lam must be a number")))
 
 
@@ -513,7 +508,7 @@ def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
     r = red.rank
     if opts.init is None:
         return 0.5 * np.eye(r)
-    A0 = symmetrize(np.asarray(opts.init, dtype=float))
+    A0 = symmetrize(opts.init)
     if A0.shape != (r, r):
         raise InvalidInputError(
             f"init matrix must be {r}x{r} for this instance, got {A0.shape}"
@@ -526,8 +521,7 @@ def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
 
 def _degenerate_report(inst: PrivateInstance, t0: float) -> SolveReport:
     n = inst.n
-    obj = logdet(np.asarray(inst.Sigma1, float)) \
-        - float(inst.lam) * logdet(np.asarray(inst.Sigma2, float))
+    obj = logdet(inst.Sigma1) - inst.lam * logdet(inst.Sigma2)
     return SolveReport(
         final_AU=np.zeros((0, 0)),
         final_KU=np.zeros((n, n)),

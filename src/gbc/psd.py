@@ -1,8 +1,9 @@
 """Symmetric positive semidefinite primitives shared by all solvers.
 
-Every function here treats its matrix arguments as symmetric: inputs are
-folded to (M + M.T)/2 before use and outputs are folded the same way, so
-exact symmetry is preserved through chains of operations.
+`matrix` reads every matrix a caller hands the package.  The others
+treat their matrix arguments as symmetric: inputs are folded to
+(M + M.T)/2 before use and outputs are folded the same way, so exact
+symmetry is preserved through chains of operations.
 
 symmetrize, logdet, spectral_norm and project_box also take a stack of
 matrices, (..., n, n) over the last two axes as np.linalg does, and act
@@ -21,6 +22,7 @@ from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
     NumericalBreakdownError,
+    number,
 )
 
 
@@ -52,17 +54,32 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + _t(M)) / 2.0
 
 
-def symmetric_matrix(M: np.ndarray, n: int | None = None) -> np.ndarray:
-    """symmetrize(M) for the entry points that take one matrix: a stack
-    raises InvalidInputError there, as any input that is not a square
-    matrix does, and a matrix that is not n x n, when n is given,
+def matrix(M, name: str, n: int | None = None,
+           error: type = InvalidInputError) -> np.ndarray:
+    """M as a float array (a float array itself, not a copy) if it is a
+    square matrix of finite reals: a numpy array of int or float dtype,
+    or k lists of k entries that gbc.errors.number reads.  Otherwise
+    raise error naming `name`; if M is not n x n, when n is given,
     DimensionMismatchError naming both shapes."""
-    S = symmetrize(M)
-    if S.ndim != 2:
-        raise InvalidInputError(f"expected a square matrix, got shape {S.shape}")
-    if n is not None and len(S) != n:
-        raise DimensionMismatchError(f"shapes {S.shape} and {(n, n)} differ")
-    return S
+    rule = f"{name} must be a square matrix of finite real numbers"
+    if isinstance(M, list):
+        k = len(M)
+        if not all(isinstance(row, list) and len(row) == k for row in M):
+            raise error(f"{rule}, got a list that is not {k} lists of {k} entries")
+        M = np.array([[number(x, rule, error=error) for x in row] for row in M],
+                     dtype=float).reshape(k, k)
+    elif not isinstance(M, np.ndarray):
+        raise error(f"{rule}, got {type(M).__name__}")
+    elif M.dtype.kind not in "iuf":
+        raise error(f"{rule}, got dtype {M.dtype}")
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise error(f"{rule}, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise error(f"{rule}, got non-finite entries")
+    if n is not None and len(M) != n:
+        raise DimensionMismatchError(f"{name}: shapes {M.shape} and {(n, n)} differ")
+    return M
 
 
 def _finite_sym(M: np.ndarray) -> np.ndarray:
@@ -130,14 +147,11 @@ def project_box_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     """Whether A <= B in the Loewner order, up to slack.
 
-    True when the smallest eigenvalue of B - A is >= -slack.  Raises
-    InvalidInputError on non-finite input, DimensionMismatchError on
-    shapes that differ.
+    True when the smallest eigenvalue of B - A is >= -slack.  A and B
+    are read by `matrix`, so B must have A's shape.
     """
-    A = symmetric_matrix(A)
-    B = symmetric_matrix(B, len(A))
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise InvalidInputError("matrix has non-finite entries")
+    A = symmetrize(matrix(A, "A"))
+    B = symmetrize(matrix(B, "B", len(A)))
     if A.shape[0] == 0:
         return True
     return bool(np.linalg.eigvalsh(B - A)[0] >= -slack)

@@ -14,9 +14,9 @@ and reduce share one slot, a single entry that holds the lam-free
 results of the last channel seen: whether check_matrices passed, and the
 Box of (K, (Sigma1, Sigma2)) with its eigenvalue-spread warning (or the
 fact that K is numerically zero), each filled the first time it is
-needed.  The key is the shape and byte content of np.asarray(M, float)
-for K, Sigma1 and Sigma2, so equal matrices hit even as fresh arrays and
-a matrix changed in place misses; a channel with another key replaces
+needed.  The key is the shape and byte content of the float arrays K,
+Sigma1 and Sigma2, so equal matrices hit even as fresh arrays and a
+matrix changed in place misses; a channel with another key replaces
 the entry.  lam is never in the slot: its range check, ReducedPrivate.lam
 and the offset are computed on every call.  A failed check stores
 nothing, so it raises again on the next call, and the cached arrays are
@@ -35,26 +35,22 @@ from .errors import (
     InvalidInstanceError,
     number,
 )
-from .psd import RANK_EPS, SYM_TOL, _finite_sym, logdet, symmetrize
+from .psd import RANK_EPS, SYM_TOL, _finite_sym, logdet, matrix, symmetrize
 
 CONDITION_WARN = 1e12
 
 
 def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
                    Sigma2: np.ndarray) -> None:
-    """Raise InvalidInstanceError unless K, Sigma1 and Sigma2 are finite,
-    symmetric and n x n with n >= 1, K is positive semidefinite and both
-    noise covariances are positive definite; kname labels K in the
-    messages."""
+    """Raise InvalidInstanceError unless the square float arrays K, Sigma1
+    and Sigma2 (an instance's fields) are finite, symmetric and n x n
+    with n >= 1, K is positive semidefinite and both noise covariances
+    are positive definite; kname labels K in the messages."""
     mats = {kname: K, "Sigma1": Sigma1, "Sigma2": Sigma2}
-    shape = np.shape(K)
-    if len(shape) != 2:
-        raise InvalidInstanceError(f"{kname} must be a 2-D matrix, got shape {shape}")
-    n = int(shape[0])
+    n = len(K)
     if n == 0:
         raise InvalidInstanceError(f"{kname} is empty: an instance needs n >= 1")
     for name, M in mats.items():
-        M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
             raise InvalidInstanceError(f"{name} must be {n}x{n}, got {M.shape}")
         if not np.all(np.isfinite(M)):
@@ -73,27 +69,22 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
 
 
 def check_box(A: np.ndarray, rank: int) -> np.ndarray:
-    """Symmetrize a reduced iterate and verify it is rank x rank, finite
-    and in the [0, I] box up to slack 1e-8; raise InvalidInputError
-    otherwise.  lift, gba_a_step and the common block steps run it on
-    every matrix they are handed, except that a block step skips the
-    iterate its own pass made (common.kv_subproblem_step says why), so
-    a block solve checks only its warm start.  It skips symmetrize's
-    wrapper (the shape test here covers its squareness test)."""
-    A = np.asarray(A, dtype=float)
+    """Read a reduced iterate A_U with gbc.psd.matrix, symmetrize it and
+    verify it is rank x rank and in the [0, I] box up to slack 1e-8;
+    raise InvalidInputError otherwise.  lift, gba_a_step and the common
+    block steps run it on every matrix they are handed, except that a
+    block step skips the iterate its own pass made
+    (common.kv_subproblem_step says why), so a block solve checks only
+    its warm start."""
+    A = matrix(A, "A_U")
     if A.shape != (rank, rank):
-        raise InvalidInputError(
-            f"reduced iterate must be {rank}x{rank}, got {A.shape}"
-        )
+        raise InvalidInputError(f"A_U must be {rank}x{rank}, got {A.shape}")
     A = (A + A.T) / 2.0
-    # LAPACK can return finite eigenvalues for a matrix holding NaN
-    if not np.isfinite(A).all():
-        raise InvalidInputError("reduced iterate has non-finite entries")
     w = np.linalg.eigvalsh(A)
     # written so that a NaN eigenvalue fails the test
     if w.size and not (-1e-8 <= w[0] and w[-1] <= 1.0 + 1e-8):
         raise InvalidInputError(
-            f"reduced iterate leaves the [0, I] box (eigenvalues in "
+            f"A_U leaves the [0, I] box (eigenvalues in "
             f"[{w[0]:.3e}, {w[-1]:.3e}])"
         )
     return A
@@ -106,16 +97,11 @@ _slot: dict = {}
 def _memo(inst, part: str, compute):
     """compute(), kept as `part` of the slot entry for inst's (K, Sigma1,
     Sigma2).  The entry is replaced, by one assignment, when its key
-    differs; an exception from compute stores nothing, and matrices that
-    do not convert to float arrays skip the slot.  Threads that race to
-    fill a part store equal values, and one that finds the entry
+    differs; an exception from compute stores nothing.  Threads that race
+    to fill a part store equal values, and one that finds the entry
     replaced keeps filling its own, so no lock is needed."""
     global _slot
-    try:
-        mats = [np.asarray(M, dtype=float) for M in (inst.K, inst.Sigma1, inst.Sigma2)]
-    except (TypeError, ValueError, OverflowError):
-        return compute()
-    key = tuple((M.shape, M.tobytes()) for M in mats)
+    key = tuple((M.shape, M.tobytes()) for M in (inst.K, inst.Sigma1, inst.Sigma2))
     entry = _slot
     if entry.get("key") != key:
         entry = _slot = {"key": key}
@@ -124,27 +110,46 @@ def _memo(inst, part: str, compute):
     return entry[part]
 
 
+def read_fields(inst, matrices: tuple[str, ...], weights: dict[str, str]) -> None:
+    """Set each field of inst named in matrices to gbc.psd.matrix's float
+    array, and each of weights to gbc.errors.number's float under its
+    rule, with InvalidInstanceError as their error."""
+    for k in matrices:
+        object.__setattr__(inst, k, matrix(getattr(inst, k), k,
+                                           error=InvalidInstanceError))
+    for k, rule in weights.items():
+        object.__setattr__(inst, k, number(getattr(inst, k), rule,
+                                           error=InvalidInstanceError))
+
+
+_LAM_RULE = "lam must be a finite weight > 1"
+
+
 @dataclass(frozen=True)
 class PrivateInstance:
     """Private-message problem data: maximize logdet(K_U + Sigma1)
-    - lam * logdet(K_U + Sigma2) over 0 <= K_U <= K, with lam > 1."""
+    - lam * logdet(K_U + Sigma2) over 0 <= K_U <= K, with lam > 1.
+    Building it (dataclasses.replace too) reads each field by read_fields;
+    validate() checks their sizes, ranges and spectra."""
 
     K: np.ndarray
     Sigma1: np.ndarray
     Sigma2: np.ndarray
     lam: float
 
+    def __post_init__(self) -> None:
+        read_fields(self, ("K", "Sigma1", "Sigma2"), {"lam": _LAM_RULE})
+
     @property
     def n(self) -> int:
-        return int(np.asarray(self.K).shape[0])
+        return len(self.K)
 
     def validate(self) -> None:
         """Raise InvalidInstanceError unless the instance invariants hold."""
         _memo(self, "checked",
               lambda: check_matrices("K", self.K, self.Sigma1, self.Sigma2))
-        rule = "lam must be a finite weight > 1"
-        if number(self.lam, rule, error=InvalidInstanceError) <= 1.0:
-            raise InvalidInstanceError(f"{rule}, got {self.lam!r}")
+        if self.lam <= 1.0:
+            raise InvalidInstanceError(f"{_LAM_RULE}, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
     if isinstance(entry, str):
         raise DegenerateInstanceError(entry)
     box, warnings = entry
-    return ReducedPrivate(box.transform, box.H, box.tails, float(inst.lam), warnings)
+    return ReducedPrivate(box.transform, box.H, box.tails, inst.lam, warnings)
 
 
 def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .common import CommonInstance, CommonSolveReport, solve_common
 from .errors import GbcError, InvalidInputError, InvalidSweepError, number
-from .psd import logdet, symmetric_matrix
+from .psd import logdet, matrix, symmetrize
 from .private import SolveOptions, solve_private
 from .reduction import PrivateInstance
 
@@ -65,22 +65,21 @@ def rates_private(K_U: np.ndarray, inst: PrivateInstance) -> RatePoint:
     R2 = (1/2)(ln|K + Sigma2| - ln|K_U + Sigma2|).
     Tiny negatives from roundoff (>= -1e-10) clamp to zero; anything more
     negative raises, since it signals an infeasible covariance.  The four
-    log-determinants come from one stacked call; np.add, since
-    K + Sigma2 would concatenate list-valued matrices.  A K_U that is
-    not n x n raises DimensionMismatchError.
+    log-determinants come from one stacked call.  A K_U that is not
+    n x n raises DimensionMismatchError.
     """
-    K_U = symmetric_matrix(K_U, inst.n)
+    K_U = symmetrize(matrix(K_U, "K_U", inst.n))
     ld1u, ld2u, ld1, ldk2 = logdet(np.stack((
         K_U + inst.Sigma1, K_U + inst.Sigma2, inst.Sigma1,
-        np.add(inst.K, inst.Sigma2)))).tolist()
+        inst.K + inst.Sigma2))).tolist()
     r1 = 0.5 * (ld1u - ld1)
     r2 = 0.5 * (ldk2 - ld2u)
     return RatePoint(
         R0=0.0,
         R1=_clamp_rate(r1, "R1"),
         R2=_clamp_rate(r2, "R2"),
-        lambda_tag=float(inst.lam),
-        objective=float(ld1u - inst.lam * ld2u),
+        lambda_tag=inst.lam,
+        objective=ld1u - inst.lam * ld2u,
     )
 
 
@@ -94,12 +93,10 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray,
     from one stacked call.  A K_U or K_V that is not n x n raises
     DimensionMismatchError.
     """
-    K_U = symmetric_matrix(K_U, inst.n)
-    K_V = symmetric_matrix(K_V, inst.n)
-    a = float(inst.alpha)
-    S1 = np.asarray(inst.Sigma1, dtype=float)
-    S2 = np.asarray(inst.Sigma2, dtype=float)
-    K_C = np.asarray(inst.K_C, dtype=float)
+    K_U = symmetrize(matrix(K_U, "K_U", inst.n))
+    K_V = symmetrize(matrix(K_V, "K_V", inst.n))
+    a = inst.alpha
+    S1, S2, K_C = inst.Sigma1, inst.Sigma2, inst.K_C
     ld1_uv, ld2_uv, ldc1, ldc2, ld2u, ld1u, ld1 = logdet(np.stack((
         K_U + K_V + S1, K_U + K_V + S2, K_C + S1, K_C + S2,
         K_U + S2, K_U + S1, S1))).tolist()
@@ -112,8 +109,7 @@ def rates_common(K_U: np.ndarray, K_V: np.ndarray,
         R0=_clamp_rate(r0, "R0"),
         R1=_clamp_rate(r1, "R1"),
         R2=_clamp_rate(r2, "R2"),
-        lambda_tag=(float(inst.lambda0), float(inst.lambda1),
-                    float(inst.lambda2), a),
+        lambda_tag=(inst.lambda0, inst.lambda1, inst.lambda2, a),
     )
 
 
@@ -121,8 +117,7 @@ def weighted_rate_common(K_U: np.ndarray, K_V: np.ndarray,
                          inst: CommonInstance) -> float:
     """Weighted rate lambda0 R0 + lambda1 R1 + lambda2 R2 for the split."""
     pt = rates_common(K_U, K_V, inst)
-    return (float(inst.lambda0) * pt.R0 + float(inst.lambda1) * pt.R1
-            + float(inst.lambda2) * pt.R2)
+    return inst.lambda0 * pt.R0 + inst.lambda1 * pt.R1 + inst.lambda2 * pt.R2
 
 
 def _sweep(values, name: str, rule: str, ok) -> list[float]:
@@ -202,7 +197,7 @@ def sweep_alpha_common(inst: CommonInstance, alphas: Sequence[float],
     reports: list[CommonSolveReport | None] = []
     best: AlphaArgmin | None = None
     for a in avals:
-        if float(inst.lambda2) - float(inst.lambda0) * (1.0 - a) <= 0.0:
+        if inst.lambda2 - inst.lambda0 * (1.0 - a) <= 0.0:
             _warnings.warn(
                 f"alpha={a:g} skipped: lambda2 - lambda0*(1-alpha) <= 0",
                 stacklevel=2,

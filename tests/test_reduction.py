@@ -377,10 +377,9 @@ def test_slot_skips_matrices_that_are_not_numeric():
     inst = random_instance(2, 3)
     inst.validate()
     entry = dict(gbc.reduction._slot)
-    bad = replace(inst, K="x")
     for _ in range(2):
         with pytest.raises(InvalidInstanceError):
-            bad.validate()
+            replace(inst, K="x").validate()
     assert gbc.reduction._slot == entry
 
 

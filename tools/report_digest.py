@@ -17,7 +17,11 @@ their bits, warnings and error messages by text) for this panel:
   rel_tol=1e-3, thousands of inner steps each;
 - n = 100 private solves with each algorithm, capped at a few steps;
 - the outputs of `gbc solve`, `gbc trace-region` and `gbc bench` with
-  --no-timing, including the --trace-out files and the exit codes.
+  --no-timing, including the --trace-out files and the exit codes;
+- private and common instances at n = 1..5 whose matrices are nested
+  Python lists and whose weights are ints (lam = 2; lambda0..2 and
+  alpha = 3, 1, 2, 1), solved with SPG and GBA-P (EGBA-P for common) and
+  rated, so the digest covers how a list-valued matrix is read.
 
 The package is imported from PYTHONPATH when it is there, else from the
 src directory next to this script.  Per-section digests go to standard
@@ -207,6 +211,20 @@ def cli_outputs():
                 out.getvalue(), err.getvalue().replace(str(tmp), ""), files
 
 
+def list_instances():
+    for n in range(1, 6):
+        p = random_instance(n, 0)
+        c = random_instance(n, 0, "common")
+        priv = gbc.PrivateInstance(*(M.tolist() for M in (p.K, p.Sigma1, p.Sigma2)), 2)
+        comm = gbc.CommonInstance(*(M.tolist() for M in (c.K_C, c.Sigma1, c.Sigma2)),
+                                  3, 1, 2, 1)
+        for algo in (Algorithm.SPG, Algorithm.GBA_P):
+            rep = solve_private(priv, SolveOptions(algorithm=algo))
+            yield rep, gbc.rates_private(rep.final_KU, priv)
+            rep = solve_common(comm, SolveOptions(algorithm=algo, rel_tol=1e-3))
+            yield rep, gbc.rates_common(rep.K_U, rep.K_V, comm)
+
+
 SECTIONS = (
     ("private", private_solves),
     ("region", region_traces),
@@ -214,6 +232,7 @@ SECTIONS = (
     ("egba", egba_panel),
     ("large", large_solves),
     ("cli", cli_outputs),
+    ("lists", list_instances),
 )
 
 
