@@ -239,13 +239,6 @@ def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray,
                       symmetrize(coupling), -w[3], -w[1], -(w[0] + w[3]))
 
 
-def _psd_part(M: np.ndarray) -> np.ndarray:
-    """Zero out negative eigenvalues."""
-    w, V = np.linalg.eigh(symmetrize(M))
-    w = np.maximum(w, 0.0)
-    return symmetrize((V * w) @ V.T)
-
-
 def _warm_start(bt, M: np.ndarray, norm: float, scale_eps: float) -> np.ndarray:
     """Previous outer iterate mapped into the current reduced box, or I/2.
 
@@ -292,7 +285,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     K_C = symmetrize(inst.K_C)
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
-    inner_tol = float(opts.rel_tol) / 10.0
+    inner_tol = opts.rel_tol / 10.0
     # K_V on (K_U + Sigma2, K_U + Sigma1), K_U on (K_V + Sigma2, K_V + Sigma1,
     # Sigma1, Sigma2)
     w_v, w_u = _weights(inst)
@@ -347,7 +340,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         L = box.transform.lift_matrix
         return symmetrize(L @ B @ L.T), count, kkt
 
-    for _ in range(1, int(opts.max_iters) + 1):
+    for _ in range(1, opts.max_iters + 1):
         K_U_prev = K_U
         K_V_prev = K_V
         nu, nv = norms
@@ -370,15 +363,15 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             (K_U - K_U_prev, K_V - K_V_prev, K_U, K_V))).tolist()
         rel = du / max(nu, scale_eps) + dv / max(nv, scale_eps)
         rels.append(rel)
-        if rel <= float(opts.rel_tol):
+        if rel <= opts.rel_tol:
             converged = True
             break
 
     warnings += [f"{label} inner solve stopped on roundoff at KKT residual {kkt:.3e}"
                  for label, kkt in stalls.items()]
     # 0 <= K_U, 0 <= K_V and K_U + K_V <= K_C, as loewner_leq tests each,
-    # from one stacked eigvalsh
-    low = np.linalg.eigvalsh(_finite_sym(np.stack((K_U, K_V, K_C - (K_U + K_V)))))
+    # from one stacked eigh, whose last eigenpairs give K_W
+    low, V = np.linalg.eigh(_finite_sym(np.stack((K_U, K_V, K_C - K_U - K_V))))
     if not low[:, 0].min() >= -1e-8:
         warnings.append("final covariances violate feasibility beyond slack 1e-8")
     drops = np.diff(np.asarray(trace))
@@ -400,7 +393,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     return CommonSolveReport(
         K_U=K_U,
         K_V=K_V,
-        K_W=_psd_part(K_C - K_U - K_V),
+        K_W=symmetrize((V[2] * np.maximum(low[2], 0.0)) @ V[2].T),
         objective_trace=np.asarray(trace),
         inner_iterations=(tuple(kv_counts), tuple(ku_counts)),
         converged=converged,

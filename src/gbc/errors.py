@@ -13,8 +13,8 @@ class InvalidInputError(GbcError, ValueError):
     """Malformed array input: non-finite entries, wrong shape or type."""
 
 
-class DimensionMismatchError(GbcError, ValueError):
-    """Operands whose shapes cannot be combined."""
+class DimensionMismatchError(InvalidInputError):
+    """A matrix of the wrong size: its message names both shapes."""
 
 
 class NotPositiveDefiniteError(GbcError, ValueError):

@@ -33,8 +33,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         rule = "resolution must be a whole number, at least 2"
-        if number(self.resolution, rule, whole=True) < 2:
+        if (res := number(self.resolution, rule, whole=True)) < 2:
             raise InvalidInputError(f"{rule}, got {self.resolution!r}")
+        object.__setattr__(self, "resolution", res)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def grid_search_private_2x2(inst: PrivateInstance, spec: GridSpec = GridSpec()) 
     S1 = symmetrize(inst.Sigma1)
     S2 = symmetrize(inst.Sigma2)
     lam = inst.lam
-    res = int(spec.resolution)
+    res = spec.resolution
 
     avals = np.linspace(0.0, K[0, 0], res)
     cvals = np.linspace(0.0, K[1, 1], res)[:, None]
@@ -123,7 +124,7 @@ def grid_search_common_scalar(inst: CommonInstance, spec: GridSpec = GridSpec(re
     kc, s1, s2 = (M.item() for M in (inst.K_C, inst.Sigma1, inst.Sigma2))
     w_v, w_u = _weights(inst)
     c2, c1, l2p = w_v[0], -w_v[1], -w_u[3]
-    res = int(spec.resolution)
+    res = spec.resolution
 
     ku = np.linspace(0.0, kc, res)
     kv = np.linspace(0.0, kc, res)[None, :]

@@ -86,7 +86,9 @@ class SolveOptions:
                 None starts from I/2
 
     Building the options (dataclasses.replace included) checks every
-    field and raises InvalidInputError on a bad one.  solve_common runs
+    field, raises InvalidInputError on a bad one and keeps what
+    gbc.errors.number and gbc.psd.matrix read: max_iters as an int,
+    rel_tol as a float and init as a float array.  solve_common runs
     SPG or, for GBA_P, the paper's EGBA-P as its inner solver; it raises
     InvalidInputError for GBA_A and for an init other than None.
     """
@@ -101,11 +103,13 @@ class SolveOptions:
         if not isinstance(self.algorithm, Algorithm):
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
         rule = "max_iters must be a whole number >= 1"
-        if number(self.max_iters, rule, whole=True) < 1:
+        if (cap := number(self.max_iters, rule, whole=True)) < 1:
             raise InvalidInputError(f"{rule}, got {self.max_iters!r}")
         rule = "rel_tol must be a positive finite real"
-        if not number(self.rel_tol, rule) > 0.0:
+        if not (tol := number(self.rel_tol, rule)) > 0.0:
             raise InvalidInputError(f"{rule}, got {self.rel_tol!r}")
+        object.__setattr__(self, "max_iters", cap)
+        object.__setattr__(self, "rel_tol", tol)
         if self.init is not None:
             object.__setattr__(self, "init", matrix(self.init, "init"))
 
@@ -505,14 +509,13 @@ def run_pass(step, ps, A: np.ndarray, cap: int, watch=None):
 
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
                      warnings: list[str]) -> np.ndarray:
+    """I/2, or opts.init read as an r x r matrix (DimensionMismatchError
+    naming both shapes otherwise) and projected onto the box, with a
+    warning when that moves it."""
     r = red.rank
     if opts.init is None:
         return 0.5 * np.eye(r)
-    A0 = symmetrize(opts.init)
-    if A0.shape != (r, r):
-        raise InvalidInputError(
-            f"init matrix must be {r}x{r} for this instance, got {A0.shape}"
-        )
+    A0 = symmetrize(matrix(opts.init, "init", r))
     clamped = project_box(A0)
     if float(np.max(np.abs(clamped - A0))) > 1e-8:
         warnings.append("starting point was projected onto the clamped box")
@@ -584,7 +587,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
                     float(ps.eigs.min()), float(ps.eigs.max()))
 
     A, steps, stop, kkt, trace = run_pass(lambda A, ps: ps.step(A), ps, A,
-                                          int(opts.max_iters), watch)
+                                          opts.max_iters, watch)
     if stop == "stall":
         warnings.append(f"SPG step fell below roundoff at KKT residual "
                         f"{kkt:.3e}; stopped before reaching rel_tol")

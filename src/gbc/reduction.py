@@ -12,15 +12,15 @@ A region trace solves one channel (K, Sigma1, Sigma2) for many weights
 lam, and the box does not depend on lam.  So PrivateInstance.validate
 and reduce share one slot, a single entry that holds the lam-free
 results of the last channel seen: whether check_matrices passed, and the
-Box of (K, (Sigma1, Sigma2)) with its eigenvalue-spread warning (or the
-fact that K is numerically zero), each filled the first time it is
-needed.  The key is the shape and byte content of the float arrays K,
-Sigma1 and Sigma2, so equal matrices hit even as fresh arrays and a
-matrix changed in place misses; a channel with another key replaces
-the entry.  lam is never in the slot: its range check, ReducedPrivate.lam
-and the offset are computed on every call.  A failed check stores
-nothing, so it raises again on the next call, and the cached arrays are
-read-only.
+Box of (K, (Sigma1, Sigma2)) with its eigenvalue-spread warning, each
+filled the first time it is needed.  The key is the shape and byte
+content of the float arrays K, Sigma1 and Sigma2, so equal matrices hit
+even as fresh arrays and a matrix changed in place misses; a channel
+with another key replaces the entry.  lam is never in the slot: its
+range check, ReducedPrivate.lam and the offset are computed on every
+call.  A failed check or reduction stores nothing, so it raises again on
+the next call: a numerically zero K is re-derived by one eigh of K each
+time.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -69,16 +69,15 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
 
 
 def check_box(A: np.ndarray, rank: int) -> np.ndarray:
-    """Read a reduced iterate A_U with gbc.psd.matrix, symmetrize it and
-    verify it is rank x rank and in the [0, I] box up to slack 1e-8;
+    """Read a reduced iterate A_U with gbc.psd.matrix as a rank x rank
+    matrix (DimensionMismatchError naming both shapes otherwise),
+    symmetrize it and verify it is in the [0, I] box up to slack 1e-8;
     raise InvalidInputError otherwise.  lift, gba_a_step and the common
     block steps run it on every matrix they are handed, except that a
     block step skips the iterate its own pass made
     (common.kv_subproblem_step says why), so a block solve checks only
     its warm start."""
-    A = matrix(A, "A_U")
-    if A.shape != (rank, rank):
-        raise InvalidInputError(f"A_U must be {rank}x{rank}, got {A.shape}")
+    A = matrix(A, "A_U", rank)
     A = (A + A.T) / 2.0
     w = np.linalg.eigvalsh(A)
     # written so that a NaN eigenvalue fails the test
@@ -282,13 +281,10 @@ class ReducedPrivate(Box):
         return box_offset(self, (1.0, -self.lam))
 
 
-def _private_box(inst: PrivateInstance) -> tuple[Box, tuple[str, ...]] | str:
-    """The read-only box of (K, (Sigma1, Sigma2)) and its warnings, or the
-    message of the DegenerateInstanceError a numerically zero K raises."""
-    try:
-        box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
-    except DegenerateInstanceError as e:
-        return str(e)
+def _private_box(inst: PrivateInstance) -> tuple[Box, tuple[str, ...]]:
+    """The read-only box of (K, (Sigma1, Sigma2)) and its warnings; a
+    numerically zero K raises DegenerateInstanceError."""
+    box = build_box(inst.K, (inst.Sigma1, inst.Sigma2))
     bt = box.transform
     for M in (bt.eigvals, bt.Ktilde, bt.lift_matrix, box.H):
         M.flags.writeable = False
@@ -310,12 +306,9 @@ def reduce(inst: PrivateInstance) -> ReducedPrivate:
     The returned offset makes the objectives agree exactly:
     objective(lift(A_U)) = reduced objective(A_U) + offset for every
     feasible A_U.  The box comes from the channel slot; its arrays are
-    read-only.
+    read-only.  A numerically zero K raises DegenerateInstanceError.
     """
-    entry = _memo(inst, "box", lambda: _private_box(inst))
-    if isinstance(entry, str):
-        raise DegenerateInstanceError(entry)
-    box, warnings = entry
+    box, warnings = _memo(inst, "box", lambda: _private_box(inst))
     return ReducedPrivate(box.transform, box.H, box.tails, inst.lam, warnings)
 
 

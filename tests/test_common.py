@@ -24,6 +24,7 @@ from gbc.common import (
 )
 from gbc.errors import InvalidInputError, InvalidInstanceError
 from gbc.private import gba_pass
+from gbc.psd import symmetrize
 
 
 def _table2_weights():
@@ -220,6 +221,16 @@ def test_solve_matches_scalar_grid():
         assert -1e-10 <= rep.K_U[0, 0]
         assert -1e-10 <= rep.K_V[0, 0]
         assert rep.K_U[0, 0] + rep.K_V[0, 0] <= inst.K_C[0, 0] + 1e-8
+
+
+@pytest.mark.parametrize("algo", [Algorithm.SPG, Algorithm.GBA_P], ids=["spg", "egba-p"])
+@pytest.mark.parametrize("n,rank", [(1, None), (2, None), (3, None), (4, None), (4, 2)])
+def test_K_W_is_the_psd_part_of_the_slack_bit_for_bit(n, rank, algo):
+    inst = random_instance(n, 0, "common", rank=rank)
+    rep = solve_common(inst, SolveOptions(algorithm=algo, rel_tol=1e-2, max_iters=5))
+    # eigh of the slack, negative eigenvalues clipped to 0, rebuilt
+    w, V = np.linalg.eigh(symmetrize(symmetrize(inst.K_C) - rep.K_U - rep.K_V))
+    assert np.array_equal(rep.K_W, symmetrize((V * np.maximum(w, 0.0)) @ V.T))
 
 
 def test_solve_feasible_and_monotone():

@@ -178,3 +178,20 @@ def test_cli_reads_an_integral_float_n_as_whole(tmp_path, capsys):
         assert main(["solve", str(path), "--no-timing"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("spelling", [np.float64, np.float32, np.int64, float, int],
+                         ids=["np.float64", "np.float32", "np.int64", "float", "int"])
+@pytest.mark.parametrize("build,field,kind", [
+    (lambda v: SolveOptions(max_iters=v), "max_iters", int),
+    (lambda v: SolveOptions(rel_tol=v), "rel_tol", float),
+    (lambda v: GridSpec(resolution=v), "resolution", int),
+], ids=["max_iters", "rel_tol", "resolution"])
+def test_options_keep_the_number_they_read(build, field, kind, spelling):
+    got = getattr(build(spelling(400)), field)
+    assert type(got) is kind and got == 400
+
+
+def test_a_whole_float_cap_is_noted_as_an_int():
+    point, = trace_region_private(INST, [2.0], SolveOptions(max_iters=2.0))
+    assert point.error == "did not converge within 2 iterations"

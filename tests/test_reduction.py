@@ -395,6 +395,20 @@ def test_slot_reports_a_zero_constraint_every_time():
             reduce(inst)
 
 
+def test_slot_holds_no_box_for_a_zero_constraint():
+    S = np.eye(2)
+    inst = PrivateInstance(K=np.zeros((2, 2)), Sigma1=S, Sigma2=2.0 * S, lam=2.0)
+    solve_private(inst)
+    assert "checked" in gbc.reduction._slot and "box" not in gbc.reduction._slot
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateInstanceError) as e:
+            reduce(inst)
+        messages.append(str(e.value))
+    assert messages == ["constraint matrix is numerically zero"] * 2
+    assert "box" not in gbc.reduction._slot
+
+
 def test_slot_arrays_are_read_only():
     red = reduce(random_instance(3, 7))
     bt = red.transform

@@ -1,5 +1,6 @@
 """A matrix argument of the wrong size is a DimensionMismatchError that
-names both shapes, not numpy's broadcast error; a stack stays an
+names both shapes, not numpy's broadcast error, whether it is a rate
+argument, a start or a reduced iterate; a stack stays an
 InvalidInputError (tests/test_stack.py)."""
 
 import numpy as np
@@ -7,12 +8,25 @@ import pytest
 
 from gbc import (
     DimensionMismatchError,
+    InvalidInputError,
+    SolveOptions,
     objective_common,
     random_instance,
     rates_common,
     rates_private,
+    reduce,
+    solve_private,
     weighted_rate_common,
 )
+from gbc.common import (
+    _weights,
+    ku_pass,
+    ku_subproblem_step,
+    kv_pass,
+    kv_subproblem_step,
+)
+from gbc.private import gba_a_step
+from gbc.reduction import check_box, lift
 
 INST = random_instance(2, 0)
 CI = random_instance(2, 0, "common")
@@ -27,9 +41,21 @@ BIG = 0.1 * np.eye(3)
     lambda: weighted_rate_common(SMALL, BIG, CI),
     lambda: objective_common(SMALL, BIG, CI),
     lambda: objective_common(BIG, SMALL, CI),
+    lambda: solve_private(INST, SolveOptions(init=BIG)),
+    lambda: lift(reduce(INST).transform, BIG),
+    lambda: check_box(BIG, 2),
+    lambda: gba_a_step(BIG, reduce(INST), 2.0),
+    lambda: kv_subproblem_step(BIG, kv_pass(reduce(INST).H, (1.0, -2.0))),
+    lambda: ku_subproblem_step(BIG, ku_pass(np.stack((np.eye(2),) * 4),
+                                            _weights(CI)[1], np.zeros((2, 2)))),
 ], ids=["rates_private", "rates_common-K_V", "rates_common-K_U",
-        "weighted_rate_common", "objective_common-K_V", "objective_common-K_U"])
+        "weighted_rate_common", "objective_common-K_V", "objective_common-K_U",
+        "solve_private-init", "lift", "check_box", "gba_a_step",
+        "kv_subproblem_step", "ku_subproblem_step"])
 def test_a_matrix_of_the_wrong_size_names_both_shapes(call):
     with pytest.raises(DimensionMismatchError, match=r"\(3, 3\) and \(2, 2\)"):
         call()
 
+
+def test_a_wrong_size_is_an_invalid_input():
+    assert issubclass(DimensionMismatchError, InvalidInputError)

@@ -21,7 +21,12 @@ their bits, warnings and error messages by text) for this panel:
 - private and common instances at n = 1..5 whose matrices are nested
   Python lists and whose weights are ints (lam = 2; lambda0..2 and
   alpha = 3, 1, 2, 1), solved with SPG and GBA-P (EGBA-P for common) and
-  rated, so the digest covers how a list-valued matrix is read.
+  rated, so the digest covers how a list-valued matrix is read;
+- degenerate budgets: private instances at n = 2 and 3 with K = 0,
+  K = 1e-12 I and a rank-1 K, solved with each algorithm and then
+  reduced twice (a zero K's error, after the channel slot has seen the
+  channel), a 3-lambda trace over the zero channel, and solve_common
+  with K_C = 0 and K_C = 1e-12 I, with SPG and EGBA-P.
 
 The package is imported from PYTHONPATH when it is there, else from the
 src directory next to this script.  Per-section digests go to standard
@@ -225,6 +230,25 @@ def list_instances():
             yield rep, gbc.rates_common(rep.K_U, rep.K_V, comm)
 
 
+def zero_budgets():
+    for n in (2, 3):
+        p = random_instance(n, 0)
+        c = random_instance(n, 0, "common")
+        budgets = (np.zeros((n, n)), 1e-12 * np.eye(n), random_instance(n, 0, rank=1).K)
+        for K in budgets:
+            inst = dataclasses.replace(p, K=K)
+            for algo in ALGOS:
+                yield outcome(solve_private, inst, SolveOptions(algorithm=algo))
+            for _ in range(2):
+                yield outcome(gbc.reduce, inst)
+        yield outcome(trace_region_private, dataclasses.replace(p, K=budgets[0]),
+                      (1.5, 2.0, 3.0))
+        for K_C in budgets[:2]:
+            for algo in (Algorithm.SPG, Algorithm.GBA_P):
+                yield outcome(solve_common, dataclasses.replace(c, K_C=K_C),
+                              SolveOptions(algorithm=algo))
+
+
 SECTIONS = (
     ("private", private_solves),
     ("region", region_traces),
@@ -233,6 +257,7 @@ SECTIONS = (
     ("large", large_solves),
     ("cli", cli_outputs),
     ("lists", list_instances),
+    ("zero", zero_budgets),
 )
 
 
