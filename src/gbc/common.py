@@ -17,16 +17,15 @@ H = (MHat1, MHat2, SigmaHat1, SigmaHat2) with w = (c, -lam0'*alpha, 1,
 -lam2').
 
 Each block builds its box with gbc.reduction.build_box and runs one
-pass on its (H, w) through the private solver's run_pass, the loop of
-every solve.  SPG (the default) runs the spectral projected gradient
-ascent of the private solver and stops each block on its KKT residual
-(_Spg.stops).  EGBA-P, the paper's extension of GBA-P, iterates
-fixed-point maps on the FixedPoint pass of the private solver and stops
-each block on the relative Frobenius step (FixedPoint.stops): the K_V
-map is GBA-P's map (kv_pass, the private solver's gba_pass), and the K_U
-map (ku_pass) adds a coupling term through K_V and a mixed barrier to
-the private-message update, with T from H[2] and its scalars read from
-w.
+pass on its (H, w), started at the block's warm start, through the
+private solver's run_pass, the loop of every solve.  SPG (the default)
+runs the spectral projected gradient ascent of the private solver and
+stops each block on its KKT residual.  EGBA-P, the paper's extension of
+GBA-P, iterates fixed-point maps on the FixedPoint pass of the private
+solver and stops each block on the relative Frobenius step: the K_V map
+is GBA-P's map (kv_pass, the private solver's gba_pass), and the K_U map
+(ku_pass) adds a coupling term through K_V and a mixed barrier to the
+private-message update, with T from H[2] and its scalars read from w.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError, InvalidInstanceError
 from .psd import (
-    RANK_EPS,
     _finite_sym,
     logdet,
     matrix,
@@ -60,18 +58,18 @@ from .private import (
     step_stack,
 )
 # box_transform and schur_head run inside build_box, and lift is for
-# callers' matrices (solve_block lifts its own iterates unchecked);
+# callers' matrices (solve_block lifts its passes' iterates unchecked);
 # perfbench/tracing.py also wraps them under these names
 from .reduction import (  # noqa: F401
     box_transform,
     build_box,
-    check_box,
     check_matrices,
     lift,
     read_fields,
     schur_head,
     transform,
     weighted,
+    zero_floor,
 )
 
 INNER_CAP = 50_000
@@ -184,24 +182,9 @@ def objective_common(K_U: np.ndarray, K_V: np.ndarray,
         (KUV + S2, KUV + S1, KU + S1, KU + S2))).tolist())
 
 
-def kv_subproblem_step(A: np.ndarray, ps: FixedPoint | _Spg) -> np.ndarray | None:
-    """One step of a block subproblem from the iterate A: the projected
-    fixed-point step of a kv_pass or ku_pass, or one step of an SPG pass,
-    None once no rise can be verified.
-
-    A goes through check_box unless it is the very array ps.last that
-    the pass's own previous step returned; any other array, a copy of
-    that one included, is checked.  A caller that edits a returned
-    iterate in place must pass a copy.  The skipped check cannot fire,
-    and would not change a bit: every iterate a pass returns is exactly
-    symmetric and in the box.  SPG's A + tD = (1 - t)A + tP, 0 < t <= 1,
-    is a convex combination of two points of the box; the fixed-point
-    maps end in project_box_inverse, whose eigenvalues are clipped to
-    [1e-10, 1], and GBA-A clips its roots to [1e-10, 1 - 1e-10].
-    """
-    if A is not ps.last:
-        A = check_box(A, ps.rank)
-    return ps.step(A)
+def kv_subproblem_step(ps: FixedPoint | _Spg) -> np.ndarray | None:
+    """One step of a block pass, ps.step()."""
+    return ps.step()
 
 
 # the same step; perfbench/tracing.py wraps each block's name on its own
@@ -211,21 +194,22 @@ ku_subproblem_step = kv_subproblem_step
 def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
              coupling: np.ndarray, w_mid: float, w_m2: float,
              w_m1: float) -> tuple[np.ndarray, np.ndarray]:
-    """EGBA-P's K_U map: the box projection of inv(inv(T) + mid + last),
+    """EGBA-P's K_U map: the box projection of inv(inv(T) + mid + barrier),
     T = A H1i A + A, mid the symmetrized w_mid inv(A + SigmaHat2) B_V'
-    inv(A + MHat1), last = w_m2 inv(A + MHat2) + w_m1 inv(A + MHat1); T
+    inv(A + MHat1), barrier = w_m2 inv(A + MHat2) + w_m1 inv(A + MHat1); T
     and A + (MHat1, SigmaHat2, MHat2) are inverted in one stacked call."""
     Wi = inv(step_stack(A, H1i, shifts))
     M1i = Wi[1]
     mid = w_mid * (Wi[2] @ coupling @ M1i)
     mid = (mid + mid.T) / 2.0
-    last = w_m2 * Wi[3] + w_m1 * M1i
-    return project_box_inverse(Wi[0] + mid + last)
+    barrier = w_m2 * Wi[3] + w_m1 * M1i
+    return project_box_inverse(Wi[0] + mid + barrier)
 
 
-def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray,
-            tol: float = 0.0) -> FixedPoint:
-    """The K_U map with its constants for a whole K_U inner solve.
+def ku_pass(A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
+            coupling: np.ndarray, tol: float = 0.0) -> FixedPoint:
+    """The K_U map from the start A with its constants for a whole K_U
+    inner solve.
 
     H = (MHat1, MHat2, SigmaHat1, SigmaHat2) is the K_U block's stack:
     H[2] gives T and is inverted once, and H[0], H[3], H[1] are the
@@ -235,7 +219,7 @@ def ku_pass(H: np.ndarray, w: tuple[float, ...], coupling: np.ndarray,
     reduction of the current constraint K_C - K_V; the coupling is
     symmetrized here so the eigenvalue projection stays well defined.
     """
-    return FixedPoint(_ku_step, H, w, tol, inv(H[2]), H[[0, 3, 1]],
+    return FixedPoint(_ku_step, A, H, w, tol, inv(H[2]), H[[0, 3, 1]],
                       symmetrize(coupling), -w[3], -w[1], -(w[0] + w[3]))
 
 
@@ -292,7 +276,9 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
 
     zero = np.zeros((n, n))
     kc_norm = spectral_norm(K_C)
-    if kc_norm <= RANK_EPS:
+    # blocks, budgets and K_C itself at or below this scale are zero
+    scale_eps = zero_floor(kc_norm)
+    if kc_norm <= scale_eps:
         return CommonSolveReport(
             K_U=zero, K_V=zero, K_W=zero,
             objective_trace=np.array([objective_common(zero, zero, inst)]),
@@ -308,8 +294,6 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     # spectral norms of the current K_U and K_V: the warm starts test
     # them and the relative change divides by them
     norms = spectral_norm(np.stack((K_U, K_V))).tolist()
-    # blocks and budgets below this scale are numerically zero
-    scale_eps = RANK_EPS * (1.0 + kc_norm)
     warnings: list[str] = []
     stalls: dict[str, float] = {}
     kv_counts: list[int] = []
@@ -319,24 +303,25 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     converged = False
 
     def solve_block(budget, block, norm, stack, w, make_pass, step, label):
-        """One inner solve: build the box of `budget` with `stack`,
-        warm-start from `block` (of spectral norm `norm`), run SPG or the
-        EGBA-P pass make_pass(box, w) on the box's heads and the weights
-        w, and lift the result.  Returns the new block, its step count and its KKT
-        residual (a zero block, 0 and 0.0 for a zero budget)."""
+        """One inner solve: build the box of `budget` with `stack`, run
+        SPG or the EGBA-P pass make_pass(B, box, w) from the warm start B
+        of `block` (of spectral norm `norm`) on the box's heads and the
+        weights w, and lift the result.  Returns the new block, its step
+        count and its KKT residual (a zero block, 0 and 0.0 for a zero
+        budget)."""
         try:
-            box = build_box(budget, stack, scale_eps)
+            box = build_box(budget, stack, kc_norm)
         except DegenerateInstanceError:
             return zero, 0, 0.0
         B = _warm_start(box.transform, block, norm, scale_eps)
-        ps = _Spg(B, box.H, w, inner_tol) if spg else make_pass(box, w)
-        B, count, stop, kkt, _ = run_pass(step, ps, B, INNER_CAP)
+        ps = _Spg(B, box.H, w, inner_tol) if spg else make_pass(B, box, w)
+        B, count, stop, kkt, _ = run_pass(step, ps, INNER_CAP)
         if stop == "cap":
             warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
         elif stop == "stall":
             stalls[label] = kkt
-        # lift without its box check: B is the projected warm start or an
-        # iterate of the pass, in the box either way (kv_subproblem_step)
+        # lift without its box check: the pass checked its start, and its
+        # steps stay in the box
         L = box.transform.lift_matrix
         return symmetrize(L @ B @ L.T), count, kkt
 
@@ -347,11 +332,11 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         # K_V under the budget K_C - K_U, then K_U under K_C - K_V
         K_V, count, _ = solve_block(
             K_C - K_U, K_V, nv, (K_U + S2, K_U + S1), w_v,
-            lambda box, w: kv_pass(box.H, w, inner_tol), kv_subproblem_step, "K_V")
+            lambda B, box, w: kv_pass(B, box.H, w, inner_tol), kv_subproblem_step, "K_V")
         kv_counts.append(count)
         K_U, count, kkt = solve_block(
             K_C - K_V, K_U, nu, (K_V + S2, K_V + S1, S1, S2), w_u,
-            lambda box, w: ku_pass(box.H, w, transform(box.transform, K_V)[
+            lambda B, box, w: ku_pass(B, box.H, w, transform(box.transform, K_V)[
                 :box.rank, :box.rank], inner_tol),
             ku_subproblem_step, "K_U")
         ku_counts.append(count)
@@ -370,7 +355,7 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     warnings += [f"{label} inner solve stopped on roundoff at KKT residual {kkt:.3e}"
                  for label, kkt in stalls.items()]
     # 0 <= K_U, 0 <= K_V and K_U + K_V <= K_C, as loewner_leq tests each,
-    # from one stacked eigh, whose last eigenpairs give K_W
+    # from one stacked eigh, whose third eigenpairs give K_W
     low, V = np.linalg.eigh(_finite_sym(np.stack((K_U, K_V, K_C - K_U - K_V))))
     if not low[:, 0].min() >= -1e-8:
         warnings.append("final covariances violate feasibility beyond slack 1e-8")
@@ -380,10 +365,10 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             f"objective decreased by {-float(np.min(drops)):.3e} across an outer pass"
         )
     # each block's residual on its own stack, the one SPG stops on: K_U's
-    # from its last solve, which ran at the returned K_V, and K_V's on a
-    # fresh box, because K_U moved after the last K_V solve
+    # from its final solve, which ran at the returned K_V, and K_V's on a
+    # fresh box, because K_U moved after the final K_V solve
     try:
-        box = build_box(K_C - K_U, (K_U + S2, K_U + S1), scale_eps)
+        box = build_box(K_C - K_U, (K_U + S2, K_U + S1), kc_norm)
     except DegenerateInstanceError:
         pass
     else:

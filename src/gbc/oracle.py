@@ -184,7 +184,7 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     """Seeded random instance with a documented ensemble.  n >= 1,
     seed >= 0 and rank >= 1 are whole numbers, each read by
     gbc.errors.number (2.0 is whole; a bool never a number), and lam is
-    read as PrivateInstance reads it.
+    read as PrivateInstance reads it; a common instance takes no lam.
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
@@ -217,6 +217,9 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
             lam = 1.1 + 3.9 * float(rng.uniform())
         inst = PrivateInstance(K=K, Sigma1=S1, Sigma2=S2, lam=lam)
     elif kind == "common":
+        if lam is not None:
+            raise InvalidInputError("lam applies to private instances only; "
+                                    "kind='common' takes no lam")
         inst = CommonInstance(K_C=K, Sigma1=S1, Sigma2=S2,
                               lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=0.5)
     else:

@@ -22,11 +22,12 @@ The eigh of B gives the eigenpairs of the new iterate, which the next
 step inverts I - A through.
 
 Every solve, here and in gbc.common, runs one pass on the stack H and
-weights w of a gbc.reduction box through run_pass, and each pass owns
-its stop rule: _Spg.stops is the KKT test above, and FixedPoint.stops
-the relative spectral-norm step for GBA-P and GBA-A (each step returns
-the new iterate's eigenvalues, so a step needs an eigvalsh of the
-change only) or the Frobenius step of EGBA-P's passes.
+weights w of a gbc.reduction box through run_pass.  A pass owns its
+iterate: it reads the start once with check_box when it is built, and
+each step() advances it and applies the pass's own stop rule: SPG the
+KKT test above, GBA-P and GBA-A the relative spectral-norm step (each
+step returns the new iterate's eigenvalues, so the rule needs an
+eigvalsh of the change only), EGBA-P's passes the Frobenius step.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class SolveOptions:
 class SolveReport:
     """Outcome of one private-message solve.
 
-    final_AU            last iterate in reduced coordinates
+    final_AU            final iterate in reduced coordinates
     final_KU            the lifted covariance in original coordinates
     objective_trace     objective value in original coordinates at the
                         initial point and after every iteration
@@ -271,7 +272,7 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     rule = "lam must be a finite weight > 1"
     if (lam := number(lam, rule)) <= 1.0:
         raise InvalidInputError(f"{rule}, got {lam}")
-    A = check_box(A_U, red.rank)
+    A, _ = check_box(A_U, red.rank)
     return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], lam,
                    np.linalg.eigh(A))[0]
 
@@ -296,30 +297,41 @@ def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
     return weighted(w, np.log1p(t * mu).sum(axis=1).tolist())
 
 
-class _Spg:
+class _Pass:
+    """A pass on the stack H and weights w of a box, which owns its
+    iterate A: the start, read once by check_box (e0 holds its
+    eigenvalues), then each iterate step() makes.  step() takes no
+    matrix: it advances A and returns it (SPG returns None instead once
+    no rise can be verified), and applies the pass's stop rule, whose
+    verdict `converged` holds.  `kkt` is the KKT residual at A."""
+
+    def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...]):
+        self.H = H
+        self.w = w
+        self.A, self.e0 = check_box(A, H.shape[-1])
+
+
+class _Spg(_Pass):
     """Spectral projected gradient ascent of f(A) = sum_i w_i logdet(A + H_i)
     on the reduced box [0, I].
 
     H is a (k, r, r) stack of PD matrices and w the k weights: (SigmaHat1,
     SigmaHat2) with (1, -lam) for the private problem, and the four or two
     slices of an EGBA block.  Holds f (the objective, or its change from
-    the start) and, for the current iterate, the gradient G, the inverse
+    the start) and, for the iterate A, the gradient G, the inverse
     Cholesky factors Li of A + H_i, the KKT residual and the projected
     point P of the next step, with the Barzilai-Borwein step length it
-    was taken at, and `last`, the iterate its last step returned.  Each
-    iterate is factored once (_factor) and projected once: the start by
-    one project_box of A + G, which at the start's step length 1 is both
-    the KKT residual's point and the first step's, and every later
-    iterate by _project.  So a step makes four LAPACK calls: an
-    eigvalsh, a Cholesky, an inv and an eigh, each on a stack.
+    was taken at.  Each iterate is factored once (_factor) and projected
+    once: the start by one project_box of A + G, which at the start's
+    step length 1 is both the KKT residual's point and the first step's,
+    and every later iterate by _project.  So a step makes four LAPACK
+    calls: an eigvalsh, a Cholesky, an inv and an eigh, each on a stack.
     """
-
-    last = None
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
                  rel_tol: float, f: float = 0.0):
-        self.H = H
-        self.w = w
+        super().__init__(A, H, w)
+        A = self.A
         self.rel_tol = rel_tol
         self.f = f
         self.alpha = 1.0
@@ -328,18 +340,8 @@ class _Spg:
         self.kkt = float(np.linalg.norm(A - self.P))
 
     @property
-    def rank(self) -> int:
-        return self.H.shape[-1]
-
-    @property
     def converged(self) -> bool:
         return self.kkt <= self.rel_tol
-
-    def stops(self, A: np.ndarray, An: np.ndarray) -> bool:
-        return self.converged
-
-    def kkt_at(self, A: np.ndarray) -> float:
-        return self.kkt
 
     def _factor(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The gradient at A, as _gradient takes it, and the stack Li of
@@ -362,13 +364,14 @@ class _Spg:
         self.kkt = float(np.linalg.norm(A - P[0]))
         self.P = P[1]
 
-    def step(self, A: np.ndarray) -> np.ndarray | None:
+    def step(self) -> np.ndarray | None:
         """Next iterate, or None once no rise can be verified: the
         predicted rise is within the rounding error of the measured
         change, or the backtracked step no longer moves the unit box."""
         Li = self.Li
         if Li is None:
             raise NumericalBreakdownError("iterate lost positive definiteness")
+        A = self.A
         G = self.G
         D = self.P - A
         # >= ||D||^2 / alpha by the projection's variational inequality
@@ -394,7 +397,7 @@ class _Spg:
         self.f += change
         self.G = Gn
         self._project(An)
-        self.last = An
+        self.A = An
         return An
 
 
@@ -408,103 +411,98 @@ def _fro(M: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-class FixedPoint:
+class FixedPoint(_Pass):
     """A fixed-point map `update(A, *args)` on the stack H and weights w,
     with its constants args built once per solve or EGBA pass (args[0]
     inverts the slice that gives T).  The map returns the new iterate,
-    then its eigenvalues, or for GBA-A, started from the eigenpairs
-    `pairs`, the eigenpairs the next step inverts I - A through.
+    then its eigenvalues `eigs`; GBA-A's map (_a_step) steps from the
+    eigenpairs `pairs` of A, taken by one eigh of the start, and returns
+    the new iterate's.
 
-    stops(A, An) tests the relative step.  Started with `eigs`, the
-    eigenvalues of A (GBA-P, GBA-A), it compares the spectral norm `num`
-    of An - A with tol times A's largest absolute eigenvalue.  Otherwise
-    (EGBA-P) it compares the Frobenius norm with tol times the larger of
-    ||A||_F and ||I/2||_F, an anchor that lets a block shrinking to zero
-    stop, where a purely relative test could never fire.  `last` is the
-    iterate the last step returned.
+    Each step tests the relative step.  With `spectral` (GBA-P, GBA-A)
+    it compares the spectral norm `num` of An - A with tol times A's
+    largest absolute eigenvalue.  Otherwise (EGBA-P) it compares the
+    Frobenius norm with tol times the larger of ||A||_F and ||I/2||_F,
+    an anchor that lets a block shrinking to zero stop, where a purely
+    relative test could never fire.
     """
 
     converged = False
-    last = None
 
-    def __init__(self, update, H: np.ndarray, w: tuple[float, ...],
-                 tol: float, *args, eigs: np.ndarray | None = None,
-                 pairs: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, update, A: np.ndarray, H: np.ndarray,
+                 w: tuple[float, ...], tol: float, *args, spectral: bool = False):
+        super().__init__(A, H, w)
         self.update = update
-        self.H = H
-        self.w = w
         self.tol = tol
         self.args = args
-        self.pairs = pairs
-        self.den = None if eigs is None else float(max(abs(eigs[0]), abs(eigs[-1])))
+        self.spectral = spectral
+        self.eigs = self.e0
+        self.pairs = np.linalg.eigh(self.A) if update is _a_step else None
 
     @property
-    def rank(self) -> int:
-        return self.H.shape[-1]
+    def kkt(self) -> float:
+        return _kkt(self.A, _gradient(self.A, self.H, self.w))
 
-    def kkt_at(self, A: np.ndarray) -> float:
-        return _kkt(A, _gradient(A, self.H, self.w))
-
-    def step(self, A: np.ndarray) -> np.ndarray:
+    def step(self) -> np.ndarray:
+        A, e = self.A, self.eigs
         if self.pairs is None:
             An, self.eigs = self.update(A, *self.args)
         else:
             An, self.pairs = self.update(A, *self.args, self.pairs)
             self.eigs = self.pairs[0]
-        self.last = An
+        if self.spectral:
+            self.num = float(np.max(np.abs(np.linalg.eigvalsh(An - A))))
+            self.converged = self.num <= self.tol * max(abs(float(e.min())),
+                                                        abs(float(e.max())))
+        else:
+            self.converged = _fro(An - A) <= self.tol * max(_fro(A),
+                                                            0.5 * math.sqrt(len(A)))
+        self.A = An
         return An
 
-    def stops(self, A: np.ndarray, An: np.ndarray) -> bool:
-        if self.den is None:  # started without eigs: EGBA-P's test
-            return _fro(An - A) <= self.tol * max(_fro(A), 0.5 * math.sqrt(self.rank))
-        self.num = float(np.max(np.abs(np.linalg.eigvalsh(An - A))))
-        stop = self.num <= self.tol * self.den
-        self.den = max(abs(float(self.eigs.min())), abs(float(self.eigs.max())))
-        return stop
 
-
-def gba_pass(H: np.ndarray, w: tuple[float, ...], tol: float = 0.0,
-             update=_p_step, eigs=None, pairs=None) -> FixedPoint:
-    """GBA-P's map (GBA-A's with update=_a_step) on the stack H and
-    weights w: T from inv(H[0]), the shift H[1] and the ratio -w[1]/w[0],
-    which must be finite and > 0 (else InvalidInputError).  solve_private's
-    GBA passes and, as common.kv_pass, the EGBA-P K_V pass; eigs and
-    pairs are FixedPoint's.  GBA-A's root needs a ratio > 1, so with
-    update=_a_step this is the one check of lam in a GBA-A solve."""
+def gba_pass(A: np.ndarray, H: np.ndarray, w: tuple[float, ...], tol: float = 0.0,
+             update=_p_step, spectral: bool = False) -> FixedPoint:
+    """GBA-P's map (GBA-A's with update=_a_step) from the start A on the
+    stack H and weights w: T from inv(H[0]), the shift H[1] and the ratio
+    -w[1]/w[0], which must be finite and > 0 (else InvalidInputError,
+    before the start is read).  solve_private's GBA passes (spectral)
+    and, as common.kv_pass, the EGBA-P K_V pass.  GBA-A's root needs a
+    ratio > 1, so with update=_a_step the ratio must exceed 1; in a
+    solve, PrivateInstance.validate has checked lam before."""
     ratio = -w[1] / w[0] if w[0] else math.nan
     least = 1.0 if update is _a_step else 0.0
     if not (np.isfinite(ratio) and ratio > least):
         raise InvalidInputError(
             f"ratio -w[1]/w[0] must be finite and > {least:g}, got {ratio}")
-    return FixedPoint(update, H, w, tol, inv(H[0]), H[1:], ratio, eigs=eigs, pairs=pairs)
+    return FixedPoint(update, A, H, w, tol, inv(H[0]), H[1:], ratio, spectral=spectral)
 
 
-def run_pass(step, ps, A: np.ndarray, cap: int, watch=None):
-    """Run step(A, ps) from A until the pass's stop rule ps.stops(A, An)
-    fires (or ps.converged holds at A, after no step), the step returns
-    None because it can verify no rise, or cap steps have run.  Every
+def run_pass(step, ps, cap: int, watch=None):
+    """Run step(ps) until the pass's stop rule holds (ps.converged, which
+    may hold at the start, before any step), the step returns None
+    because it can verify no rise, or cap steps have run.  Every
     solve_private solve and every solve_common block runs here.
 
-    Returns the last iterate, the number of steps, how the run stopped
-    ("rule", "stall" or "cap"), the KKT residual of the last iterate on
-    the pass's stack and weights, and the trace: the record watch(A, An)
-    made of each step, when a watch is given."""
+    Returns the final iterate ps.A, the number of steps, how the run
+    stopped ("rule", "stall" or "cap"), its KKT residual ps.kkt, and the
+    trace: the record watch(A, An) made of each step from A to An, when
+    a watch is given."""
     trace = []
     steps = 0
-    stop = "rule" if ps.converged else None
-    while stop is None:
+    stop = "rule"
+    while not ps.converged:
         if steps == cap:
             stop = "cap"
-        elif (An := step(A, ps)) is None:
+            break
+        A = ps.A
+        if step(ps) is None:
             stop = "stall"
-        else:
-            steps += 1
-            if ps.stops(A, An):
-                stop = "rule"
-            if watch is not None:
-                trace.append(watch(A, An))
-            A = An
-    return A, steps, stop, ps.kkt_at(A), trace
+            break
+        steps += 1
+        if watch is not None:
+            trace.append(watch(A, ps.A))
+    return ps.A, steps, stop, ps.kkt, trace
 
 
 def _initial_iterate(opts: SolveOptions, red: ReducedPrivate,
@@ -562,7 +560,6 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     H, w = red.H, (1.0, -red.lam)
     offset = red.offset
     f0 = _fast_objective(A, H, w)
-    e0 = np.linalg.eigvalsh(A)
     # each step's record: objective, spectral norm of the step, and the
     # smallest and largest eigenvalue of the new iterate
     if opts.algorithm is Algorithm.SPG:
@@ -578,15 +575,16 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
             return ps.f, float(np.max(np.abs(d))), float(e[0]), float(e[-1])
     else:
         update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        ps = gba_pass(H, w, opts.rel_tol, update, eigs=e0,
-                      pairs=np.linalg.eigh(A) if update is _a_step else None)
+        ps = gba_pass(A, H, w, opts.rel_tol, update, spectral=True)
 
         def watch(A, An):
             # the stop rule measured the step and the step made the eigenvalues
             return (_fast_objective(An, H, w), ps.num,
                     float(ps.eigs.min()), float(ps.eigs.max()))
 
-    A, steps, stop, kkt, trace = run_pass(lambda A, ps: ps.step(A), ps, A,
+    # the pass's check of the start gave its eigenvalues
+    e0 = ps.e0
+    A, steps, stop, kkt, trace = run_pass(lambda ps: ps.step(), ps,
                                           opts.max_iters, watch)
     if stop == "stall":
         warnings.append(f"SPG step fell below roundoff at KKT residual "

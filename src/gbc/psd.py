@@ -6,7 +6,7 @@ treat their matrix arguments as symmetric: inputs are folded to
 symmetry is preserved through chains of operations.
 
 symmetrize, logdet, spectral_norm and project_box also take a stack of
-matrices, (..., n, n) over the last two axes as np.linalg does, and act
+matrices, (..., n, n) over the trailing two axes as np.linalg does, and act
 on each matrix of it in one LAPACK call: each slice of the result is
 bit-equal to the call on that matrix alone.  A 2-D input gives a matrix
 or a float, a stack an array of them; a check fails for the whole stack

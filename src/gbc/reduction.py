@@ -11,7 +11,7 @@ the reduced problem can be solved in r x r matrices and lifted back.
 A region trace solves one channel (K, Sigma1, Sigma2) for many weights
 lam, and the box does not depend on lam.  So PrivateInstance.validate
 and reduce share one slot, a single entry that holds the lam-free
-results of the last channel seen: whether check_matrices passed, and the
+results of the latest channel: whether check_matrices passed, and the
 Box of (K, (Sigma1, Sigma2)) with its eigenvalue-spread warning, each
 filled the first time it is needed.  The key is the shape and byte
 content of the float arrays K, Sigma1 and Sigma2, so equal matrices hit
@@ -68,15 +68,14 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
             raise InvalidInstanceError(f"{name} must be positive definite")
 
 
-def check_box(A: np.ndarray, rank: int) -> np.ndarray:
+def check_box(A: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a reduced iterate A_U with gbc.psd.matrix as a rank x rank
     matrix (DimensionMismatchError naming both shapes otherwise),
     symmetrize it and verify it is in the [0, I] box up to slack 1e-8;
-    raise InvalidInputError otherwise.  lift, gba_a_step and the common
-    block steps run it on every matrix they are handed, except that a
-    block step skips the iterate its own pass made
-    (common.kv_subproblem_step says why), so a block solve checks only
-    its warm start."""
+    raise InvalidInputError otherwise.  Returns the symmetrized matrix
+    and its eigenvalues, ascending.  lift and gba_a_step run it on the
+    matrix they are handed, and every pass of the solvers on its start
+    when it is built; a pass's own steps stay in the box."""
     A = matrix(A, "A_U", rank)
     A = (A + A.T) / 2.0
     w = np.linalg.eigvalsh(A)
@@ -86,7 +85,7 @@ def check_box(A: np.ndarray, rank: int) -> np.ndarray:
             f"A_U leaves the [0, I] box (eigenvalues in "
             f"[{w[0]:.3e}, {w[-1]:.3e}])"
         )
-    return A
+    return A, w
 
 
 # the slot's one entry: "key", then each part once filled
@@ -242,14 +241,23 @@ def box_offset(box: Box, w: tuple[float, ...]) -> float:
     return weighted(w, box.tails) + sum(w) * logl
 
 
-def build_box(K: np.ndarray, stack, floor: float = 0.0) -> Box:
+def zero_floor(scale: float) -> float:
+    """The zero-budget rule of both solvers: a budget whose spectral norm
+    is at most RANK_EPS * (1 + scale) is numerically zero, scale being
+    the spectral norm of the instance's constraint (K, or K_C)."""
+    return RANK_EPS * (1.0 + scale)
+
+
+def build_box(K: np.ndarray, stack, scale: float | None = None) -> Box:
     """The box of the budget K with the matrices of `stack` compressed
     into it.  Raises DegenerateInstanceError when K is numerically zero:
-    no eigenvalue above the rank threshold, or none of absolute value
-    above `floor`."""
+    no eigenvalue above the rank threshold, or a zero budget by
+    zero_floor(scale), scale defaulting to K's own spectral norm (the
+    private problem, whose budget is its constraint)."""
     bt = box_transform(K)
     l = bt.eigvals
-    if max(l[0], -l[-1]) <= floor:
+    norm = max(l[0], -l[-1])
+    if norm <= zero_floor(norm if scale is None else scale):
         raise DegenerateInstanceError("constraint matrix is numerically zero")
     r = bt.rank
     # one congruence, one Schur solve and one tail logdet for the stack
@@ -317,5 +325,5 @@ def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:
 
     A_U must sit in the [0, I] box up to slack 1e-8.
     """
-    A_U = check_box(A_U, bt.rank)
+    A_U, _ = check_box(A_U, bt.rank)
     return symmetrize(bt.lift_matrix @ A_U @ bt.lift_matrix.T)

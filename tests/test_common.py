@@ -93,27 +93,25 @@ def test_objective_scalar_hand_value():
 
 
 def test_kv_step_scalar_hand_value():
-    got = kv_subproblem_step(np.array([[0.5]]),
-                             kv_pass(np.ones((2, 1, 1)), (1.0, -2.0)))
+    got = kv_subproblem_step(kv_pass(np.array([[0.5]]), np.ones((2, 1, 1)), (1.0, -2.0)))
     assert got[0, 0] == pytest.approx(0.375, rel=1e-14)
 
 
-def test_kv_step_rejects_bad_ratio_and_box():
+def test_kv_pass_rejects_bad_ratio_and_box():
     H = np.ones((2, 1, 1))
     # ratios -1, 0, NaN, and a zero first weight
     for w in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (0.0, -1.0)):
         with pytest.raises(InvalidInputError):
-            kv_pass(H, w)
+            kv_pass(np.array([[0.5]]), H, w)
     with pytest.raises(InvalidInputError):
-        kv_subproblem_step(3.0 * np.eye(2),
-                           kv_pass(np.stack((np.eye(2),) * 2), (1.0, -1.0)))
+        kv_pass(3.0 * np.eye(2), np.stack((np.eye(2),) * 2), (1.0, -1.0))
 
 
 def test_ku_step_scalar_hand_value():
     inst = _scalar(2.0, 1.0, 2.0)
     one = np.array([[1.0]])
-    got = ku_subproblem_step(0.5 * one, ku_pass(np.stack((one,) * 4), _weights(inst)[1],
-                                                0.25 * one))
+    got = ku_subproblem_step(ku_pass(0.5 * one, np.stack((one,) * 4), _weights(inst)[1],
+                                     0.25 * one))
     # T1 = 4/3, coupling = 1.1*0.25/2.25 = 11/90, barrier = 1.2/1.5 = 4/5
     assert got[0, 0] == pytest.approx(90.0 / 203.0, rel=1e-12)
 
@@ -136,9 +134,9 @@ def test_ku_step_matches_kv_shape_when_uncoupled():
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
         got = ku_subproblem_step(
-            A, ku_pass(np.stack((M1h, M2h, S1h, S2h)), _weights(inst)[1],
-                       np.zeros((3, 3))))
-        want = kv_subproblem_step(A, kv_pass(np.stack((S1h, M2h)), (1.0, -1.2)))
+            ku_pass(A, np.stack((M1h, M2h, S1h, S2h)), _weights(inst)[1],
+                    np.zeros((3, 3))))
+        want = kv_subproblem_step(kv_pass(A, np.stack((S1h, M2h)), (1.0, -1.2)))
         assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -155,9 +153,9 @@ def test_kv_step_is_the_gba_p_step(n, rank):
         A = (A + A.T) / 2.0
         H = np.stack((red.SigmaHat1, red.SigmaHat2))
         w = (1.0, -red.lam)
-        got = kv_subproblem_step(A, kv_pass(H, w))
-        gba_p = gba_pass(H, w, 1e-4, eigs=np.linalg.eigvalsh(A))
-        assert np.array_equal(got, gba_p.step(A))
+        got = kv_subproblem_step(kv_pass(A, H, w))
+        gba_p = gba_pass(A, H, w, 1e-4, spectral=True)
+        assert np.array_equal(got, gba_p.step())
 
 
 def test_alpha_one_ratio_well_defined():

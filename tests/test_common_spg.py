@@ -86,8 +86,9 @@ def test_every_spg_inner_step_rises(monkeypatch):
     for name in ("kv_subproblem_step", "ku_subproblem_step"):
         orig = getattr(common, name)
 
-        def recorded(A, ps, orig=orig):
-            An = orig(A, ps)
+        def recorded(ps, orig=orig):
+            A = ps.A
+            An = orig(ps)
             if An is not None:
                 steps.append(_block_objective(ps, An) - _block_objective(ps, A))
             return An

@@ -131,6 +131,14 @@ def test_numpy_and_float_spellings_give_the_same_result(param, spelling):
     assert _canon(call(value)) == _canon(call(base))
 
 
+@pytest.mark.parametrize("lam", [2.0, 2, "x", 10**5000],
+                         ids=["float", "int", "string", "vast int"])
+def test_a_common_random_instance_refuses_any_lam(lam):
+    # a common instance fixes its weights, so a given lam is never used
+    with pytest.raises(InvalidInputError, match="lam applies to private instances only"):
+        random_instance(2, 0, "common", lam=lam)
+
+
 @pytest.mark.parametrize("call,name", [
     (lambda v: trace_region_private(INST, v), "lambda"),
     (lambda v: sweep_alpha_common(CI, v), "alpha"),

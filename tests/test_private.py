@@ -27,9 +27,10 @@ from gbc.psd import symmetrize
 from gbc.reduction import lift
 
 
-def _gba_p(red):
-    """GBA-P's map on a reduced private problem, as a K_V pass."""
-    return kv_pass(np.stack((red.SigmaHat1, red.SigmaHat2)), (1.0, -red.lam))
+def _gba_p_step(A, red):
+    """GBA-P's step from A on a reduced private problem, as a K_V pass's."""
+    return kv_subproblem_step(kv_pass(A, np.stack((red.SigmaHat1, red.SigmaHat2)),
+                                      (1.0, -red.lam)))
 
 
 def _case(idx):
@@ -142,10 +143,11 @@ def test_gba_a_pass_checks_its_weight_once():
     """gba_pass takes GBA-A's weight -w[1]/w[0] only above 1, the root's
     domain; GBA-P's map takes any positive one."""
     H = np.stack((np.eye(2), 2.0 * np.eye(2)))
-    private.gba_pass(H, (1.0, -0.5))
+    A = 0.5 * np.eye(2)
+    private.gba_pass(A, H, (1.0, -0.5))
     for w in ((1.0, -0.5), (1.0, -1.0), (1.0, float("nan"))):
         with pytest.raises(InvalidInputError):
-            private.gba_pass(H, w, update=private._a_step)
+            private.gba_pass(A, H, w, update=private._a_step)
 
 
 def test_gba_p_step_scalar_value():
@@ -153,7 +155,7 @@ def test_gba_p_step_scalar_value():
                            lam=2.0)
     red = reduce(inst)
     # inv(inv(0.25 + 0.5) + 2/1.5) = inv(8/3) = 0.375
-    out = kv_subproblem_step(np.array([[0.5]]), _gba_p(red))
+    out = _gba_p_step(np.array([[0.5]]), red)
     assert out[0, 0] == pytest.approx(0.375, abs=1e-12)
 
 
@@ -162,7 +164,7 @@ def test_steps_fix_the_case1_optimum():
     red = reduce(inst)
     # K_U* = K/2 reduces to A* = I/2, an interior stationary point
     A_star = 0.5 * np.eye(2)
-    assert np.allclose(kv_subproblem_step(A_star, _gba_p(red)), A_star, atol=1e-10)
+    assert np.allclose(_gba_p_step(A_star, red), A_star, atol=1e-10)
     assert np.allclose(gba_a_step(A_star, red, inst.lam), A_star, atol=1e-10)
     g = gradient_reduced(A_star, red, inst.lam)
     assert np.max(np.abs(g)) < 1e-10
@@ -322,10 +324,10 @@ def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
     iterates = []
     step = private.FixedPoint.step
 
-    def recording_step(self, A):
+    def recording_step(self):
         if not iterates:
-            iterates.append(A)
-        An = step(self, A)
+            iterates.append(self.A)
+        An = step(self)
         iterates.append(An)
         return An
 

@@ -7,6 +7,7 @@ import pytest
 
 import gbc.reduction
 from gbc import (
+    Algorithm,
     CommonInstance,
     PrivateInstance,
     SolveOptions,
@@ -20,14 +21,7 @@ from gbc import (
     trace_region_private,
     transform,
 )
-from gbc.common import (
-    _weights,
-    objective_common,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
-)
+from gbc.common import _weights, ku_pass, kv_pass, objective_common
 from gbc.errors import (
     DegenerateInstanceError,
     InvalidInputError,
@@ -176,10 +170,9 @@ _COMMON = CommonInstance(K_C=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lambda0=1.2,
 _BOX_CHECKED = {
     "lift": lambda A: lift(reduce(_PRIVATE).transform, A),
     "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
-    "kv_subproblem_step": lambda A: kv_subproblem_step(
-        A, kv_pass(np.stack((_I2, _I2)), (1.0, -1.0))),
-    "ku_subproblem_step": lambda A: ku_subproblem_step(
-        A, ku_pass(np.stack((_I2,) * 4), _weights(_COMMON)[1], np.zeros((2, 2)))),
+    "kv_pass": lambda A: kv_pass(A, np.stack((_I2, _I2)), (1.0, -1.0)).step(),
+    "ku_pass": lambda A: ku_pass(
+        A, np.stack((_I2,) * 4), _weights(_COMMON)[1], np.zeros((2, 2))).step(),
 }
 
 
@@ -407,6 +400,26 @@ def test_slot_holds_no_box_for_a_zero_constraint():
         messages.append(str(e.value))
     assert messages == ["constraint matrix is numerically zero"] * 2
     assert "box" not in gbc.reduction._slot
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_tiny_budget_is_zero_to_both_solvers(n):
+    # one rule, gbc.reduction.zero_floor: 1e-12 I is zero, 1e-7 I is not
+    p = random_instance(n, 0)
+    c = random_instance(n, 0, "common")
+    for scale, zero in ((1e-12, True), (1e-7, False)):
+        K = scale * np.eye(n)
+        for algo in Algorithm:
+            rep = solve_private(replace(p, K=K), SolveOptions(algorithm=algo))
+            assert ("constraint matrix is zero" in " ".join(rep.warnings)) == zero
+            assert rep.final_AU.shape == ((0, 0) if zero else (n, n))
+        if zero:
+            with pytest.raises(DegenerateInstanceError):
+                reduce(replace(p, K=K))
+        for algo in (Algorithm.SPG, Algorithm.GBA_P):
+            rep = solve_common(replace(c, K_C=K), SolveOptions(algorithm=algo))
+            assert ("constraint matrix is zero" in " ".join(rep.warnings)) == zero
+            assert (rep.inner_iterations == ((), ())) == zero
 
 
 def test_slot_arrays_are_read_only():

@@ -1,6 +1,6 @@
 """Tests for run_pass, the loop every solve runs, and its four exits:
 the stop rule at the start, the stop rule after steps, a stall and the
-cap."""
+cap; and for EGBA-P's stop rule, which its passes apply in step()."""
 
 import re
 
@@ -9,14 +9,15 @@ import pytest
 
 from gbc import Algorithm, SolveOptions, random_instance, reduce, solve_common, solve_private
 from gbc import common
-from gbc.private import _Spg, gba_pass, run_pass
+from gbc.common import _weights, build_box, ku_pass, kv_pass, kv_subproblem_step
+from gbc.private import _fro, _Spg, gba_pass, run_pass
 
 
-def _step(A, ps):
-    return ps.step(A)
+def _step(ps):
+    return ps.step()
 
 
-def _no_step(A, ps):
+def _no_step(ps):
     raise AssertionError("run_pass stepped from a start that meets the stop rule")
 
 
@@ -27,9 +28,9 @@ def test_start_meeting_the_stop_rule_takes_no_step():
     red = reduce(inst)
     A0 = rep.final_AU
     ps = _Spg(A0, red.H, (1.0, -red.lam), 1e-8)
-    A, steps, stop, kkt, trace = run_pass(_no_step, ps, A0, 10, lambda A, An: 0)
+    A, steps, stop, kkt, trace = run_pass(_no_step, ps, 10, lambda A, An: 0)
     assert (steps, stop, trace) == (0, "rule", [])
-    assert A is A0
+    assert A is ps.A and np.array_equal(A, A0)
     assert kkt == rep.kkt_residual
 
 
@@ -44,20 +45,73 @@ def test_stop_rule_cap_and_stall_exits():
         return len(seen)
 
     # GBA-P at tol 0 never meets its rule: the cap ends it, after cap steps
-    ps = gba_pass(H, w, 0.0, eigs=np.linalg.eigvalsh(A0))
-    A, steps, stop, kkt, trace = run_pass(_step, ps, A0, 4, watch)
+    ps = gba_pass(A0, H, w, 0.0, spectral=True)
+    start = ps.A
+    A, steps, stop, kkt, trace = run_pass(_step, ps, 4, watch)
     assert (steps, stop, trace) == (4, "cap", [1, 2, 3, 4])
-    assert seen[0][0] is A0 and A is seen[-1][1]
+    assert seen[0][0] is start and A is seen[-1][1] is ps.A
     assert all(An is B for (_, An), (B, _) in zip(seen, seen[1:]))
-    assert kkt == ps.kkt_at(A)
+    assert kkt == ps.kkt
     # at a loose tol its spectral step rule fires before the cap
-    ps = gba_pass(H, w, 0.5, eigs=np.linalg.eigvalsh(A0))
-    _, steps, stop, _, _ = run_pass(_step, ps, A0, 100)
+    ps = gba_pass(A0, H, w, 0.5, spectral=True)
+    _, steps, stop, _, _ = run_pass(_step, ps, 100)
     assert stop == "rule" and 1 <= steps < 100
-    # a step that returns None stalls the run at the iterate it was given
+    # a step that returns None stalls the run at the pass's start
     ps = _Spg(A0, H, w, 0.0)
-    A, steps, stop, kkt, trace = run_pass(lambda A, ps: None, ps, A0, 5, watch)
-    assert (A, steps, stop, kkt, trace) == (A0, 0, "stall", ps.kkt, [])
+    A, steps, stop, kkt, trace = run_pass(lambda ps: None, ps, 5, watch)
+    assert (A, steps, stop, kkt, trace) == (ps.A, 0, "stall", ps.kkt, [])
+    assert np.array_equal(A, A0)
+
+
+def _egba_passes():
+    """Constructors of EGBA-P passes from a start A: the K_V and K_U
+    passes on the first outer pass's boxes of a real instance, and a K_V
+    pass whose optimum is 0, since its gradient -inv(A + I) is negative
+    definite."""
+    inst = random_instance(3, 0, "common")
+    w_v, w_u = _weights(inst)
+    S1, S2 = inst.Sigma1, inst.Sigma2
+    kv_box = build_box(inst.K_C / 2.0, (inst.K_C / 2.0 + S2, inst.K_C / 2.0 + S1))
+    ku_box = build_box(inst.K_C, (S2, S1, S1, S2))
+    r = ku_box.rank
+    return {
+        "kv": lambda A, tol: kv_pass(A, kv_box.H, w_v, tol),
+        "ku": lambda A, tol: ku_pass(A, ku_box.H, w_u, np.zeros((r, r)), tol),
+        "kv-shrinking": lambda A, tol: kv_pass(A, np.stack((np.eye(r),) * 2),
+                                               (1.0, -2.0), tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4])
+@pytest.mark.parametrize("kind", ["kv", "ku", "kv-shrinking"])
+def test_egba_pass_stops_at_the_first_small_frobenius_step(kind, tol):
+    make = _egba_passes()[kind]
+    A0 = 0.5 * np.eye(3)
+    anchor = np.linalg.norm(A0)
+    ps = make(A0, tol)
+    steps = 0
+    while True:
+        A = ps.A
+        An = ps.step()
+        steps += 1
+        step = np.linalg.norm(An - A)
+        assert ps.converged == (step <= tol * max(np.linalg.norm(A), anchor))
+        if ps.converged:
+            break
+        assert steps < 5000
+    if kind == "kv-shrinking":
+        # the block shrinks toward 0, and only the ||I/2||_F anchor let it stop
+        assert np.linalg.norm(An) < anchor / 4.0 and step > tol * np.linalg.norm(A)
+    _, count, stop, _, _ = run_pass(kv_subproblem_step, make(A0, tol), 5000)
+    assert (count, stop) == (steps, "rule")
+
+
+def test_fro_is_numpy_frobenius_norm_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for r in range(1, 13):
+        for _ in range(200):
+            M = rng.standard_normal((r, r)) * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert _fro(M) == np.linalg.norm(M)
 
 
 @pytest.mark.parametrize("algo", list(Algorithm))

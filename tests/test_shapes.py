@@ -1,7 +1,7 @@
 """A matrix argument of the wrong size is a DimensionMismatchError that
 names both shapes, not numpy's broadcast error, whether it is a rate
-argument, a start or a reduced iterate; a stack stays an
-InvalidInputError (tests/test_stack.py)."""
+argument, the start of a solve or of a pass, or a reduced iterate; a
+stack stays an InvalidInputError (tests/test_stack.py)."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,8 @@ from gbc import (
     solve_private,
     weighted_rate_common,
 )
-from gbc.common import (
-    _weights,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
-)
-from gbc.private import gba_a_step
+from gbc.common import _weights, ku_pass, kv_pass
+from gbc.private import _Spg, gba_a_step
 from gbc.reduction import check_box, lift
 
 INST = random_instance(2, 0)
@@ -45,13 +39,13 @@ BIG = 0.1 * np.eye(3)
     lambda: lift(reduce(INST).transform, BIG),
     lambda: check_box(BIG, 2),
     lambda: gba_a_step(BIG, reduce(INST), 2.0),
-    lambda: kv_subproblem_step(BIG, kv_pass(reduce(INST).H, (1.0, -2.0))),
-    lambda: ku_subproblem_step(BIG, ku_pass(np.stack((np.eye(2),) * 4),
-                                            _weights(CI)[1], np.zeros((2, 2)))),
+    lambda: kv_pass(BIG, reduce(INST).H, (1.0, -2.0)),
+    lambda: ku_pass(BIG, np.stack((np.eye(2),) * 4), _weights(CI)[1], np.zeros((2, 2))),
+    lambda: _Spg(BIG, reduce(INST).H, (1.0, -2.0), 0.0),
 ], ids=["rates_private", "rates_common-K_V", "rates_common-K_U",
         "weighted_rate_common", "objective_common-K_V", "objective_common-K_U",
         "solve_private-init", "lift", "check_box", "gba_a_step",
-        "kv_subproblem_step", "ku_subproblem_step"])
+        "kv_pass-start", "ku_pass-start", "spg-start"])
 def test_a_matrix_of_the_wrong_size_names_both_shapes(call):
     with pytest.raises(DimensionMismatchError, match=r"\(3, 3\) and \(2, 2\)"):
         call()

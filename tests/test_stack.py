@@ -279,9 +279,9 @@ def test_spg_iterates_equal_the_per_matrix_formulas(H, w):
     want = _reference_spg(A, H, w, 40)
     assert len(want) > 2
     ps = _Spg(A, H, w, 0.0)
-    got = [(A, ps.G, ps.kkt, ps.f, ps.alpha)]
-    while len(got) < len(want) and (A := ps.step(A)) is not None:
-        got.append((A, ps.G, ps.kkt, ps.f, ps.alpha))
+    got = [(ps.A, ps.G, ps.kkt, ps.f, ps.alpha)]
+    while len(got) < len(want) and ps.step() is not None:
+        got.append((ps.A, ps.G, ps.kkt, ps.f, ps.alpha))
     assert len(got) == len(want)
     for (A1, G1, k1, f1, a1), (A2, G2, k2, f2, a2) in zip(got, want):
         assert np.array_equal(A1, A2)
@@ -300,7 +300,7 @@ def test_spg_defers_a_failed_cholesky_to_the_next_step():
     assert np.array_equal(ps.G, G)
     assert ps.kkt == _kkt(A, G)
     with pytest.raises(NumericalBreakdownError):
-        ps.step(A)
+        ps.step()
 
 
 def test_entry_points_that_take_one_matrix_reject_a_stack():

@@ -1,13 +1,13 @@
-"""The common block steps check the box of every matrix handed to them,
-except the iterate their own pass just made.
+"""A pass owns its iterate: it reads its start once with check_box when
+it is built, and its steps take no matrix, so a pass can only step from
+the iterate it holds.
 
-kv_subproblem_step (also bound as ku_subproblem_step) runs check_box on
-its argument unless it is the array ps.last that the pass's previous
-step returned.  These tests pin the three sides of that: a block solve
-checks once, not once per step; anything not made by the pass, copies
-included, is still checked; and the skipped checks change no bit of a
-report.  The last test makes solve_common's closing feasibility test,
-one stacked eigvalsh, fire.
+These tests pin the sides of that: a solve checks once per pass, not
+once per step; a NaN, off-box or wrong-size start raises when the pass
+is built, for every kind of pass; checking every iterate a pass makes
+would change no bit of a report; and a pass's running rise is the rise
+of the iterate it holds.  The last test makes solve_common's closing
+feasibility test, one stacked eigh, fire.
 """
 
 import dataclasses
@@ -18,92 +18,116 @@ import numpy as np
 import pytest
 
 import gbc.common as common
-from gbc import Algorithm, SolveOptions, random_instance, solve_common
-from gbc.common import (
-    _weights,
-    build_box,
-    check_box,
-    ku_pass,
-    ku_subproblem_step,
-    kv_pass,
-    kv_subproblem_step,
+import gbc.private as private
+from gbc import (
+    Algorithm,
+    DimensionMismatchError,
+    SolveOptions,
+    random_instance,
+    solve_common,
+    solve_private,
 )
+from gbc.common import _weights, build_box, ku_pass, kv_pass
 from gbc.errors import InvalidInputError
-from gbc.private import _Spg
+from gbc.private import _a_step, _Spg, gba_pass
+from gbc.reduction import check_box
 
 _SOLVERS = [(Algorithm.SPG, 1e-3), (Algorithm.GBA_P, 3e-2)]
 _IDS = ["spg", "egba-p"]
 
 
 def _counting(monkeypatch):
-    """Replace gbc.common.check_box with a wrapper that logs each call."""
+    """Replace the pass constructors' check_box with a wrapper that logs
+    each call."""
     calls = []
 
     def counted(A, rank):
         calls.append(rank)
         return check_box(A, rank)
 
-    monkeypatch.setattr(common, "check_box", counted)
+    monkeypatch.setattr(private, "check_box", counted)
     return calls
 
 
 @pytest.mark.parametrize("algorithm,tol", _SOLVERS, ids=_IDS)
-def test_one_step_check_per_block_solve(monkeypatch, algorithm, tol):
+def test_one_check_per_block_solve(monkeypatch, algorithm, tol):
     calls = _counting(monkeypatch)
     rep = solve_common(random_instance(3, 0, "common"),
                        SolveOptions(algorithm=algorithm, rel_tol=tol))
-    # a block whose first step stalls would check once and count 0 steps
-    assert not any("roundoff" in w for w in rep.warnings)
     counts = rep.inner_iterations[0] + rep.inner_iterations[1]
-    stepped = sum(1 for c in counts if c > 0)
-    assert sum(counts) > stepped > 0
-    assert len(calls) == stepped
+    assert sum(counts) > len(counts)
+    assert len(calls) == len(counts)
 
 
-def _passes():
-    """Fresh K_V (EGBA-P and SPG) and K_U (EGBA-P) passes on the first
-    outer pass's boxes of a real instance, each with its step name."""
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_one_check_per_private_solve(monkeypatch, algorithm):
+    calls = _counting(monkeypatch)
+    rep = solve_private(random_instance(3, 0), SolveOptions(algorithm=algorithm))
+    assert rep.iterations > 1
+    assert calls == [3]
+
+
+def _boxes():
+    """The first outer pass's K_V and K_U boxes of a real instance, with
+    their weights."""
     inst = random_instance(3, 0, "common")
     w_v, w_u = _weights(inst)
     S1, S2 = inst.Sigma1, inst.Sigma2
-    kv_box = build_box(inst.K_C, (S2, S1))
-    ku_box = build_box(inst.K_C, (S2, S1, S1, S2))
+    return (build_box(inst.K_C, (S2, S1)), w_v,
+            build_box(inst.K_C, (S2, S1, S1, S2)), w_u)
+
+
+def _make_passes():
+    """A constructor for each kind of pass, from its start A."""
+    kv_box, w_v, ku_box, w_u = _boxes()
     r = ku_box.rank
+    H = np.stack((kv_box.H[0], kv_box.H[0] + np.eye(r)))
     return {
-        "kv-egba": (kv_subproblem_step, kv_pass(kv_box.H, w_v)),
-        "kv-spg": (kv_subproblem_step,
-                   _Spg(0.5 * np.eye(kv_box.rank), kv_box.H, w_v, 0.0)),
-        "ku-egba": (ku_subproblem_step,
-                    ku_pass(ku_box.H, w_u, np.zeros((r, r)))),
+        "spg": lambda A: _Spg(A, kv_box.H, w_v, 0.0),
+        "gba-p": lambda A: gba_pass(A, H, (1.0, -2.0), spectral=True),
+        "gba-a": lambda A: gba_pass(A, H, (1.0, -2.0), update=_a_step, spectral=True),
+        "kv-egba": lambda A: kv_pass(A, kv_box.H, w_v),
+        "ku-egba": lambda A: ku_pass(A, ku_box.H, w_u, np.zeros((r, r))),
     }
 
 
-@pytest.mark.parametrize("name", ["kv-egba", "kv-spg", "ku-egba"])
-def test_step_checks_what_its_pass_did_not_make(monkeypatch, name):
-    step, ps = _passes()[name]
-    r = ps.rank
-    A1 = step(0.5 * np.eye(r), ps)
-    assert A1 is not None and ps.last is A1
-    nan = A1.copy()
+@pytest.mark.parametrize("kind", ["spg", "gba-p", "gba-a", "kv-egba", "ku-egba"])
+def test_a_bad_start_raises_when_the_pass_is_built(kind):
+    make = _make_passes()[kind]
+    good = 0.5 * np.eye(3)
+    assert make(good).step() is not None
+    nan = good.copy()
     nan[0, 0] = np.nan
-    outside = A1.copy()
+    outside = good.copy()
     outside[0, 0] = 3.0
-    for bad in (nan, 3.0 * np.eye(r), 0.5 * np.eye(r + 1), outside):
+    for bad in (nan, 3.0 * np.eye(3), outside):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(InvalidInputError):
-                step(bad, ps)
-    calls = _counting(monkeypatch)
-    A2 = step(A1.copy(), ps)
-    assert len(calls) == 1
-    assert ps.last is A2
-    step(A2, ps)
-    assert len(calls) == 1
+            with pytest.raises(InvalidInputError, match="A_U"):
+                make(bad)
+    with pytest.raises(DimensionMismatchError, match=r"\(4, 4\) and \(3, 3\)"):
+        make(0.5 * np.eye(4))
 
 
-def _parent_step(A, ps):
-    """The block step that checks every iterate."""
-    return ps.step(check_box(A, ps.rank))
+def _block_objective(ps, A):
+    """sum_i w_i logdet(A + H_i) of a pass."""
+    return sum(wi * np.linalg.slogdet(A + Hi)[1] for wi, Hi in zip(ps.w, ps.H))
+
+
+def test_spg_rise_is_the_rise_of_the_iterate_it_holds():
+    kv_box, w_v, _, _ = _boxes()
+    ps = _Spg(0.5 * np.eye(kv_box.rank), kv_box.H, w_v, 0.0)
+    start = ps.A
+    for _ in range(3):
+        assert ps.step() is not None
+        want = _block_objective(ps, ps.A) - _block_objective(ps, start)
+        assert ps.f == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _checking_step(ps):
+    """A block step that first re-checks the iterate the pass holds."""
+    ps.A, _ = check_box(ps.A, len(ps.A))
+    return ps.step()
 
 
 def _bits(obj):
@@ -124,20 +148,20 @@ def _report_bits(rep):
 
 @pytest.mark.parametrize("algorithm,tol", _SOLVERS, ids=_IDS)
 @pytest.mark.parametrize("i", range(4))
-def test_skipped_checks_change_no_bit(monkeypatch, algorithm, tol, i):
+def test_checking_every_iterate_changes_no_bit(monkeypatch, algorithm, tol, i):
     inst = random_instance((2, 3, 4, 2)[i], i, "common")
     opts = SolveOptions(algorithm=algorithm, rel_tol=tol)
     shipped = solve_common(inst, opts)
-    monkeypatch.setattr(common, "kv_subproblem_step", _parent_step)
-    monkeypatch.setattr(common, "ku_subproblem_step", _parent_step)
+    monkeypatch.setattr(common, "kv_subproblem_step", _checking_step)
+    monkeypatch.setattr(common, "ku_subproblem_step", _checking_step)
     checked = solve_common(inst, opts)
     assert _report_bits(shipped) == _report_bits(checked)
 
 
 def test_infeasible_answer_is_reported(monkeypatch):
     # lifting with a stretched lift matrix puts K_U + K_V outside K_C
-    def stretched(K, stack, floor=0.0):
-        box = build_box(K, stack, floor)
+    def stretched(K, stack, scale=None):
+        box = build_box(K, stack, scale)
         bt = box.transform
         return dataclasses.replace(box, transform=dataclasses.replace(
             bt, lift_matrix=1.5 * bt.lift_matrix))
