@@ -21,11 +21,12 @@ pass on its (H, w), started at the block's warm start, through the
 private solver's run_pass, the loop of every solve.  SPG (the default)
 runs the spectral projected gradient ascent of the private solver and
 stops each block on its KKT residual.  EGBA-P, the paper's extension of
-GBA-P, iterates fixed-point maps on the FixedPoint pass of the private
-solver and stops each block on the relative Frobenius step: the K_V map
-is GBA-P's map (kv_pass, the private solver's gba_pass), and the K_U map
-(ku_pass) adds a coupling term through K_V and a mixed barrier to the
-private-message update, with T from H[2] and its scalars read from w.
+GBA-P, runs the private solver's FixedPoint pass, its one fixed-point
+kernel, on each block and stops it on the relative Frobenius step.  The
+K_V map is GBA-P's map; the K_U map adds a coupling through K_V and a
+mixed barrier to the private-message update, and its stack already
+carries both (the coupling is MHat1 - SigmaHat2, by the identities in
+gbc.private).  So this module supplies only stacks and weights.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .psd import (
     logdet,
     matrix,
     project_box,
-    project_box_inverse,
     spectral_norm,
     symmetrize,
 )
@@ -52,10 +52,7 @@ from .private import (
     _gradient,
     _kkt,
     _Spg,
-    gba_pass as kv_pass,
-    inv,
     run_pass,
-    step_stack,
 )
 # box_transform and schur_head run inside build_box, and lift is for
 # callers' matrices (solve_block lifts its passes' iterates unchecked);
@@ -191,38 +188,6 @@ def kv_subproblem_step(ps: FixedPoint | _Spg) -> np.ndarray | None:
 ku_subproblem_step = kv_subproblem_step
 
 
-def _ku_step(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray,
-             coupling: np.ndarray, w_mid: float, w_m2: float,
-             w_m1: float) -> tuple[np.ndarray, np.ndarray]:
-    """EGBA-P's K_U map: the box projection of inv(inv(T) + mid + barrier),
-    T = A H1i A + A, mid the symmetrized w_mid inv(A + SigmaHat2) B_V'
-    inv(A + MHat1), barrier = w_m2 inv(A + MHat2) + w_m1 inv(A + MHat1); T
-    and A + (MHat1, SigmaHat2, MHat2) are inverted in one stacked call."""
-    Wi = inv(step_stack(A, H1i, shifts))
-    M1i = Wi[1]
-    mid = w_mid * (Wi[2] @ coupling @ M1i)
-    mid = (mid + mid.T) / 2.0
-    barrier = w_m2 * Wi[3] + w_m1 * M1i
-    return project_box_inverse(Wi[0] + mid + barrier)
-
-
-def ku_pass(A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
-            coupling: np.ndarray, tol: float = 0.0) -> FixedPoint:
-    """The K_U map from the start A with its constants for a whole K_U
-    inner solve.
-
-    H = (MHat1, MHat2, SigmaHat1, SigmaHat2) is the K_U block's stack:
-    H[2] gives T and is inverted once, and H[0], H[3], H[1] are the
-    shifts.  w = w_u gives the map's scalars: lam2' = -w[3],
-    lam0'*alpha = -w[1] and lam0'*abar = -(w[0] + w[3]).  All hat
-    matrices and the coupling B_V' (the reduced K_V) come from the
-    reduction of the current constraint K_C - K_V; the coupling is
-    symmetrized here so the eigenvalue projection stays well defined.
-    """
-    return FixedPoint(_ku_step, A, H, w, tol, inv(H[2]), H[[0, 3, 1]],
-                      symmetrize(coupling), -w[3], -w[1], -(w[0] + w[3]))
-
-
 def _warm_start(bt, M: np.ndarray, norm: float, scale_eps: float) -> np.ndarray:
     """Previous outer iterate mapped into the current reduced box, or I/2.
 
@@ -257,6 +222,14 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     the summed relative spectral-norm changes of K_U and K_V fall below
     opts.rel_tol, or after opts.max_iters passes.  An init other than
     None raises InvalidInputError.
+
+    EGBA-P's K_U map steps from the gradient of the block objective on
+    the box's own Schur heads, the objective SPG maximizes and
+    kkt_residual certifies.  Where K_V saturates K_C along a direction,
+    the budget K_C - K_V drops rank, build_box takes its Schur path, and
+    the coupling MHat1 - SigmaHat2 the heads carry is not the head of
+    the reduced K_V that the paper writes as B_V'; the map follows the
+    former.
     """
     if opts.algorithm is Algorithm.GBA_A:
         raise InvalidInputError("solve_common runs spg or gba-p (EGBA-P), not gba-a")
@@ -302,19 +275,18 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     rels: list[float] = []
     converged = False
 
-    def solve_block(budget, block, norm, stack, w, make_pass, step, label):
+    def solve_block(budget, block, norm, stack, w, step, label):
         """One inner solve: build the box of `budget` with `stack`, run
-        SPG or the EGBA-P pass make_pass(B, box, w) from the warm start B
-        of `block` (of spectral norm `norm`) on the box's heads and the
-        weights w, and lift the result.  Returns the new block, its step
-        count and its KKT residual (a zero block, 0 and 0.0 for a zero
-        budget)."""
+        SPG or the EGBA-P pass from the warm start B of `block` (of
+        spectral norm `norm`) on the box's heads and the weights w, and
+        lift the result.  Returns the new block, its step count and its
+        KKT residual (a zero block, 0 and 0.0 for a zero budget)."""
         try:
             box = build_box(budget, stack, kc_norm)
         except DegenerateInstanceError:
             return zero, 0, 0.0
         B = _warm_start(box.transform, block, norm, scale_eps)
-        ps = _Spg(B, box.H, w, inner_tol) if spg else make_pass(B, box, w)
+        ps = (_Spg if spg else FixedPoint)(B, box.H, w, inner_tol)
         B, count, stop, kkt, _ = run_pass(step, ps, INNER_CAP)
         if stop == "cap":
             warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")
@@ -330,15 +302,11 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         K_V_prev = K_V
         nu, nv = norms
         # K_V under the budget K_C - K_U, then K_U under K_C - K_V
-        K_V, count, _ = solve_block(
-            K_C - K_U, K_V, nv, (K_U + S2, K_U + S1), w_v,
-            lambda B, box, w: kv_pass(B, box.H, w, inner_tol), kv_subproblem_step, "K_V")
+        K_V, count, _ = solve_block(K_C - K_U, K_V, nv, (K_U + S2, K_U + S1), w_v,
+                                    kv_subproblem_step, "K_V")
         kv_counts.append(count)
-        K_U, count, kkt = solve_block(
-            K_C - K_V, K_U, nu, (K_V + S2, K_V + S1, S1, S2), w_u,
-            lambda B, box, w: ku_pass(B, box.H, w, transform(box.transform, K_V)[
-                :box.rank, :box.rank], inner_tol),
-            ku_subproblem_step, "K_U")
+        K_U, count, kkt = solve_block(K_C - K_V, K_U, nu, (K_V + S2, K_V + S1, S1, S2),
+                                      w_u, ku_subproblem_step, "K_U")
         ku_counts.append(count)
 
         trace.append(objective_common(K_U, K_V, inst))

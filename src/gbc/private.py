@@ -10,23 +10,33 @@ monotone Armijo backtrack.  It stops when the KKT residual
 ||A - proj(A + grad f(A))||_F falls to rel_tol, so `converged` certifies
 a first-order optimal point of the box problem to that tolerance.
 
-GBA-P applies the unconstrained fixed-point update inv(S) and projects
-the result back onto the box by eigenvalue clipping, both from one eigh
-of S.
+GBA-P, GBA-A and EGBA-P's two block maps (gbc.common) are one
+fixed-point kernel, _fixed_point.  The paper writes each as an inverse
+of T = A inv(H) A + A plus barrier and coupling terms; two identities,
 
-GBA-A alternates closed-form coordinate updates: it assembles the
-difference matrix B = D_U - lam * D_V from the current iterate, then
-rebuilds the iterate eigenvalue by eigenvalue, each one the unique root
-in (0, 1) of a scalar quadratic.  Its objective trace is non-decreasing.
-The eigh of B gives the eigenpairs of the new iterate, which the next
-step inverts I - A through.
+    inv(A inv(H) A + A) = inv(A) - inv(A + H),
+    inv(A + SigmaHat2) B_V' inv(A + MHat1) = inv(A + SigmaHat2) - inv(A + MHat1)
+        where MHat1 = SigmaHat2 + B_V',
+
+turn every one into a function of the block gradient G of
+f(A) = sum_i w_i logdet(A + H_i), the one SPG and every KKT residual
+take.  From the eigenpairs (q, Q) of A, S = Q diag(c) Q^T - G/kappa, and
+the new iterate is a spectral function of S from one eigh of it:
+GBA-P and EGBA-P take c = 1/q and clip 1/sigma to [PD_FLOOR, 1], the
+box projection of inv(S); GBA-A takes c = 1/q - lam/(1 - q), its
+difference matrix B = D_U - lam D_V, and rebuilds the iterate eigenvalue
+by eigenvalue, each one the unique root in (0, 1) of a scalar quadratic,
+so its objective trace is non-decreasing.  Each step returns the new
+iterate's eigenpairs, which the next step starts from; kappa, the
+weight of the slice T inverts, is read where FixedPoint is built.
 
 Every solve, here and in gbc.common, runs one pass on the stack H and
 weights w of a gbc.reduction box through run_pass.  A pass owns its
-iterate: it reads the start once with check_box when it is built, and
-each step() advances it and applies the pass's own stop rule: SPG the
-KKT test above, GBA-P and GBA-A the relative spectral-norm step (each
-step returns the new iterate's eigenvalues, so the rule needs an
+iterate: it reads the start once with check_box when it is built (a
+fixed-point pass by one eigh, which also gives its first eigenpairs),
+and each step() advances it and applies the pass's own stop rule: SPG
+the KKT test above, GBA-P and GBA-A the relative spectral-norm step
+(each step returns the new iterate's eigenvalues, so the rule needs an
 eigvalsh of the change only), EGBA-P's passes the Frobenius step.
 """
 
@@ -47,10 +57,11 @@ from .errors import (
 )
 from .psd import (
     PD_FLOOR,
+    box_inverse,
+    eigen_map,
     logdet,
     matrix,
     project_box,
-    project_box_inverse,
     symmetrize,
 )
 from .reduction import PrivateInstance, ReducedPrivate, check_box, lift, reduce, weighted
@@ -161,21 +172,6 @@ def inv(M: np.ndarray) -> np.ndarray:
         raise NumericalBreakdownError(f"matrix inverse failed: {e}") from e
 
 
-def step_stack(A: np.ndarray, H1i: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Workspace of the matrices one fixed-point step inverts.
-
-    Returns a (1 + k, r, r) stack holding T = A H1i A + A, then
-    A + shifts[i] for the k slices of the shift stack (built once per
-    solve or per EGBA pass).  Every step inverts its stack in one LAPACK
-    call; each slice of that call's result is bit-equal to inverting the
-    matrix on its own.
-    """
-    W = np.empty((1 + len(shifts),) + A.shape)
-    np.add(A @ H1i @ A, A, out=W[0])
-    np.add(A, shifts, out=W[1:])
-    return W
-
-
 def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float:
     """Reduced objective logdet(A_U + SigmaHat1) - lam * logdet(A_U + SigmaHat2)."""
     A = symmetrize(matrix(A_U, "A_U", red.rank))
@@ -185,8 +181,10 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
 
 def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
     """Gradient sum_i w_i inv(A + H_i) of sum_i w_i logdet(A + H_i), from
-    one stacked inverse."""
-    return symmetrize(weighted(w, inv(A + H)))
+    one stacked inverse.  Every fixed-point step takes one, so it folds
+    with symmetrize's arithmetic but without its argument checks."""
+    G = weighted(w, inv(A + H))
+    return (G + G.T) / 2.0
 
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
@@ -235,33 +233,22 @@ def root_in_unit_interval(b, lam):
     return _root(b_arr, lam_arr)
 
 
-def _p_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray,
-            lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """GBA-P (and EGBA K_V) map: the box projection of
-    inv(inv(T) + lam inv(A + H2)), T = A H1i A + A, with H2s the
-    one-slice stack (H2,); returns the new iterate and its eigenvalues."""
-    Wi = inv(step_stack(A, H1i, H2s))
-    return project_box_inverse(Wi[0] + lam * Wi[1])
-
-
-def _a_step(A: np.ndarray, H1i: np.ndarray, H2s: np.ndarray, lam: float,
-            pairs: tuple[np.ndarray, np.ndarray]
-            ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """GBA-A map: the eigenvalue-wise roots of the quadratic built from
-    one stacked inverse of T and A + H2, and inv(I - A) from the
-    eigenpairs (q, Q) of A, ordered as eigh returns them.  lam must be
-    finite and > 1: the callers check it once.  Returns the new iterate
-    and its eigenpairs."""
+def _fixed_point(pairs: tuple[np.ndarray, np.ndarray], G: np.ndarray,
+                 lam: float | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The one map of GBA-P, GBA-A and both EGBA-P blocks: from the
+    eigenpairs (q, Q) of the iterate A and the gradient G of f/kappa at
+    A (FixedPoint scales the weights), S = Q diag(c) Q^T - G, and the new
+    iterate is a spectral function of S, returned with its eigenpairs.
+    GBA-P and EGBA-P (lam None) take c = 1/q and the box projection
+    V clip(1/sigma, [PD_FLOOR, 1]) V^T of inv(S); GBA-A takes
+    c = 1/q - lam/(1 - q) and V clip(root(b, lam), [PD_FLOOR,
+    1 - PD_FLOOR]) V^T.  q holds no 0, nor for GBA-A a 1: FixedPoint
+    checks its start, and both clips keep every later q inside."""
     q, Q = pairs
-    gap = 1.0 - q
-    if not gap.all():
-        raise NumericalBreakdownError("I - A is singular: A has eigenvalue 1")
-    Wi = inv(step_stack(A, H1i, H2s))
-    D_U = Wi[0]
-    D_V = (Q / gap) @ Q.T - Wi[1]
-    b, H = np.linalg.eigh(symmetrize(D_U - lam * D_V))
-    a = np.clip(_root(b, lam), PD_FLOOR, 1.0 - PD_FLOOR)
-    return symmetrize((H * a) @ H.T), (a, H)
+    if lam is None:
+        return eigen_map((Q / q) @ Q.T - G, box_inverse)
+    return eigen_map((Q * (1.0 / q - lam / (1.0 - q))) @ Q.T - G,
+                     lambda b: np.clip(_root(b, lam), PD_FLOOR, 1.0 - PD_FLOOR))
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
@@ -272,9 +259,7 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     rule = "lam must be a finite weight > 1"
     if (lam := number(lam, rule)) <= 1.0:
         raise InvalidInputError(f"{rule}, got {lam}")
-    A, _ = check_box(A_U, red.rank)
-    return _a_step(A, inv(red.SigmaHat1), red.SigmaHat2[None], lam,
-                   np.linalg.eigh(A))[0]
+    return FixedPoint(A_U, red.H, (1.0, -lam), alternating=True).step()
 
 
 def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float:
@@ -300,15 +285,17 @@ def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
 class _Pass:
     """A pass on the stack H and weights w of a box, which owns its
     iterate A: the start, read once by check_box (e0 holds its
-    eigenvalues), then each iterate step() makes.  step() takes no
-    matrix: it advances A and returns it (SPG returns None instead once
-    no rise can be verified), and applies the pass's stop rule, whose
-    verdict `converged` holds.  `kkt` is the KKT residual at A."""
+    eigenvalues, ascending), then each iterate step() makes.  step()
+    takes no matrix: it advances A and returns it (SPG returns None
+    instead once no rise can be verified), and applies the pass's stop
+    rule, whose verdict `converged` holds.  `kkt` is the KKT residual at
+    A."""
 
-    def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...]):
+    def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
+                 decompose=np.linalg.eigvalsh):
         self.H = H
         self.w = w
-        self.A, self.e0 = check_box(A, H.shape[-1])
+        self.A, self.e0 = check_box(A, H.shape[-1], decompose)
 
 
 class _Spg(_Pass):
@@ -412,12 +399,18 @@ def _fro(M: np.ndarray) -> float:
 
 
 class FixedPoint(_Pass):
-    """A fixed-point map `update(A, *args)` on the stack H and weights w,
-    with its constants args built once per solve or EGBA pass (args[0]
-    inverts the slice that gives T).  The map returns the new iterate,
-    then its eigenvalues `eigs`; GBA-A's map (_a_step) steps from the
-    eigenpairs `pairs` of A, taken by one eigh of the start, and returns
-    the new iterate's.
+    """The paper's fixed-point map on the stack H and weights w: GBA-P's
+    (GBA-A's with `alternating`) in solve_private, and EGBA-P's on both
+    solve_common blocks.  Every stack ends in the pair whose first slice
+    the paper's T = A inv(H) A + A inverts: (SigmaHat1, SigmaHat2) in a
+    private box, (NHat1, NHat2) in K_V's, (SigmaHat1, SigmaHat2) after
+    (MHat1, MHat2) in K_U's.  So the map steps on f/kappa, kappa = w[-2]
+    the weight of that slice, and GBA-A's lam is the pair's ratio
+    -w[-1]/w[-2], which must be finite and > 0 (> 1 for GBA-A, the root's
+    domain), else InvalidInputError before the start is read.  One eigh
+    of the start checks the box and gives the eigenpairs `pairs` the
+    first step takes (a 0 eigenvalue, or for GBA-A a 1, raises
+    NumericalBreakdownError); each step returns the new iterate's.
 
     Each step tests the relative step.  With `spectral` (GBA-P, GBA-A)
     it compares the spectral norm `num` of An - A with tol times A's
@@ -429,53 +422,50 @@ class FixedPoint(_Pass):
 
     converged = False
 
-    def __init__(self, update, A: np.ndarray, H: np.ndarray,
-                 w: tuple[float, ...], tol: float, *args, spectral: bool = False):
-        super().__init__(A, H, w)
-        self.update = update
+    def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
+                 tol: float = 0.0, alternating: bool = False, spectral: bool = False):
+        kappa = w[-2]
+        lam = -w[-1] / kappa if kappa else math.nan
+        least = 1.0 if alternating else 0.0
+        if not (np.isfinite(lam) and lam > least):
+            raise InvalidInputError(
+                f"ratio -w[-1]/w[-2] must be finite and > {least:g}, got {lam}")
+        # check_box's eigh gives the first step's eigenpairs, and e0 the
+        # start's eigenvalues as for every pass
+        super().__init__(A, H, w, np.linalg.eigh)
+        self.pairs = self.e0
+        self.e0 = q = self.pairs[0]
+        if not q.all():
+            raise NumericalBreakdownError("A is singular: A has eigenvalue 0")
+        if alternating and not (1.0 - q).all():
+            raise NumericalBreakdownError("I - A is singular: A has eigenvalue 1")
+        # the weights of f/kappa, under which that slice weighs 1
+        self.wk = tuple(wi / kappa for wi in w)
+        self.lam = lam if alternating else None
         self.tol = tol
-        self.args = args
         self.spectral = spectral
-        self.eigs = self.e0
-        self.pairs = np.linalg.eigh(self.A) if update is _a_step else None
+        # the smallest and largest eigenvalue of A, and ||I/2||_F
+        self.span = float(q[0]), float(q[-1])
+        self.anchor = 0.5 * math.sqrt(len(q))
 
     @property
     def kkt(self) -> float:
         return _kkt(self.A, _gradient(self.A, self.H, self.w))
 
     def step(self) -> np.ndarray:
-        A, e = self.A, self.eigs
-        if self.pairs is None:
-            An, self.eigs = self.update(A, *self.args)
-        else:
-            An, self.pairs = self.update(A, *self.args, self.pairs)
-            self.eigs = self.pairs[0]
+        A = self.A
+        An, self.pairs = _fixed_point(self.pairs, _gradient(A, self.H, self.wk), self.lam)
         if self.spectral:
-            self.num = float(np.max(np.abs(np.linalg.eigvalsh(An - A))))
-            self.converged = self.num <= self.tol * max(abs(float(e.min())),
-                                                        abs(float(e.max())))
+            lo, hi = self.span
+            d = np.linalg.eigvalsh(An - A)
+            self.num = max(abs(float(d[0])), abs(float(d[-1])))
+            self.converged = self.num <= self.tol * max(abs(lo), abs(hi))
+            e = self.pairs[0]
+            self.span = float(e.min()), float(e.max())
         else:
-            self.converged = _fro(An - A) <= self.tol * max(_fro(A),
-                                                            0.5 * math.sqrt(len(A)))
+            self.converged = _fro(An - A) <= self.tol * max(_fro(A), self.anchor)
         self.A = An
         return An
-
-
-def gba_pass(A: np.ndarray, H: np.ndarray, w: tuple[float, ...], tol: float = 0.0,
-             update=_p_step, spectral: bool = False) -> FixedPoint:
-    """GBA-P's map (GBA-A's with update=_a_step) from the start A on the
-    stack H and weights w: T from inv(H[0]), the shift H[1] and the ratio
-    -w[1]/w[0], which must be finite and > 0 (else InvalidInputError,
-    before the start is read).  solve_private's GBA passes (spectral)
-    and, as common.kv_pass, the EGBA-P K_V pass.  GBA-A's root needs a
-    ratio > 1, so with update=_a_step the ratio must exceed 1; in a
-    solve, PrivateInstance.validate has checked lam before."""
-    ratio = -w[1] / w[0] if w[0] else math.nan
-    least = 1.0 if update is _a_step else 0.0
-    if not (np.isfinite(ratio) and ratio > least):
-        raise InvalidInputError(
-            f"ratio -w[1]/w[0] must be finite and > {least:g}, got {ratio}")
-    return FixedPoint(update, A, H, w, tol, inv(H[0]), H[1:], ratio, spectral=spectral)
 
 
 def run_pass(step, ps, cap: int, watch=None):
@@ -574,13 +564,12 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
             d, e = np.linalg.eigvalsh(E)
             return ps.f, float(np.max(np.abs(d))), float(e[0]), float(e[-1])
     else:
-        update = _p_step if opts.algorithm is Algorithm.GBA_P else _a_step
-        ps = gba_pass(A, H, w, opts.rel_tol, update, spectral=True)
+        ps = FixedPoint(A, H, w, opts.rel_tol, opts.algorithm is Algorithm.GBA_A,
+                        spectral=True)
 
         def watch(A, An):
             # the stop rule measured the step and the step made the eigenvalues
-            return (_fast_objective(An, H, w), ps.num,
-                    float(ps.eigs.min()), float(ps.eigs.max()))
+            return (_fast_objective(An, H, w), ps.num) + ps.span
 
     # the pass's check of the start gave its eigenvalues
     e0 = ps.e0

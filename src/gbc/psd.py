@@ -127,21 +127,37 @@ def project_box(M: np.ndarray) -> np.ndarray:
     return (P + _t(P)) / 2.0
 
 
-def project_box_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box projection of the inverse of S, with its clipped eigenvalues,
-    from one eigh(S).
+def eigen_map(S: np.ndarray, f) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """V diag(f(sigma)) V^T from one eigh S = V diag(sigma) V^T of a
+    symmetric matrix, with its eigenpairs (f(sigma), V), in eigh's order.
 
-    S is symmetric and nonsingular, not necessarily definite: each
-    eigenvalue 1/sigma of the inverse is clipped to [PD_FLOOR, 1], so a
-    negative sigma lands on the floor.  Raises NumericalBreakdownError
-    when an eigenvalue of S is exactly zero.
+    f maps the eigenvalues of S to those of the result, which must be
+    nonnegative: box_inverse for the box projection of inv(S), which the
+    fixed-point maps take.  Raises InvalidInputError on NaN or inf
+    entries.
     """
-    sig, V = np.linalg.eigh(_finite_sym(S))
-    if not sig.all():
+    # _finite_sym's fold and test, without symmetrize's argument checks:
+    # every fixed-point step runs this
+    S = (S + S.T) / 2.0
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    sig, V = np.linalg.eigh(S)
+    a = f(sig)
+    # B B^T is exactly symmetric: numpy's matmul computes a product with
+    # its own transpose by one syrk and mirrors the triangle
+    B = V * np.sqrt(a)
+    return B @ B.T, (a, V)
+
+
+def box_inverse(sig: np.ndarray) -> np.ndarray:
+    """1/sigma clipped to [PD_FLOOR, 1]: with eigen_map, the box
+    projection of inv(S).  S need not be definite: a negative sigma
+    lands on the floor.  Raises NumericalBreakdownError when a sigma is
+    exactly zero."""
+    # count_nonzero is cheaper than sig.all(), and this runs every step
+    if np.count_nonzero(sig) < sig.size:
         raise NumericalBreakdownError("matrix inverse failed: Singular matrix")
-    w = np.minimum(np.maximum(1.0 / sig, PD_FLOOR), 1.0)
-    P = (V * w) @ V.T
-    return (P + P.T) / 2.0, w
+    return np.minimum(np.maximum(1.0 / sig, PD_FLOOR), 1.0)
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:

@@ -68,24 +68,27 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
             raise InvalidInstanceError(f"{name} must be positive definite")
 
 
-def check_box(A: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+def check_box(A: np.ndarray, rank: int, decompose=np.linalg.eigvalsh):
     """Read a reduced iterate A_U with gbc.psd.matrix as a rank x rank
     matrix (DimensionMismatchError naming both shapes otherwise),
     symmetrize it and verify it is in the [0, I] box up to slack 1e-8;
     raise InvalidInputError otherwise.  Returns the symmetrized matrix
-    and its eigenvalues, ascending.  lift and gba_a_step run it on the
-    matrix they are handed, and every pass of the solvers on its start
-    when it is built; a pass's own steps stay in the box."""
+    and decompose of it, by which the check reads its eigenvalues:
+    eigvalsh's ascending eigenvalues, or with np.linalg.eigh the
+    eigenpairs a fixed-point pass steps from.  lift and gba_a_step run it
+    on the matrix they are handed, and every pass of the solvers on its
+    start when it is built; a pass's own steps stay in the box."""
     A = matrix(A, "A_U", rank)
     A = (A + A.T) / 2.0
-    w = np.linalg.eigvalsh(A)
+    d = decompose(A)
+    w = d[0] if isinstance(d, tuple) else d
     # written so that a NaN eigenvalue fails the test
     if w.size and not (-1e-8 <= w[0] and w[-1] <= 1.0 + 1e-8):
         raise InvalidInputError(
             f"A_U leaves the [0, I] box (eigenvalues in "
             f"[{w[0]:.3e}, {w[-1]:.3e}])"
         )
-    return A, w
+    return A, d
 
 
 # the slot's one entry: "key", then each part once filled

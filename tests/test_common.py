@@ -17,14 +17,14 @@ from gbc import (
 )
 from gbc.common import (
     _weights,
-    ku_pass,
+    build_box,
     ku_subproblem_step,
-    kv_pass,
     kv_subproblem_step,
+    transform,
 )
 from gbc.errors import InvalidInputError, InvalidInstanceError
-from gbc.private import gba_pass
-from gbc.psd import symmetrize
+from gbc.private import FixedPoint
+from gbc.psd import project_box, symmetrize
 
 
 def _table2_weights():
@@ -93,7 +93,7 @@ def test_objective_scalar_hand_value():
 
 
 def test_kv_step_scalar_hand_value():
-    got = kv_subproblem_step(kv_pass(np.array([[0.5]]), np.ones((2, 1, 1)), (1.0, -2.0)))
+    got = kv_subproblem_step(FixedPoint(np.array([[0.5]]), np.ones((2, 1, 1)), (1.0, -2.0)))
     assert got[0, 0] == pytest.approx(0.375, rel=1e-14)
 
 
@@ -102,42 +102,97 @@ def test_kv_pass_rejects_bad_ratio_and_box():
     # ratios -1, 0, NaN, and a zero first weight
     for w in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (0.0, -1.0)):
         with pytest.raises(InvalidInputError):
-            kv_pass(np.array([[0.5]]), H, w)
+            FixedPoint(np.array([[0.5]]), H, w)
     with pytest.raises(InvalidInputError):
-        kv_pass(3.0 * np.eye(2), np.stack((np.eye(2),) * 2), (1.0, -1.0))
+        FixedPoint(3.0 * np.eye(2), np.stack((np.eye(2),) * 2), (1.0, -1.0))
 
 
 def test_ku_step_scalar_hand_value():
+    # the K_U stack of SigmaHat1 = SigmaHat2 = 1 and B_V' = 1/4: MHat1 =
+    # SigmaHat2 + B_V' and MHat2 = SigmaHat1 + B_V'
     inst = _scalar(2.0, 1.0, 2.0)
     one = np.array([[1.0]])
-    got = ku_subproblem_step(ku_pass(0.5 * one, np.stack((one,) * 4), _weights(inst)[1],
-                                     0.25 * one))
-    # T1 = 4/3, coupling = 1.1*0.25/2.25 = 11/90, barrier = 1.2/1.5 = 4/5
-    assert got[0, 0] == pytest.approx(90.0 / 203.0, rel=1e-12)
+    H = np.stack((1.25 * one, 1.25 * one, one, one))
+    got = ku_subproblem_step(FixedPoint(0.5 * one, H, _weights(inst)[1]))
+    # A = 1/2: inv(T) = 4/3, coupling = 1.1 * 0.25 / (1.5 * 1.75) = 11/105,
+    # barrier = 1.2/1.75 = 24/35, and 4/3 + 11/105 + 24/35 = 223/105
+    assert got[0, 0] == pytest.approx(105.0 / 223.0, rel=1e-12)
 
 
 def test_ku_step_matches_kv_shape_when_uncoupled():
-    # alpha = 1 and B_V' = 0 reduce the K_U update to the K_V update with
-    # noise pair (SigmaHat1, MHat2) and ratio lambda0/lambda1
+    # alpha = 1 and K_V = 0 reduce the K_U update to the K_V update with
+    # noise pair (SigmaHat1, MHat2) and ratio lambda0/lambda1, on the
+    # stack a K_U block builds at K_V = 0
     rng = np.random.default_rng(3)
-    inst = CommonInstance(K_C=np.eye(3), Sigma1=np.eye(3), Sigma2=np.eye(3),
-                          lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=1.0)
     for _ in range(5):
-        G = rng.standard_normal((3, 3))
-        S1h = G @ G.T + 0.5 * np.eye(3)
-        G = rng.standard_normal((3, 3))
-        S2h = G @ G.T + 0.5 * np.eye(3)
-        G = rng.standard_normal((3, 3))
-        M1h = G @ G.T + 0.5 * np.eye(3)
-        G = rng.standard_normal((3, 3))
-        M2h = G @ G.T + 0.5 * np.eye(3)
+        K_C, S1, S2 = (G @ G.T + 0.5 * np.eye(3)
+                       for G in rng.standard_normal((3, 3, 3)))
+        inst = CommonInstance(K_C=K_C, Sigma1=S1, Sigma2=S2,
+                              lambda0=1.2, lambda1=1.0, lambda2=1.1, alpha=1.0)
+        H = build_box(K_C, (S2, S1, S1, S2)).H
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         A = (Q * rng.uniform(0.05, 0.95, 3)) @ Q.T
-        got = ku_subproblem_step(
-            ku_pass(A, np.stack((M1h, M2h, S1h, S2h)), _weights(inst)[1],
-                    np.zeros((3, 3))))
-        want = kv_subproblem_step(kv_pass(A, np.stack((S1h, M2h)), (1.0, -1.2)))
+        got = ku_subproblem_step(FixedPoint(A, H, _weights(inst)[1]))
+        want = kv_subproblem_step(FixedPoint(A, H[[2, 1]], (1.0, -1.2)))
         assert np.linalg.norm(got - want) < 1e-12
+
+
+def _lu_ku_step(A, H, w, coupling):
+    """The paper's K_U map by LU inverses, with the coupling B_V' given:
+    project_box(inv(inv(T) + mid + barrier)), T = A SigmaHat1^-1 A + A."""
+    inv = np.linalg.inv
+    M1h, M2h, S1h, S2h = H
+    T = A @ inv(S1h) @ A + A
+    mid = -w[3] * (inv(A + S2h) @ coupling @ inv(A + M1h))
+    barrier = -w[1] * inv(A + M2h) - (w[0] + w[3]) * inv(A + M1h)
+    return project_box(inv(inv(T) + symmetrize(mid) + barrier))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ku_step_on_a_rank_dropping_budget_follows_the_block_objective(n):
+    """K_V = K_C along K_C's top direction drops a rank from the K_U
+    budget, so build_box takes its Schur path and MHat1 - SigmaHat2 is
+    not the head of the reduced K_V.  The K_U map steps from the
+    gradient of the block objective, the one SPG maximizes and
+    kkt_residual certifies: it is the paper's map with the coupling
+    MHat1 - SigmaHat2 the box's heads carry, and its
+    inv(A) - gradient is the one a finite-difference gradient of
+    objective_common through the lift gives."""
+    inst = random_instance(n, 0, "common")
+    l, P = np.linalg.eigh(inst.K_C)
+    K_V = l[-1] * np.outer(P[:, -1], P[:, -1])
+    S1, S2 = inst.Sigma1, inst.Sigma2
+    box = build_box(inst.K_C - K_V, (K_V + S2, K_V + S1, S1, S2))
+    r = box.rank
+    assert r == n - 1
+    w = _weights(inst)[1]
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    A = symmetrize((Q * rng.uniform(0.2, 0.8, r)) @ Q.T)
+    got = ku_subproblem_step(FixedPoint(A, box.H, w))
+
+    coupling = box.H[0] - box.H[3]
+    want = _lu_ku_step(A, box.H, w, coupling)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    L = box.transform.lift_matrix
+    h = 1e-5
+    G = np.empty((r, r))
+    for i in range(r):
+        for j in range(i, r):
+            E = np.zeros((r, r))
+            E[i, j] = E[j, i] = 1.0 if i == j else 0.5
+            up, down = (objective_common(L @ (A + s * E) @ L.T, K_V, inst)
+                        for s in (h, -h))
+            G[i, j] = G[j, i] = (up - down) / (2.0 * h)
+    fd = project_box(np.linalg.inv(np.linalg.inv(A) - G))
+    assert np.max(np.abs(got - fd)) < 1e-6
+
+    # the head of the reduced K_V, which the map took as its coupling
+    # before, is another matrix on this box, and gives another step
+    head = transform(box.transform, K_V)[:r, :r]
+    assert np.max(np.abs(coupling - head)) > 1e-3
+    assert np.max(np.abs(_lu_ku_step(A, box.H, w, head) - got)) > 1e-3
 
 
 @pytest.mark.parametrize("n,rank", [(1, None), (2, None), (3, None), (5, None),
@@ -153,8 +208,8 @@ def test_kv_step_is_the_gba_p_step(n, rank):
         A = (A + A.T) / 2.0
         H = np.stack((red.SigmaHat1, red.SigmaHat2))
         w = (1.0, -red.lam)
-        got = kv_subproblem_step(kv_pass(A, H, w))
-        gba_p = gba_pass(A, H, w, 1e-4, spectral=True)
+        got = kv_subproblem_step(FixedPoint(A, H, w))
+        gba_p = FixedPoint(A, H, w, 1e-4, spectral=True)
         assert np.array_equal(got, gba_p.step())
 
 

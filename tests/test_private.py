@@ -21,16 +21,16 @@ from gbc import (
 )
 from gbc import private
 from gbc.errors import InvalidInputError, NumericalBreakdownError
-from gbc.common import kv_pass, kv_subproblem_step
-from gbc.private import gba_a_step, root_in_unit_interval
+from gbc.common import kv_subproblem_step
+from gbc.private import FixedPoint, gba_a_step, root_in_unit_interval
 from gbc.psd import symmetrize
 from gbc.reduction import lift
 
 
 def _gba_p_step(A, red):
     """GBA-P's step from A on a reduced private problem, as a K_V pass's."""
-    return kv_subproblem_step(kv_pass(A, np.stack((red.SigmaHat1, red.SigmaHat2)),
-                                      (1.0, -red.lam)))
+    return kv_subproblem_step(FixedPoint(A, np.stack((red.SigmaHat1, red.SigmaHat2)),
+                                         (1.0, -red.lam)))
 
 
 def _case(idx):
@@ -140,14 +140,14 @@ def test_gba_a_step_checks_lam_first(lam):
 
 
 def test_gba_a_pass_checks_its_weight_once():
-    """gba_pass takes GBA-A's weight -w[1]/w[0] only above 1, the root's
-    domain; GBA-P's map takes any positive one."""
+    """FixedPoint takes GBA-A's weight -w[-1]/w[-2] only above 1, the
+    root's domain; GBA-P's map takes any positive one."""
     H = np.stack((np.eye(2), 2.0 * np.eye(2)))
     A = 0.5 * np.eye(2)
-    private.gba_pass(A, H, (1.0, -0.5))
+    FixedPoint(A, H, (1.0, -0.5))
     for w in ((1.0, -0.5), (1.0, -1.0), (1.0, float("nan"))):
         with pytest.raises(InvalidInputError):
-            private.gba_pass(A, H, w, update=private._a_step)
+            FixedPoint(A, H, w, alternating=True)
 
 
 def test_gba_p_step_scalar_value():

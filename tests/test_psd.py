@@ -10,7 +10,7 @@ from gbc.errors import (
     NotPositiveDefiniteError,
     NumericalBreakdownError,
 )
-from gbc.psd import PD_FLOOR, project_box_inverse, spectral_norm, symmetrize
+from gbc.psd import PD_FLOOR, box_inverse, eigen_map, spectral_norm, symmetrize
 
 
 def test_symmetrize_is_exactly_symmetric():
@@ -70,13 +70,17 @@ def test_project_box_clips_spectrum():
 
 
 def test_project_box_inverse_clips_and_rejects_singular():
-    P, w = project_box_inverse(np.diag([-2.0, 0.5, 4.0]))
+    P, (w, V) = eigen_map(np.diag([-2.0, 0.5, 4.0]), box_inverse)
     assert np.array_equal(w, [PD_FLOOR, 1.0, 0.25])
-    assert np.array_equal(P, np.diag(w))
+    assert np.array_equal(np.abs(V), np.eye(3))
+    # P is rebuilt as B B^T, B = V diag(sqrt(w)), so its diagonal holds
+    # sqrt(w)^2, which differs from w by at most one rounding
+    assert np.array_equal(P, np.diag(np.sqrt(w) ** 2))
+    assert np.allclose(P, np.diag(w), rtol=2.0 * np.finfo(float).eps, atol=0.0)
     with pytest.raises(NumericalBreakdownError):
-        project_box_inverse(np.diag([1.0, 0.0]))
+        eigen_map(np.diag([1.0, 0.0]), box_inverse)
     with pytest.raises(InvalidInputError):
-        project_box_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        eigen_map(np.array([[1.0, np.nan], [np.nan, 1.0]]), box_inverse)
 
 
 def test_loewner_leq_basics():

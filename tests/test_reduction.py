@@ -21,13 +21,13 @@ from gbc import (
     trace_region_private,
     transform,
 )
-from gbc.common import _weights, ku_pass, kv_pass, objective_common
+from gbc.common import _weights, objective_common
 from gbc.errors import (
     DegenerateInstanceError,
     InvalidInputError,
     InvalidInstanceError,
 )
-from gbc.private import gba_a_step
+from gbc.private import FixedPoint, gba_a_step
 from gbc.psd import symmetrize
 from gbc.reduction import box_offset, build_box, check_matrices, lift, schur_head
 
@@ -170,9 +170,8 @@ _COMMON = CommonInstance(K_C=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lambda0=1.2,
 _BOX_CHECKED = {
     "lift": lambda A: lift(reduce(_PRIVATE).transform, A),
     "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
-    "kv_pass": lambda A: kv_pass(A, np.stack((_I2, _I2)), (1.0, -1.0)).step(),
-    "ku_pass": lambda A: ku_pass(
-        A, np.stack((_I2,) * 4), _weights(_COMMON)[1], np.zeros((2, 2))).step(),
+    "kv_pass": lambda A: FixedPoint(A, np.stack((_I2, _I2)), (1.0, -1.0)).step(),
+    "ku_pass": lambda A: FixedPoint(A, np.stack((_I2,) * 4), _weights(_COMMON)[1]).step(),
 }
 
 

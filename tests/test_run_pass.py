@@ -9,8 +9,8 @@ import pytest
 
 from gbc import Algorithm, SolveOptions, random_instance, reduce, solve_common, solve_private
 from gbc import common
-from gbc.common import _weights, build_box, ku_pass, kv_pass, kv_subproblem_step
-from gbc.private import _fro, _Spg, gba_pass, run_pass
+from gbc.common import _weights, build_box, kv_subproblem_step
+from gbc.private import FixedPoint, _fro, _Spg, run_pass
 
 
 def _step(ps):
@@ -45,7 +45,7 @@ def test_stop_rule_cap_and_stall_exits():
         return len(seen)
 
     # GBA-P at tol 0 never meets its rule: the cap ends it, after cap steps
-    ps = gba_pass(A0, H, w, 0.0, spectral=True)
+    ps = FixedPoint(A0, H, w, 0.0, spectral=True)
     start = ps.A
     A, steps, stop, kkt, trace = run_pass(_step, ps, 4, watch)
     assert (steps, stop, trace) == (4, "cap", [1, 2, 3, 4])
@@ -53,7 +53,7 @@ def test_stop_rule_cap_and_stall_exits():
     assert all(An is B for (_, An), (B, _) in zip(seen, seen[1:]))
     assert kkt == ps.kkt
     # at a loose tol its spectral step rule fires before the cap
-    ps = gba_pass(A0, H, w, 0.5, spectral=True)
+    ps = FixedPoint(A0, H, w, 0.5, spectral=True)
     _, steps, stop, _, _ = run_pass(_step, ps, 100)
     assert stop == "rule" and 1 <= steps < 100
     # a step that returns None stalls the run at the pass's start
@@ -75,10 +75,10 @@ def _egba_passes():
     ku_box = build_box(inst.K_C, (S2, S1, S1, S2))
     r = ku_box.rank
     return {
-        "kv": lambda A, tol: kv_pass(A, kv_box.H, w_v, tol),
-        "ku": lambda A, tol: ku_pass(A, ku_box.H, w_u, np.zeros((r, r)), tol),
-        "kv-shrinking": lambda A, tol: kv_pass(A, np.stack((np.eye(r),) * 2),
-                                               (1.0, -2.0), tol),
+        "kv": lambda A, tol: FixedPoint(A, kv_box.H, w_v, tol),
+        "ku": lambda A, tol: FixedPoint(A, ku_box.H, w_u, tol),
+        "kv-shrinking": lambda A, tol: FixedPoint(A, np.stack((np.eye(r),) * 2),
+                                                  (1.0, -2.0), tol),
     }
 
 

@@ -18,8 +18,8 @@ from gbc import (
     solve_private,
     weighted_rate_common,
 )
-from gbc.common import _weights, ku_pass, kv_pass
-from gbc.private import _Spg, gba_a_step
+from gbc.common import _weights
+from gbc.private import FixedPoint, _Spg, gba_a_step
 from gbc.reduction import check_box, lift
 
 INST = random_instance(2, 0)
@@ -39,8 +39,8 @@ BIG = 0.1 * np.eye(3)
     lambda: lift(reduce(INST).transform, BIG),
     lambda: check_box(BIG, 2),
     lambda: gba_a_step(BIG, reduce(INST), 2.0),
-    lambda: kv_pass(BIG, reduce(INST).H, (1.0, -2.0)),
-    lambda: ku_pass(BIG, np.stack((np.eye(2),) * 4), _weights(CI)[1], np.zeros((2, 2))),
+    lambda: FixedPoint(BIG, reduce(INST).H, (1.0, -2.0)),
+    lambda: FixedPoint(BIG, np.stack((np.eye(2),) * 4), _weights(CI)[1]),
     lambda: _Spg(BIG, reduce(INST).H, (1.0, -2.0), 0.0),
 ], ids=["rates_private", "rates_common-K_V", "rates_common-K_U",
         "weighted_rate_common", "objective_common-K_V", "objective_common-K_U",

@@ -1,14 +1,21 @@
-"""Bit-for-bit checks of the four step maps against plain np.linalg references,
-and a rounding-level check against the LU-inverse formulas of the paper.
+"""Two tiers of checks of the four step maps: bit for bit against plain
+np.linalg references of the same arithmetic, and to 1e-12 relative
+against the LU-inverse formulas of the paper.
 
-The steps invert their independent matrices in one stacked call, end in
-project_box_inverse (one eigh of S for project_box(inv(S))), and GBA-A
-inverts I - A through the eigenpairs of A.  Each reference below inverts
-every matrix on its own and follows the same arithmetic, so any change to
-the arithmetic of a step shows up as a failed np.array_equal.  The LU
-oracles invert S and I - A directly and project with eigenvalues in
-descending order and contiguous eigenvector copies; every step agrees
-with them to 1e-12 relative on these interior points.
+Every step is the one kernel of gbc.private: from the eigenpairs (q, Q)
+of A and the block gradient G = sum_i w_i inv(A + H_i) / kappa,
+kappa = w[-2], it forms S = Q diag(c) Q^T - G, c = 1/q (GBA-P, K_V, K_U)
+or 1/q - lam/(1 - q) (GBA-A), and maps the eigenvalues of one eigh of
+S.  The steps invert A + H in one stacked call; each reference below
+inverts every matrix on its own and follows the same arithmetic, so any
+change to the arithmetic of a step shows up as a failed np.array_equal.
+
+The LU oracles are the paper's maps: inv(A SigmaHat1^-1 A + A), inv(I - A)
+and K_U's coupling through B_V' plus its barrier, each inverted directly,
+projected with eigenvalues in descending order and contiguous
+eigenvector copies.  The kernel's form follows from them by the two
+identities gbc.private's docstring states; every step agrees with them
+to 1e-12 relative on these interior points.
 """
 
 import numpy as np
@@ -22,13 +29,11 @@ from gbc import (
 )
 from gbc.common import (
     _weights,
-    ku_pass,
     ku_subproblem_step,
-    kv_pass,
     kv_subproblem_step,
 )
-from gbc.private import gba_a_step
-from gbc.psd import project_box, project_box_inverse
+from gbc.private import FixedPoint, gba_a_step
+from gbc.psd import box_inverse, eigen_map, project_box
 from gbc.reduction import schur_head
 
 FLOOR = 1e-10
@@ -52,10 +57,29 @@ def _project(M):
     return _sym((V * w) @ V.T)
 
 
-def _project_inverse(S):
-    sig, V = np.linalg.eigh(_sym(S))
-    w = np.clip(1.0 / sig, FLOOR, 1.0)
-    return _sym((V * w) @ V.T)
+def _gradient(A, H, w):
+    G = w[0] * inv(A + H[0])
+    for wi, Hi in zip(w[1:], H[1:]):
+        G += wi * inv(A + Hi)
+    return _sym(G)
+
+
+def _kernel(A, H, w, lam=None):
+    """The step from A on the stack H and weights w: S = Q diag(c) Q^T
+    minus the gradient of f/w[-2], then one eigh of S, its eigenvalues
+    a mapped as GBA-P's (lam None) or GBA-A's (lam) map maps them, and
+    the new iterate B B^T, B = V diag(sqrt(a))."""
+    kappa = w[-2]
+    q, Q = np.linalg.eigh(_sym(A))
+    QC = Q / q if lam is None else Q * (1.0 / q - lam / (1.0 - q))
+    S = _sym(QC @ Q.T - _gradient(A, H, [wi / kappa for wi in w]))
+    sig, V = np.linalg.eigh(S)
+    if lam is None:
+        a = np.clip(1.0 / sig, FLOOR, 1.0)
+    else:
+        a = np.clip(_root(sig, lam), FLOOR, 1.0 - FLOOR)
+    B = V * np.sqrt(a)
+    return B @ B.T
 
 
 def _root(b, lam):
@@ -104,15 +128,14 @@ def test_private_steps_match_reference(n, rank, seed):
         A = _sym(_interior_point(rng, red.rank))
         T = A @ inv(H1) @ A + A
         S = inv(T) + lam * inv(A + H2)
+        H = np.stack((H1, H2))
 
-        got_p = kv_subproblem_step(kv_pass(A, np.stack((H1, H2)), (1.0, -lam)))
-        assert np.array_equal(got_p, _project_inverse(S))
+        got_p = kv_subproblem_step(FixedPoint(A, H, (1.0, -lam)))
+        assert np.array_equal(got_p, _kernel(A, H, (1.0, -lam)))
         assert _close(got_p, _project(inv(S)))
 
-        q, Q = np.linalg.eigh(A)
         got_a = gba_a_step(A, red, lam)
-        D_V = (Q / (1.0 - q)) @ Q.T - inv(A + H2)
-        assert np.array_equal(got_a, _a_map(inv(T), D_V, lam, _root))
+        assert np.array_equal(got_a, _kernel(A, H, (1.0, -lam), lam))
         D_V = inv(np.eye(red.rank) - A) - inv(A + H2)
         assert _close(got_a, _a_map(inv(T), D_V, lam, _lu_root))
 
@@ -136,18 +159,16 @@ def test_common_steps_match_reference(n, rank, seed):
 
         T = A @ inv(S2h) @ A + A
         S = inv(T) + 0.75 * inv(A + S1h)
-        got = kv_subproblem_step(kv_pass(A, np.stack((S2h, S1h)), (1.0, -0.75)))
-        assert np.array_equal(got, _project_inverse(S))
+        H = np.stack((S2h, S1h))
+        got = kv_subproblem_step(FixedPoint(A, H, (1.0, -0.75)))
+        assert np.array_equal(got, _kernel(A, H, (1.0, -0.75)))
         assert _close(got, _project(inv(S)))
 
         T = A @ inv(S1h) @ A + A
         M1i = inv(A + M1h)
-        # the step reads lam2', lam0'*alpha and lam0'*abar from the weights
-        mid = -w[3] * (inv(A + S2h) @ _sym(BVp) @ M1i)
-        mid = (mid + mid.T) / 2.0
-        last = -w[1] * inv(A + M2h) - (w[0] + w[3]) * M1i
-        got = ku_subproblem_step(ku_pass(A, np.stack((M1h, M2h, S1h, S2h)), w, BVp))
-        assert np.array_equal(got, _project_inverse(inv(T) + mid + last))
+        H = np.stack((M1h, M2h, S1h, S2h))
+        got = ku_subproblem_step(FixedPoint(A, H, w))
+        assert np.array_equal(got, _kernel(A, H, w))
         # the paper's form, with the weights written in lambda
         mid = (l2 / l1) * (inv(A + S2h) @ _sym(BVp) @ M1i)
         mid = (mid + mid.T) / 2.0
@@ -166,7 +187,7 @@ def test_project_box_inverse_of_indefinite_matrix(r, seed):
     sig[0] = -abs(sig[0])
     sig[-1] = abs(sig[-1])
     S = (Q * sig) @ Q.T
-    P, w = project_box_inverse(S)
+    P, (w, _) = eigen_map(S, box_inverse)
     oracle = project_box(inv(S))
     assert np.linalg.norm(P - oracle) <= ORACLE_RTOL * np.linalg.norm(oracle)
     assert np.allclose(np.sort(w), np.linalg.eigvalsh(oracle), rtol=0, atol=1e-12)

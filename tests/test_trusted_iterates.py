@@ -27,9 +27,9 @@ from gbc import (
     solve_common,
     solve_private,
 )
-from gbc.common import _weights, build_box, ku_pass, kv_pass
+from gbc.common import _weights, build_box
 from gbc.errors import InvalidInputError
-from gbc.private import _a_step, _Spg, gba_pass
+from gbc.private import FixedPoint, _Spg
 from gbc.reduction import check_box
 
 _SOLVERS = [(Algorithm.SPG, 1e-3), (Algorithm.GBA_P, 3e-2)]
@@ -41,9 +41,9 @@ def _counting(monkeypatch):
     each call."""
     calls = []
 
-    def counted(A, rank):
+    def counted(A, rank, *decompose):
         calls.append(rank)
-        return check_box(A, rank)
+        return check_box(A, rank, *decompose)
 
     monkeypatch.setattr(private, "check_box", counted)
     return calls
@@ -84,10 +84,10 @@ def _make_passes():
     H = np.stack((kv_box.H[0], kv_box.H[0] + np.eye(r)))
     return {
         "spg": lambda A: _Spg(A, kv_box.H, w_v, 0.0),
-        "gba-p": lambda A: gba_pass(A, H, (1.0, -2.0), spectral=True),
-        "gba-a": lambda A: gba_pass(A, H, (1.0, -2.0), update=_a_step, spectral=True),
-        "kv-egba": lambda A: kv_pass(A, kv_box.H, w_v),
-        "ku-egba": lambda A: ku_pass(A, ku_box.H, w_u, np.zeros((r, r))),
+        "gba-p": lambda A: FixedPoint(A, H, (1.0, -2.0), spectral=True),
+        "gba-a": lambda A: FixedPoint(A, H, (1.0, -2.0), alternating=True, spectral=True),
+        "kv-egba": lambda A: FixedPoint(A, kv_box.H, w_v),
+        "ku-egba": lambda A: FixedPoint(A, ku_box.H, w_u),
     }
 
 

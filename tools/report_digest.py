@@ -30,9 +30,14 @@ their bits, warnings and error messages by text) for this panel:
 
 The package is imported from PYTHONPATH when it is there, else from the
 src directory next to this script.  Per-section digests go to standard
-error, so a mismatch can be traced to its section; the last line of
-standard output is the digest.  One BLAS thread is pinned before numpy
-loads, so the run does not depend on the host's core count.
+error, so a mismatch can be traced to its section, and under each
+section one digest per solver family: `spg` over its SPG items and
+`fixed-point` over its GBA-P, GBA-A and EGBA-P items (items that run no
+solver, the zero section's reductions, and the cli section, whose bench
+runs both families in one output, are in the section digest only).  So
+a change to the fixed-point maps can show that no SPG bit moved.  The
+last line of standard output is the digest.  One BLAS thread is pinned
+before numpy loads, so the run does not depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ from gbc.cli import main as cli_main  # noqa: E402
 
 ALGOS = (Algorithm.SPG, Algorithm.GBA_P, Algorithm.GBA_A)
 LAMBDAS = tuple(np.linspace(1.25, 4.5, 8))
+FAMILIES = ("spg", "fixed-point")
+
+
+def family(algo: Algorithm) -> str:
+    """The solver family of an algorithm: SPG, or the paper's fixed-point
+    maps (GBA-P, GBA-A, and EGBA-P in solve_common)."""
+    return "spg" if algo is Algorithm.SPG else "fixed-point"
 
 
 def feed(h, obj) -> None:
@@ -135,8 +147,8 @@ def private_solves():
                 )
                 for opts in option_sets:
                     for algo in ALGOS:
-                        yield outcome(solve_private, inst,
-                                      dataclasses.replace(opts, algorithm=algo))
+                        yield family(algo), outcome(
+                            solve_private, inst, dataclasses.replace(opts, algorithm=algo))
 
 
 def region_traces():
@@ -144,8 +156,8 @@ def region_traces():
         for seed in range(3):
             base = random_instance(n, seed, rank=rank)
             for algo in (Algorithm.SPG, Algorithm.GBA_P):
-                yield outcome(trace_region_private, base, LAMBDAS,
-                              SolveOptions(algorithm=algo))
+                yield family(algo), outcome(trace_region_private, base, LAMBDAS,
+                                            SolveOptions(algorithm=algo))
 
 
 def common_solves():
@@ -154,26 +166,26 @@ def common_solves():
             for seed in (0, 1):
                 inst = random_instance(n, seed, "common", rank=rank)
                 for tol in (1e-3, 1e-6):
-                    yield outcome(solve_common, inst, SolveOptions(rel_tol=tol))
+                    yield "spg", outcome(solve_common, inst, SolveOptions(rel_tol=tol))
     for n in (1, 2, 3):
         inst = random_instance(n, 0, "common")
-        yield outcome(solve_common, inst,
-                      SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=3e-2, max_iters=5))
+        yield "fixed-point", outcome(solve_common, inst, SolveOptions(
+            algorithm=Algorithm.GBA_P, rel_tol=3e-2, max_iters=5))
 
 
 def egba_panel():
     for i in range(4):
         inst = random_instance((2, 3, 4, 2)[i], i, "common")
-        yield outcome(solve_common, inst,
-                      SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=1e-3))
+        yield "fixed-point", outcome(solve_common, inst,
+                                     SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=1e-3))
 
 
 def large_solves():
     for seed in (0, 1):
         inst = random_instance(100, seed)
         for algo in ALGOS:
-            yield outcome(solve_private, inst,
-                          SolveOptions(algorithm=algo, max_iters=3))
+            yield family(algo), outcome(solve_private, inst,
+                                        SolveOptions(algorithm=algo, max_iters=3))
 
 
 def _instance_file(path: Path, inst) -> str:
@@ -212,8 +224,8 @@ def cli_outputs():
             files = [p.read_text() for p in (Path(trace), Path(trace + ".json"))
                      if p.exists()]
             # the file names vary with the temporary directory
-            yield [a for a in argv if not a.startswith(str(tmp))], code, \
-                out.getvalue(), err.getvalue().replace(str(tmp), ""), files
+            yield None, ([a for a in argv if not a.startswith(str(tmp))], code,
+                         out.getvalue(), err.getvalue().replace(str(tmp), ""), files)
 
 
 def list_instances():
@@ -225,9 +237,9 @@ def list_instances():
                                   3, 1, 2, 1)
         for algo in (Algorithm.SPG, Algorithm.GBA_P):
             rep = solve_private(priv, SolveOptions(algorithm=algo))
-            yield rep, gbc.rates_private(rep.final_KU, priv)
+            yield family(algo), (rep, gbc.rates_private(rep.final_KU, priv))
             rep = solve_common(comm, SolveOptions(algorithm=algo, rel_tol=1e-3))
-            yield rep, gbc.rates_common(rep.K_U, rep.K_V, comm)
+            yield family(algo), (rep, gbc.rates_common(rep.K_U, rep.K_V, comm))
 
 
 def zero_budgets():
@@ -238,15 +250,16 @@ def zero_budgets():
         for K in budgets:
             inst = dataclasses.replace(p, K=K)
             for algo in ALGOS:
-                yield outcome(solve_private, inst, SolveOptions(algorithm=algo))
+                yield family(algo), outcome(solve_private, inst,
+                                            SolveOptions(algorithm=algo))
             for _ in range(2):
-                yield outcome(gbc.reduce, inst)
-        yield outcome(trace_region_private, dataclasses.replace(p, K=budgets[0]),
-                      (1.5, 2.0, 3.0))
+                yield None, outcome(gbc.reduce, inst)
+        yield "spg", outcome(trace_region_private, dataclasses.replace(p, K=budgets[0]),
+                             (1.5, 2.0, 3.0))
         for K_C in budgets[:2]:
             for algo in (Algorithm.SPG, Algorithm.GBA_P):
-                yield outcome(solve_common, dataclasses.replace(c, K_C=K_C),
-                              SolveOptions(algorithm=algo))
+                yield family(algo), outcome(solve_common, dataclasses.replace(c, K_C=K_C),
+                                            SolveOptions(algorithm=algo))
 
 
 SECTIONS = (
@@ -267,10 +280,19 @@ def main() -> int:
     for name, section in SECTIONS:
         h = hashlib.sha256()
         count = 0
-        for item in section():
+        # family -> [hash, item count]; each section item is hashed into
+        # the section digest as before and into its family's digest
+        parts = {f: [hashlib.sha256(), 0] for f in FAMILIES}
+        for fam, item in section():
             feed(h, item)
             count += 1
+            if fam is not None:
+                feed(parts[fam][0], item)
+                parts[fam][1] += 1
         print(f"{name:8s} {count:4d} {h.hexdigest()}", file=sys.stderr)
+        for fam, (fh, fcount) in parts.items():
+            if fcount:
+                print(f"  {fam:12s} {fcount:4d} {fh.hexdigest()}", file=sys.stderr)
         total.update(h.digest())
     print(total.hexdigest())
     return 0
