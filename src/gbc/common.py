@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DegenerateInstanceError, InvalidInputError, InvalidInstanceError
 from .psd import (
     _finite_sym,
-    logdet,
+    logdet_of,
     matrix,
     project_box,
     spectral_norm,
@@ -166,17 +166,30 @@ def _weights(inst: CommonInstance) -> tuple[tuple[float, ...], tuple[float, ...]
     return w_v, w_v + (1.0, -l2p)
 
 
+def _objective(K_U: np.ndarray, K_V: np.ndarray, S1: np.ndarray, S2: np.ndarray,
+               w: tuple[float, ...], *extra: np.ndarray) -> tuple[float, list[float]]:
+    """The objective sum_i w_i logdet of (K_U + K_V + S2, K_U + K_V + S1,
+    K_U + S1, K_U + S2) at symmetric K_U, K_V, S1 and S2, and the
+    spectral norms of the matrices in extra, from one stacked eigvalsh
+    of the folded stack (a slice of it has the bits of logdet's or
+    spectral_norm's call on that matrix alone).  The log-determinants
+    keep logdet's rule, gbc.psd.logdet_of."""
+    KUV = K_U + K_V
+    e = np.linalg.eigvalsh(_finite_sym(np.stack(
+        (KUV + S2, KUV + S1, K_U + S1, K_U + S2) + extra)))
+    norms = np.abs(e[4:]).max(axis=-1).tolist() if extra else []
+    return weighted(w, logdet_of(e[:4]).tolist()), norms
+
+
 def objective_common(K_U: np.ndarray, K_V: np.ndarray,
                      inst: CommonInstance) -> float:
     """Normalized private-plus-common objective at (K_U, K_V); its four
     log-determinants come from one stacked eigvalsh.  A K_U or K_V that
     is not n x n raises DimensionMismatchError."""
     KU = symmetrize(matrix(K_U, "K_U", inst.n))
-    KUV = KU + symmetrize(matrix(K_V, "K_V", inst.n))
-    S1 = symmetrize(inst.Sigma1)
-    S2 = symmetrize(inst.Sigma2)
-    return weighted(_weights(inst)[1], logdet(np.stack(
-        (KUV + S2, KUV + S1, KU + S1, KU + S2))).tolist())
+    KV = symmetrize(matrix(K_V, "K_V", inst.n))
+    return _objective(KU, KV, symmetrize(inst.Sigma1), symmetrize(inst.Sigma2),
+                      _weights(inst)[1])[0]
 
 
 def kv_subproblem_step(ps: FixedPoint | _Spg) -> np.ndarray | None:
@@ -222,6 +235,13 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
     the summed relative spectral-norm changes of K_U and K_V fall below
     opts.rel_tol, or after opts.max_iters passes.  An init other than
     None raises InvalidInputError.
+
+    Each outer pass keeps its books with one stacked eigvalsh: the four
+    log-determinants of the objective trace's entry and the spectral
+    norms of both steps and both new blocks, which the next pass divides
+    by and tests its warm starts with.  objective_common takes its four
+    log-determinants through the same helper, so every trace entry has
+    its bits, and the start's entry is objective_common itself.
 
     EGBA-P's K_U map steps from the gradient of the block objective on
     the box's own Schur heads, the objective SPG maximizes and
@@ -295,7 +315,8 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
         # lift without its box check: the pass checked its start, and its
         # steps stay in the box
         L = box.transform.lift_matrix
-        return symmetrize(L @ B @ L.T), count, kkt
+        K = L @ B @ L.T
+        return (K + K.T) / 2.0, count, kkt
 
     for _ in range(1, opts.max_iters + 1):
         K_U_prev = K_U
@@ -309,11 +330,11 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
                                       w_u, ku_subproblem_step, "K_U")
         ku_counts.append(count)
 
-        trace.append(objective_common(K_U, K_V, inst))
-        # one stacked call for the norms of both steps and of both new
-        # blocks, which the next pass reads
-        du, dv, *norms = spectral_norm(np.stack(
-            (K_U - K_U_prev, K_V - K_V_prev, K_U, K_V))).tolist()
+        # one stacked eigvalsh for the objective and for the norms of both
+        # steps and of both new blocks, which the next pass reads
+        obj, (du, dv, *norms) = _objective(K_U, K_V, S1, S2, w_u, K_U - K_U_prev,
+                                           K_V - K_V_prev, K_U, K_V)
+        trace.append(obj)
         rel = du / max(nu, scale_eps) + dv / max(nv, scale_eps)
         rels.append(rel)
         if rel <= opts.rel_tol:

@@ -83,7 +83,8 @@ _BB_MAX = 1e10
 _ARMIJO = 1e-4
 # Relative rounding error of a sum of log1p terms and of the eigenvalues
 # it is built from.
-_ROUNDOFF = 16.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_ROUNDOFF = 16.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.nda
 
 def _kkt(A: np.ndarray, G: np.ndarray) -> float:
     """Projected-gradient residual ||A - project_box(A + G)||_F."""
-    return float(np.linalg.norm(A - project_box(A + G)))
+    return _fro(A - project_box(A + G))
 
 
 def _root(b: np.ndarray, lam) -> np.ndarray:
@@ -252,10 +253,10 @@ def _fixed_point(pairs: tuple[np.ndarray, np.ndarray], G: np.ndarray,
 
 
 def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
-    """One alternating closed-form step from an iterate with I - A
-    nonsingular.  Raises InvalidInputError unless lam is finite and > 1
+    """One alternating closed-form step from an iterate strictly inside
+    the box.  Raises InvalidInputError unless lam is finite and > 1
     (checked first) and A_U is in the box, NumericalBreakdownError when
-    I - A is singular."""
+    an eigenvalue of A_U is outside the open interval (0, 1)."""
     rule = "lam must be a finite weight > 1"
     if (lam := number(lam, rule)) <= 1.0:
         raise InvalidInputError(f"{rule}, got {lam}")
@@ -313,6 +314,17 @@ class _Spg(_Pass):
     step length 1 is both the KKT residual's point and the first step's,
     and every later iterate by _project.  So a step makes four LAPACK
     calls: an eigvalsh, a Cholesky, an inv and an eigh, each on a stack.
+
+    At the reduced sizes these passes mostly see (r <= 4) numpy's fixed
+    cost per call outweighs that LAPACK work, so the glue around the
+    calls is kept short.  The pass owns the two buffers its stacks are
+    written into: the 2k matrices [L, A + H] that one inv inverts, and
+    the pair (A + G, A + alpha G) that one project_box projects.  It
+    reads its absolute weights once, takes every norm (the start's KKT
+    residual, then each step's size and KKT residual) with _fro, and
+    folds the gradient without symmetrize's checks.  Each of these has
+    the bits of the numpy calls it replaces (np.concatenate, np.stack,
+    np.linalg.norm, symmetrize), so the iterates do not move.
     """
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
@@ -322,9 +334,18 @@ class _Spg(_Pass):
         self.rel_tol = rel_tol
         self.f = f
         self.alpha = 1.0
+        # |w_i|, which weigh each step's rounding bound
+        self.aw = [abs(wi) for wi in w]
+        # the stacks [L, A + H] of _factor and (A + G, A + alpha G) of
+        # _project, each with views of its halves
+        k = len(H)
+        self.LAH = np.empty((2 * k,) + A.shape)
+        self.L, self.AH = self.LAH[:k], self.LAH[k:]
+        self.AG = np.empty((2,) + A.shape)
+        self.AG0, self.AG1 = self.AG
         self.G, self.Li = self._factor(A)
         self.P = project_box(A + self.G)
-        self.kkt = float(np.linalg.norm(A - self.P))
+        self.kkt = _fro(A - self.P)
 
     @property
     def converged(self) -> bool:
@@ -335,20 +356,24 @@ class _Spg(_Pass):
         inverse Cholesky factors of A + H_i, from one Cholesky and one
         stacked inv of [L, A + H].  Li is None when the Cholesky fails;
         the next step raises then, so a stop at A still reports."""
-        AH = A + self.H
+        AH = np.add(A, self.H, out=self.AH)
         try:
-            L = np.linalg.cholesky(AH)
+            self.L[...] = np.linalg.cholesky(AH)
         except np.linalg.LinAlgError:
             return _gradient(A, self.H, self.w), None
         k = len(AH)
-        Wi = inv(np.concatenate((L, AH)))
-        return symmetrize(weighted(self.w, Wi[k:])), Wi[:k]
+        Wi = inv(self.LAH)
+        G = weighted(self.w, Wi[k:])
+        return (G + G.T) / 2.0, Wi[:k]
 
     def _project(self, A: np.ndarray) -> None:
         """The KKT residual at A, as _kkt takes it, and the next step's
         projection P of A + alpha G, from one stacked project_box."""
-        P = project_box(np.stack((A + self.G, A + self.alpha * self.G)))
-        self.kkt = float(np.linalg.norm(A - P[0]))
+        np.add(A, self.G, out=self.AG0)
+        np.multiply(self.alpha, self.G, out=self.AG1)
+        self.AG1 += A
+        P = project_box(self.AG)
+        self.kkt = _fro(A - P[0])
         self.P = P[1]
 
     def step(self) -> np.ndarray | None:
@@ -364,20 +389,19 @@ class _Spg(_Pass):
         # >= ||D||^2 / alpha by the projection's variational inequality
         rise = float(np.vdot(G, D))
         mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
-        noise = _ROUNDOFF * weighted([abs(wi) for wi in self.w],
-                                      np.abs(mu).sum(axis=1).tolist())
+        noise = _ROUNDOFF * weighted(self.aw, np.abs(mu).sum(axis=1).tolist())
         if not rise > noise:
             return None
         t = 1.0
-        size = float(np.linalg.norm(D))
+        size = _fro(D)
         while (change := _rise(t, mu, self.w)) < _ARMIJO * t * rise:
             t *= 0.5
-            if t * size <= np.finfo(float).eps:
+            if t * size <= _EPS:
                 return None
-        An = A + t * D
-        Gn, self.Li = self._factor(An)
         # BB step <s, s> / <s, -y> for ascent, s = An - A, y = Gn - G
         s = t * D
+        An = A + s
+        Gn, self.Li = self._factor(An)
         curv = -float(np.vdot(s, Gn - G))
         self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
                       if curv > 0.0 else _BB_MAX)
@@ -390,10 +414,13 @@ class _Spg(_Pass):
 
 def _fro(M: np.ndarray) -> float:
     """Frobenius norm with the bits of np.linalg.norm(M), minus its
-    wrapper; an EGBA-P step takes two.  With np.linalg.norm in its place
-    EGBA-P on the common-egba benchmark panel at rel_tol=1e-3 ran 9%
-    slower (2.87 -> 3.15 s and 3.09 -> 3.35 s, one BLAS thread on a
-    2-core x86-64 host), and EGBA-P dominates the test suite's time."""
+    wrapper.  Every norm of a pass is taken here: an EGBA-P step takes
+    two, an SPG step two (its step size and the KKT residual at the new
+    iterate) and an SPG pass one more at its start, and so does _kkt.
+    With np.linalg.norm in its place EGBA-P on the common-egba benchmark
+    panel at rel_tol=1e-3 ran 9% slower (2.87 -> 3.15 s and 3.09 ->
+    3.35 s, one BLAS thread on a 2-core x86-64 host), and EGBA-P
+    dominates the test suite's time."""
     x = M.ravel(order="K")
     return math.sqrt(x.dot(x))
 
@@ -409,8 +436,10 @@ class FixedPoint(_Pass):
     -w[-1]/w[-2], which must be finite and > 0 (> 1 for GBA-A, the root's
     domain), else InvalidInputError before the start is read.  One eigh
     of the start checks the box and gives the eigenpairs `pairs` the
-    first step takes (a 0 eigenvalue, or for GBA-A a 1, raises
-    NumericalBreakdownError); each step returns the new iterate's.
+    first step takes; each step returns the new iterate's.  A start
+    eigenvalue of exactly 0 raises NumericalBreakdownError, and for
+    GBA-A so does any outside the open interval (0, 1), which check_box's
+    slack admits: GBA-A's barrier changes sign across each face.
 
     Each step tests the relative step.  With `spectral` (GBA-P, GBA-A)
     it compares the spectral norm `num` of An - A with tol times A's
@@ -437,8 +466,15 @@ class FixedPoint(_Pass):
         self.e0 = q = self.pairs[0]
         if not q.all():
             raise NumericalBreakdownError("A is singular: A has eigenvalue 0")
-        if alternating and not (1.0 - q).all():
-            raise NumericalBreakdownError("I - A is singular: A has eigenvalue 1")
+        # GBA-A's barrier 1/q - lam/(1 - q) changes sign across each face
+        # of the box, so a start a rounding error outside it would step
+        # to the other face
+        if alternating and not (q[0] > 0.0 and q[-1] < 1.0):
+            if q[0] < 0.0:
+                raise NumericalBreakdownError(
+                    f"A is indefinite: A has eigenvalue {float(q[0])!r}")
+            raise NumericalBreakdownError(
+                f"I - A is singular or indefinite: A has eigenvalue {float(q[-1])!r}")
         # the weights of f/kappa, under which that slice weighs 1
         self.wk = tuple(wi / kappa for wi in w)
         self.lam = lam if alternating else None

@@ -84,8 +84,13 @@ def matrix(M, name: str, n: int | None = None,
 
 def _finite_sym(M: np.ndarray) -> np.ndarray:
     """symmetrize(M), raising InvalidInputError on NaN or inf entries:
-    LAPACK can return finite eigenvalues for a matrix holding NaN."""
-    S = symmetrize(M)
+    LAPACK can return finite eigenvalues for a matrix holding NaN.  The
+    fold is symmetrize's, inline: every SPG step projects through here."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
+    S = M + M.swapaxes(-1, -2)
+    S /= 2.0
     if not np.isfinite(S).all():
         raise InvalidInputError("matrix has non-finite entries")
     return S
@@ -99,16 +104,24 @@ def logdet(M: np.ndarray) -> float | np.ndarray:
     NotPositiveDefiniteError when a smallest eigenvalue is at or below
     RANK_EPS.
     """
-    w = np.linalg.eigvalsh(_finite_sym(M))
+    ld = logdet_of(np.linalg.eigvalsh(_finite_sym(M)))
+    return float(ld) if ld.ndim == 0 else ld
+
+
+def logdet_of(w: np.ndarray) -> np.ndarray:
+    """Log-determinants sum(log w) of the matrices whose ascending
+    eigenvalues are the rows of w, 0 for a 0 x 0 matrix: logdet's rule,
+    for callers that take the eigenvalues in a larger stacked call.
+    Raises NotPositiveDefiniteError when a smallest eigenvalue is at or
+    below RANK_EPS."""
     if w.shape[-1] == 0:
-        return 0.0 if w.ndim == 1 else np.zeros(w.shape[:-1])
+        return np.zeros(w.shape[:-1])
     lo = float(w[..., 0].min())
     if lo <= RANK_EPS:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {lo:.3e})"
         )
-    ld = np.log(w).sum(axis=-1)
-    return float(ld) if w.ndim == 1 else ld
+    return np.log(w).sum(axis=-1)
 
 
 def project_box(M: np.ndarray) -> np.ndarray:
@@ -118,13 +131,18 @@ def project_box(M: np.ndarray) -> np.ndarray:
     Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
     result invertible.
     """
-    w, V = np.linalg.eigh(_finite_sym(M))
-    w = np.minimum(np.maximum(w[..., ::-1], PD_FLOOR), 1.0)
-    # the reversed view has negative strides, which matmul does not hand
-    # to BLAS; the contiguous copy keeps the product there
+    S = _finite_sym(M)
+    w, V = np.linalg.eigh(S)
+    np.maximum(w, PD_FLOOR, out=w)
+    np.minimum(w, 1.0, out=w)
+    # descending: the reversed view has negative strides, which matmul
+    # does not hand to BLAS; the contiguous copy keeps the product there
     V = V[..., ::-1].copy()
-    P = (V * w[..., None, :]) @ _t(V)
-    return (P + _t(P)) / 2.0
+    P = (V * w[..., None, ::-1]) @ V.swapaxes(-1, -2)
+    # the fold, into the buffer eigh has read
+    np.add(P, P.swapaxes(-1, -2), out=S)
+    S /= 2.0
+    return S
 
 
 def eigen_map(S: np.ndarray, f) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:

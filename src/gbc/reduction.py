@@ -174,24 +174,26 @@ def box_transform(K: np.ndarray) -> BoxTransform:
 
     Raises DegenerateInstanceError when K is numerically zero.
     """
-    n = np.asarray(K).shape[0]
     l, P = np.linalg.eigh(_finite_sym(K))
+    n = len(l)
     # descending; contiguous copies keep the products below on BLAS
     l, P = l[::-1].copy(), P[:, ::-1].copy()
-    rank = int(np.sum(l > RANK_EPS * max(l[0] if l.size else 0.0, 0.0)))
+    rank = int(np.count_nonzero(l > RANK_EPS * max(l[0] if n else 0.0, 0.0)))
     if rank == 0:
         raise DegenerateInstanceError("constraint matrix is numerically zero")
+    root = np.sqrt(l[:rank])
     scale = np.ones(n)
-    scale[:rank] = 1.0 / np.sqrt(l[:rank])
+    scale[:rank] = 1.0 / root
     Ktilde = scale[:, None] * P.T
-    lift_matrix = P[:, :rank] * np.sqrt(l[:rank])[None, :]
+    lift_matrix = P[:, :rank] * root
     return BoxTransform(rank=rank, eigvals=l, Ktilde=Ktilde, lift_matrix=lift_matrix)
 
 
 def transform(bt: BoxTransform, M: np.ndarray) -> np.ndarray:
     """Congruence Ktilde @ M @ Ktilde.T, symmetrized; of each matrix of
     M when M is a stack."""
-    return symmetrize(bt.Ktilde @ symmetrize(M) @ bt.Ktilde.T)
+    T = bt.Ktilde @ symmetrize(M) @ bt.Ktilde.T
+    return (T + T.swapaxes(-1, -2)) / 2.0
 
 
 def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
@@ -207,7 +209,8 @@ def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
     A = Mt[..., :rank, :rank]
     B = Mt[..., :rank, rank:]
     C = Mt[..., rank:, rank:]
-    return symmetrize(A - B @ np.linalg.solve(C, B.swapaxes(-1, -2)))
+    S = A - B @ np.linalg.solve(C, B.swapaxes(-1, -2))
+    return (S + S.swapaxes(-1, -2)) / 2.0
 
 
 def weighted(w: tuple[float, ...], X) -> float | np.ndarray:
@@ -329,4 +332,5 @@ def lift(bt: BoxTransform, A_U: np.ndarray) -> np.ndarray:
     A_U must sit in the [0, I] box up to slack 1e-8.
     """
     A_U, _ = check_box(A_U, bt.rank)
-    return symmetrize(bt.lift_matrix @ A_U @ bt.lift_matrix.T)
+    K = bt.lift_matrix @ A_U @ bt.lift_matrix.T
+    return (K + K.T) / 2.0

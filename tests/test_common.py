@@ -24,7 +24,8 @@ from gbc.common import (
 )
 from gbc.errors import InvalidInputError, InvalidInstanceError
 from gbc.private import FixedPoint
-from gbc.psd import project_box, symmetrize
+from gbc.psd import project_box, spectral_norm, symmetrize
+from gbc.reduction import zero_floor
 
 
 def _table2_weights():
@@ -97,7 +98,7 @@ def test_kv_step_scalar_hand_value():
     assert got[0, 0] == pytest.approx(0.375, rel=1e-14)
 
 
-def test_kv_pass_rejects_bad_ratio_and_box():
+def test_fixed_point_rejects_bad_ratio_and_box():
     H = np.ones((2, 1, 1))
     # ratios -1, 0, NaN, and a zero first weight
     for w in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (0.0, -1.0)):
@@ -318,3 +319,34 @@ def test_solve_table2_scale_converges():
     assert loewner_leq(z, rep.K_U)
     assert loewner_leq(z, rep.K_V)
     assert loewner_leq(rep.K_U + rep.K_V, inst.K_C)
+
+
+# the four common-egba benchmark panel instances, (2, 0), (3, 1), (4, 2)
+# and (2, 3), with n = 1..5 at seeds 0..2
+_PASS_CASES = sorted({(n, s) for n in range(1, 6) for s in range(3)} | {(2, 3)})
+_PASS_ALGOS = [Algorithm.SPG, Algorithm.GBA_P]
+
+
+@pytest.mark.parametrize("algo", _PASS_ALGOS, ids=lambda a: a.value)
+@pytest.mark.parametrize("n,seed", _PASS_CASES)
+def test_outer_pass_objective_is_objective_common(n, seed, algo):
+    """Each outer pass takes its objective from the stacked call it shares
+    with the step norms; the last entry has objective_common's bits."""
+    inst = random_instance(n, seed, "common")
+    rep = solve_common(inst, SolveOptions(algorithm=algo, rel_tol=1e-3))
+    assert rep.objective_trace[-1] == objective_common(rep.K_U, rep.K_V, inst)
+
+
+@pytest.mark.parametrize("algo", _PASS_ALGOS, ids=lambda a: a.value)
+@pytest.mark.parametrize("n,seed", _PASS_CASES)
+def test_outer_pass_change_is_spectral_norm(n, seed, algo):
+    """The first pass's relative change, recomputed by spectral_norm from
+    the start K_U = K_C/2, K_V = 0, has the bits solve_common reports:
+    each norm divided by its start's, floored at the zero-budget rule."""
+    inst = random_instance(n, seed, "common")
+    rep = solve_common(inst, SolveOptions(algorithm=algo, rel_tol=1e-3, max_iters=1))
+    K_C = symmetrize(inst.K_C)
+    floor = zero_floor(spectral_norm(K_C))
+    want = (spectral_norm(rep.K_U - K_C / 2.0) / max(spectral_norm(K_C / 2.0), floor)
+            + spectral_norm(rep.K_V) / max(0.0, floor))
+    assert rep.step_rel_changes[0] == want

@@ -291,16 +291,39 @@ def test_rank_deficient_constraint_solves():
     assert np.min(np.diff(rep.objective_trace)) > -1e-10
 
 
-@pytest.mark.parametrize("init", [np.eye(3), np.diag([1.0, 0.5, 0.5])])
-def test_gba_a_boundary_start_is_an_error(init):
-    """I - A is singular at a start with eigenvalue 1: GBA-A raises
-    NumericalBreakdownError, with no divide-by-zero warning on the way."""
-    inst = random_instance(3, 0)
+def _boundary_start(kind):
+    """(instance, start, whether solve_private's projection of the start
+    keeps an eigenvalue outside (0, 1)) for each boundary start."""
+    if kind == "spg-answer":
+        # SPG's answer pins an eigenvalue at 1 up to rounding: 1 + 1.1e-15
+        inst = random_instance(20, 1)
+        return inst, solve_private(inst, SolveOptions(rel_tol=1e-8)).final_AU, True
+    if kind in ("init0", "init1"):
+        return random_instance(3, 0), {"init0": np.eye(3),
+                                       "init1": np.diag([1.0, 0.5, 0.5])}[kind], True
+    # inside check_box's slack, a rounding error beyond a face; the
+    # projection clips 1 + 1e-12 to 1, and -1e-14 to the floor, inside
+    d = {"above-one": [0.3, 0.6, 1.0 + 1e-12], "below-zero": [-1e-14, 0.5, 0.6]}[kind]
+    return random_instance(3, 1), np.diag(d), kind == "above-one"
+
+
+@pytest.mark.parametrize("kind", ["init0", "init1", "above-one", "below-zero",
+                                  "spg-answer"])
+def test_gba_a_boundary_start_is_an_error(kind):
+    """GBA-A's barrier changes sign across each face of the box: a start
+    with an eigenvalue outside the open (0, 1) raises
+    NumericalBreakdownError naming it, with no divide-by-zero warning on
+    the way, where the step would send it to the other face."""
+    inst, init, projected_outside = _boundary_start(kind)
+    gba_a = SolveOptions(algorithm=Algorithm.GBA_A, init=init)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalBreakdownError):
-            solve_private(inst, SolveOptions(algorithm=Algorithm.GBA_A, init=init))
-        with pytest.raises(NumericalBreakdownError):
+        if projected_outside:
+            with pytest.raises(NumericalBreakdownError, match="A has eigenvalue"):
+                solve_private(inst, gba_a)
+        else:
+            assert solve_private(inst, gba_a).iterations > 0
+        with pytest.raises(NumericalBreakdownError, match="A has eigenvalue"):
             gba_a_step(init, reduce(inst), inst.lam)
 
 

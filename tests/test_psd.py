@@ -69,7 +69,7 @@ def test_project_box_clips_spectrum():
     assert np.allclose(w0, PD_FLOOR)
 
 
-def test_project_box_inverse_clips_and_rejects_singular():
+def test_eigen_map_box_inverse_clips_and_rejects_singular():
     P, (w, V) = eigen_map(np.diag([-2.0, 0.5, 4.0]), box_inverse)
     assert np.array_equal(w, [PD_FLOOR, 1.0, 0.25])
     assert np.array_equal(np.abs(V), np.eye(3))

@@ -170,8 +170,8 @@ _COMMON = CommonInstance(K_C=_I2, Sigma1=_I2, Sigma2=2.0 * _I2, lambda0=1.2,
 _BOX_CHECKED = {
     "lift": lambda A: lift(reduce(_PRIVATE).transform, A),
     "gba_a_step": lambda A: gba_a_step(A, reduce(_PRIVATE), 2.0),
-    "kv_pass": lambda A: FixedPoint(A, np.stack((_I2, _I2)), (1.0, -1.0)).step(),
-    "ku_pass": lambda A: FixedPoint(A, np.stack((_I2,) * 4), _weights(_COMMON)[1]).step(),
+    "fixed_point_kv": lambda A: FixedPoint(A, np.stack((_I2, _I2)), (1.0, -1.0)).step(),
+    "fixed_point_ku": lambda A: FixedPoint(A, np.stack((_I2,) * 4), _weights(_COMMON)[1]).step(),
 }
 
 

@@ -45,7 +45,7 @@ BIG = 0.1 * np.eye(3)
 ], ids=["rates_private", "rates_common-K_V", "rates_common-K_U",
         "weighted_rate_common", "objective_common-K_V", "objective_common-K_U",
         "solve_private-init", "lift", "check_box", "gba_a_step",
-        "kv_pass-start", "ku_pass-start", "spg-start"])
+        "fixed_point_kv-start", "fixed_point_ku-start", "spg-start"])
 def test_a_matrix_of_the_wrong_size_names_both_shapes(call):
     with pytest.raises(DimensionMismatchError, match=r"\(3, 3\) and \(2, 2\)"):
         call()

@@ -10,6 +10,11 @@ S.  The steps invert A + H in one stacked call; each reference below
 inverts every matrix on its own and follows the same arithmetic, so any
 change to the arithmetic of a step shows up as a failed np.array_equal.
 
+One SPG step (gbc.private._Spg) is pinned the same way, against a
+reference written with np.stack, np.linalg.norm and project_box's eigh,
+clip and rebuild, on the private stack and both solve_common block
+stacks.
+
 The LU oracles are the paper's maps: inv(A SigmaHat1^-1 A + A), inv(I - A)
 and K_U's coupling through B_V' plus its barrier, each inverted directly,
 projected with eigenvalues in descending order and contiguous
@@ -32,7 +37,7 @@ from gbc.common import (
     ku_subproblem_step,
     kv_subproblem_step,
 )
-from gbc.private import FixedPoint, gba_a_step
+from gbc.private import _ARMIJO, _BB_MAX, _BB_MIN, _ROUNDOFF, FixedPoint, _Spg, gba_a_step
 from gbc.psd import box_inverse, eigen_map, project_box
 from gbc.reduction import schur_head
 
@@ -176,9 +181,104 @@ def test_common_steps_match_reference(n, rank, seed):
         assert _close(got, _project(inv(inv(T) + mid + last)))
 
 
+class _SpgReference:
+    """One SPG pass in plain np.linalg arithmetic, each matrix of a stack
+    factored, inverted and decomposed on its own: the start's gradient
+    G, projection P and KKT residual, then per step the Armijo backtrack
+    on the rise sum_i w_i sum log1p(t mu_i), the BB length alpha and the
+    next projection of the stack (A + G, A + alpha G)."""
+
+    def __init__(self, A, H, w):
+        self.H, self.w = H, w
+        self.A = _sym(A)
+        self.f = 0.0
+        self.alpha = 1.0
+        self.G, self.Li = self._factor(self.A)
+        self.P = _project(self.A + self.G)
+        self.kkt = float(np.linalg.norm(self.A - self.P))
+
+    def _factor(self, A):
+        Li = [inv(np.linalg.cholesky(A + Hi)) for Hi in self.H]
+        return _gradient(A, self.H, self.w), Li
+
+    def step(self):
+        A, G = self.A, self.G
+        D = self.P - A
+        rise = float(np.vdot(G, D))
+        mu = [np.linalg.eigvalsh(L @ D @ L.T) for L in self.Li]
+        noise = 0.0
+        for i, (wi, m) in enumerate(zip(self.w, mu)):
+            term = abs(wi) * float(np.abs(m).sum())
+            noise = term if i == 0 else noise + term
+        if not rise > _ROUNDOFF * noise:
+            return None
+        t = 1.0
+        size = float(np.linalg.norm(D))
+
+        def change(t):
+            total = 0.0
+            for i, (wi, m) in enumerate(zip(self.w, mu)):
+                term = wi * float(np.log1p(t * m).sum())
+                total = term if i == 0 else total + term
+            return total
+
+        while (c := change(t)) < _ARMIJO * t * rise:
+            t *= 0.5
+            if t * size <= np.finfo(float).eps:
+                return None
+        s = t * D
+        An = A + s
+        Gn, self.Li = self._factor(An)
+        curv = -float(np.vdot(s, Gn - G))
+        self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
+                      if curv > 0.0 else _BB_MAX)
+        self.f += c
+        stack = np.stack((An + Gn, An + self.alpha * Gn))
+        self.kkt = float(np.linalg.norm(An - _project(stack[0])))
+        self.P = _project(stack[1])
+        self.A, self.G = An, Gn
+        return An
+
+
+def _spg_stacks(n, rank, seed):
+    """(name, H, w) of the private stack and both solve_common block
+    stacks, the latter with the weights of _weights."""
+    inst = random_instance(n, seed, rank=rank)
+    red = reduce(inst)
+    yield "private", red.H, (1.0, -red.lam)
+    cinst = random_instance(n, seed, "common", rank=rank)
+    bt = box_transform(cinst.K_C)
+    r = bt.rank
+    K = 0.3 * cinst.K_C
+    heads = [schur_head(transform(bt, M), r)
+             for M in (K + cinst.Sigma2, K + cinst.Sigma1, cinst.Sigma1, cinst.Sigma2)]
+    w_v, w_u = _weights(cinst)
+    yield "K_V", np.stack(heads[:2]), w_v
+    yield "K_U", np.stack(heads), w_u
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n,rank", SHAPES)
+def test_spg_steps_match_reference(n, rank, seed):
+    for name, H, w in _spg_stacks(n, rank, seed):
+        A = _sym(_interior_point(np.random.default_rng(200 + seed), len(H[0])))
+        ps, ref = _Spg(A, H, w, 0.0), _SpgReference(A, H, w)
+        for steps in range(4):
+            if steps:
+                # a stall (None: no rise can be verified, as at an n = 1
+                # optimum after two steps) leaves both passes unchanged
+                got, want = ps.step(), ref.step()
+                assert (got is None) == (want is None), (name, steps)
+                assert steps > 1 or got is not None, name
+            if steps in (0, 1, 3):
+                for attr in ("A", "G", "P", "kkt", "alpha", "f"):
+                    assert np.array_equal(getattr(ps, attr), getattr(ref, attr)), \
+                        (name, steps, attr)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("r", [2, 5, 12])
-def test_project_box_inverse_of_indefinite_matrix(r, seed):
+def test_eigen_map_box_inverse_of_indefinite_matrix(r, seed):
     """An indefinite, nonsingular S: the inverse's negative eigenvalues
     clip to the floor, as they do through np.linalg.inv."""
     rng = np.random.default_rng(seed)
