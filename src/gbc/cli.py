@@ -171,10 +171,14 @@ def cmd_solve(args) -> int:
     if not args.no_timing:
         result["elapsed_seconds"] = float(rep.elapsed_seconds)
     if args.trace_out:
-        rels = ["", *(repr(float(r)) for r in rep.step_rel_changes)]
-        rows = [[str(i), repr(float(f)), rel]
-                for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
-        _emit(_csv(["iter", "objective", "step_rel_change"], rows), args.trace_out)
+        rows = [[str(i), repr(float(f))] for i, f in enumerate(rep.objective_trace)]
+        header = ["iter", "objective"]
+        if not isinstance(inst, PrivateInstance):
+            # the outer passes' relative changes, solve_common's stop quantity
+            header.append("step_rel_change")
+            rels = ["", *(repr(float(r)) for r in rep.step_rel_changes)]
+            rows = [row + [rel] for row, rel in zip(rows, rels)]
+        _emit(_csv(header, rows), args.trace_out)
         _emit(_json(result), args.trace_out + ".json")
     _emit(_json(result), args.json_out)
     return 0 if rep.converged else 2

@@ -35,9 +35,13 @@ weights w of a gbc.reduction box through run_pass.  A pass owns its
 iterate: it reads the start once with check_box when it is built (a
 fixed-point pass by one eigh, which also gives its first eigenpairs),
 and each step() advances it and applies the pass's own stop rule: SPG
-the KKT test above, GBA-P and GBA-A the relative spectral-norm step
-(each step returns the new iterate's eigenvalues, so the rule needs an
-eigvalsh of the change only), EGBA-P's passes the Frobenius step.
+the KKT test above, GBA-P and GBA-A the relative spectral-norm step,
+EGBA-P's passes the Frobenius step.  GBA-P and GBA-A decide theirs from
+the Frobenius norm of the step, which brackets the spectral norm
+(||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F); only a step inside that
+bracket's band pays for an eigvalsh.  Each step returns the new
+iterate's eigenvalues, so the rule's scale, the iterate's largest
+absolute eigenvalue, costs nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +89,10 @@ _ARMIJO = 1e-4
 # it is built from.
 _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 16.0 * _EPS
+# Relative margin of the Frobenius bracket's two shortcuts: a step whose
+# norm is this close to either edge of the band is decided by eigvalsh,
+# so a rounding tie in the norm or the eigenvalues decides nothing.
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,10 @@ class SolveReport:
     warnings            human-readable notes (conditioning, clamped init)
     iterate_eig_min     smallest eigenvalue seen across all iterates
     iterate_eig_max     largest eigenvalue seen across all iterates
-    step_rel_changes    per-step relative spectral-norm changes
+
+    GBA-P's and GBA-A's stop rule measures each step only as far as it
+    must to decide it, so no per-step change is reported; the
+    objective trace follows every step.
     """
 
     final_AU: np.ndarray
@@ -157,7 +168,6 @@ class SolveReport:
     warnings: tuple[str, ...] = ()
     iterate_eig_min: float = 0.0
     iterate_eig_max: float = 0.0
-    step_rel_changes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def objective(self) -> float:
@@ -442,11 +452,15 @@ class FixedPoint(_Pass):
     slack admits: GBA-A's barrier changes sign across each face.
 
     Each step tests the relative step.  With `spectral` (GBA-P, GBA-A)
-    it compares the spectral norm `num` of An - A with tol times A's
-    largest absolute eigenvalue.  Otherwise (EGBA-P) it compares the
-    Frobenius norm with tol times the larger of ||A||_F and ||I/2||_F,
-    an anchor that lets a block shrinking to zero stop, where a purely
-    relative test could never fire.
+    it compares the spectral norm of An - A with thr = tol times A's
+    largest absolute eigenvalue, decided from its Frobenius norm f:
+    f <= thr means converged and f > sqrt(r) thr not, each shortcut
+    narrowed by the relative margin _TIE, and only a step in the band
+    between them takes the eigvalsh of An - A.  So every verdict is the
+    one the spectral norm itself gives.  Otherwise (EGBA-P) it compares
+    the Frobenius norm with tol times the larger of ||A||_F and
+    ||I/2||_F, an anchor that lets a block shrinking to zero stop, where
+    a purely relative test could never fire.
     """
 
     converged = False
@@ -483,6 +497,8 @@ class FixedPoint(_Pass):
         # the smallest and largest eigenvalue of A, and ||I/2||_F
         self.span = float(q[0]), float(q[-1])
         self.anchor = 0.5 * math.sqrt(len(q))
+        # the far edge of the spectral rule's band, in units of its threshold
+        self.far = math.sqrt(len(q)) * (1.0 + _TIE)
 
     @property
     def kkt(self) -> float:
@@ -493,9 +509,16 @@ class FixedPoint(_Pass):
         An, self.pairs = _fixed_point(self.pairs, _gradient(A, self.H, self.wk), self.lam)
         if self.spectral:
             lo, hi = self.span
-            d = np.linalg.eigvalsh(An - A)
-            self.num = max(abs(float(d[0])), abs(float(d[-1])))
-            self.converged = self.num <= self.tol * max(abs(lo), abs(hi))
+            thr = self.tol * max(abs(lo), abs(hi))
+            X = An - A
+            f = _fro(X)
+            if f <= (1.0 - _TIE) * thr:
+                self.converged = True
+            elif f > self.far * thr:
+                self.converged = False
+            else:
+                d = np.linalg.eigvalsh(X)
+                self.converged = max(abs(float(d[0])), abs(float(d[-1]))) <= thr
             e = self.pairs[0]
             self.span = float(e.min()), float(e.max())
         else:
@@ -586,26 +609,22 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     H, w = red.H, (1.0, -red.lam)
     offset = red.offset
     f0 = _fast_objective(A, H, w)
-    # each step's record: objective, spectral norm of the step, and the
-    # smallest and largest eigenvalue of the new iterate
+    # each step's record: objective, and the smallest and largest
+    # eigenvalue of the new iterate
     if opts.algorithm is Algorithm.SPG:
         ps = _Spg(A, H, w, opts.rel_tol, f0)
-        E = np.empty((2,) + A.shape)
 
         def watch(A, An):
-            # SPG's step makes no spectrum: one stacked eigvalsh of the
-            # step and the new iterate
-            np.subtract(An, A, out=E[0])
-            E[1] = An
-            d, e = np.linalg.eigvalsh(E)
-            return ps.f, float(np.max(np.abs(d))), float(e[0]), float(e[-1])
+            # SPG's step makes no spectrum: one eigvalsh of the new iterate
+            e = np.linalg.eigvalsh(An)
+            return ps.f, float(e[0]), float(e[-1])
     else:
         ps = FixedPoint(A, H, w, opts.rel_tol, opts.algorithm is Algorithm.GBA_A,
                         spectral=True)
 
         def watch(A, An):
-            # the stop rule measured the step and the step made the eigenvalues
-            return (_fast_objective(An, H, w), ps.num) + ps.span
+            # the step made the eigenvalues
+            return (_fast_objective(An, H, w),) + ps.span
 
     # the pass's check of the start gave its eigenvalues
     e0 = ps.e0
@@ -614,11 +633,6 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     if stop == "stall":
         warnings.append(f"SPG step fell below roundoff at KKT residual "
                         f"{kkt:.3e}; stopped before reaching rel_tol")
-    den = float(max(abs(e0[0]), abs(e0[-1])))
-    rels = []
-    for _, num, lo, hi in trace:
-        rels.append(num / den if den > 0.0 else 0.0)
-        den = max(abs(lo), abs(hi))
     return SolveReport(
         final_AU=A,
         final_KU=lift(red.transform, A),
@@ -628,7 +642,6 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
         kkt_residual=kkt,
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
-        iterate_eig_min=min([float(e0[0])] + [r[2] for r in trace]),
-        iterate_eig_max=max([float(e0[-1])] + [r[3] for r in trace]),
-        step_rel_changes=np.asarray(rels),
+        iterate_eig_min=min([float(e0[0])] + [r[1] for r in trace]),
+        iterate_eig_max=max([float(e0[-1])] + [r[2] for r in trace]),
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gbc.cli
-from gbc import SolveOptions, random_instance, solve_private
+from gbc import SolveOptions, random_instance, solve_common, solve_private
 from gbc.cli import main
 from gbc.errors import NumericalBreakdownError
 
@@ -102,7 +102,7 @@ def test_solve_trace_out(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     rows = list(csv.reader(trace_path.read_text().splitlines()))
-    assert rows[0] == ["iter", "objective", "step_rel_change"]
+    assert rows[0] == ["iter", "objective"]
     assert len(rows) - 1 == doc["iterations"] + 1
     sidecar = json.loads((tmp_path / "trace.csv.json").read_text())
     assert sidecar["iterations"] == doc["iterations"]
@@ -120,10 +120,29 @@ def test_solve_trace_out_rows_follow_every_step(tmp_path, capsys):
     assert rc == 0
     rep = solve_private(gbc.cli.load_instance(path), SolveOptions())
     assert rep.iterations > 1
-    rows = list(csv.reader(trace_path.read_text().splitlines()))[1:]
+    rows = list(csv.reader(trace_path.read_text().splitlines()))
+    assert rows == [["iter", "objective"]] + [[str(i), repr(float(f))] for i, f
+                                              in enumerate(rep.objective_trace)]
+
+
+def test_solve_trace_out_keeps_the_outer_change_of_a_common_solve(tmp_path, capsys):
+    inst = random_instance(3, 5, "common")
+    path = _write(tmp_path, "c3.json", {
+        "kind": "common", "n": 3, "K_C": inst.K_C.tolist(),
+        "Sigma1": inst.Sigma1.tolist(), "Sigma2": inst.Sigma2.tolist(),
+        "lambda0": inst.lambda0, "lambda1": inst.lambda1,
+        "lambda2": inst.lambda2, "alpha": inst.alpha})
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["solve", path, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    assert rc == 0
+    rep = solve_common(gbc.cli.load_instance(path), SolveOptions())
+    assert len(rep.step_rel_changes) > 1
+    rows = list(csv.reader(trace_path.read_text().splitlines()))
     rels = [""] + [repr(float(r)) for r in rep.step_rel_changes]
-    assert rows == [[str(i), repr(float(f)), rel]
-                    for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
+    assert rows == [["iter", "objective", "step_rel_change"]] + [
+        [str(i), repr(float(f)), rel]
+        for i, (f, rel) in enumerate(zip(rep.objective_trace, rels))]
 
 
 def _common_below_one(tmp_path, **overrides):

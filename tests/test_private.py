@@ -190,7 +190,6 @@ def test_monotone_objective_both_algorithms():
             diffs = np.diff(rep.objective_trace)
             assert np.min(diffs) > -1e-10
             assert len(rep.objective_trace) == rep.iterations + 1
-            assert len(rep.step_rel_changes) == rep.iterations
 
 
 def test_case1_converges_immediately():
@@ -364,9 +363,142 @@ def test_reported_eigenvalues_match_the_iterates(algo, n, seed, monkeypatch):
                                                 rel=0, abs=1e-12)
     assert rep.iterate_eig_max == pytest.approx(max(w[-1] for w in eigs),
                                                 rel=0, abs=1e-12)
-    rels = [np.max(np.abs(np.linalg.eigvalsh(Xn - X))) / np.max(np.abs(w))
-            for X, Xn, w in zip(iterates, iterates[1:], eigs)]
-    assert np.allclose(rep.step_rel_changes, rels, rtol=1e-12, atol=0)
+
+
+_eigvalsh = np.linalg.eigvalsh
+
+
+def _count_eigvalsh(monkeypatch):
+    """The shapes of the arguments of every later np.linalg.eigvalsh call."""
+    calls = []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return _eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _spectral_walk(ps, cap, calls):
+    """Step the GBA pass ps until its rule fires or cap steps have run.
+    After each step, ps.converged must be the paper's rule on that step,
+    ||An - A||_2 <= tol * max|eig A| by eigvalsh, with eig A the
+    eigenvalues the pass holds for A (its start's check, then each
+    step's).  Returns the number of steps and how many of them took an
+    eigvalsh, which only a step in the Frobenius bracket's band does."""
+    steps = band = 0
+    while steps < cap:
+        A, e = ps.A, ps.pairs[0]
+        before = len(calls)
+        An = ps.step()
+        band += len(calls) > before
+        steps += 1
+        d = _eigvalsh(An - A)
+        want = max(abs(d[0]), abs(d[-1])) <= ps.tol * np.max(np.abs(e))
+        assert ps.converged == want, steps
+        if want:
+            break
+    return steps, band
+
+
+def _gba_pass(inst, algo, tol):
+    red = reduce(inst)
+    return FixedPoint(0.5 * np.eye(red.rank), red.H, (1.0, -red.lam), tol,
+                      algo is Algorithm.GBA_A, spectral=True)
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])
+def test_frobenius_bracket_decides_the_spectral_rule(algo, monkeypatch):
+    """GBA-P's and GBA-A's stop rule fires first exactly where the
+    eigvalsh rule first holds, and solve_private stops there."""
+    calls = _count_eigvalsh(monkeypatch)
+    # steps and band steps at n = 5
+    walks = [0, 0]
+    # n = 5 at rel_tol 1e-6 converges inside the band, where about a
+    # third of the steps fall; n = 1 is r = 1, where the band is only the
+    # shortcuts' margin
+    for n, seed in ((5, 8), (5, 11), (1, 0), (1, 9)):
+        inst = random_instance(n, seed)
+        steps, band = _spectral_walk(_gba_pass(inst, algo, 1e-6), 20000, calls)
+        rep = solve_private(inst, SolveOptions(algorithm=algo, rel_tol=1e-6,
+                                               max_iters=20000))
+        assert (rep.iterations, rep.converged) == (steps, True)
+        if n == 5:
+            walks[0] += steps
+            walks[1] += band
+    # both shortcuts and the band decided steps at n = 5
+    assert 0 < walks[1] < walks[0] / 2
+    # at tol 0 no step that moves meets the rule, and the bracket says so
+    # without eigvalsh
+    steps, band = _spectral_walk(_gba_pass(random_instance(4, 2), algo, 0.0), 50, calls)
+    assert (steps, band) == (50, 0)
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])
+def test_spectral_rule_at_a_tie_on_a_rank_one_step(algo, monkeypatch):
+    """From I/2 on a problem diagonal in a rotated basis, where the
+    gradient vanishes along the second direction, both maps fix that
+    direction and move the first: the step has rank 1, so its Frobenius
+    and spectral norms agree up to rounding.  With the threshold a few
+    ulps either side of that norm, the rule must take the eigvalsh
+    verdict."""
+    calls = _count_eigvalsh(monkeypatch)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
+    # at a = 1/2 the gradient 1/(a + h1) - 2/(a + h2) is -2/3 along the
+    # first direction, (h1, h2) = (1, 1), and 0 along the second, (1/4, 1)
+    H = np.stack([(Q * h) @ Q.T for h in ([1.0, 0.25], [1.0, 1.0])])
+    A0 = 0.5 * np.eye(2)
+
+    def make(tol):
+        return FixedPoint(A0, H, (1.0, -2.0), tol, algo is Algorithm.GBA_A,
+                          spectral=True)
+
+    X = make(0.0).step() - A0
+    d = np.abs(_eigvalsh(X))
+    norm = d.max()
+    assert d.min() <= 1e-12 * norm
+    # the two norms agree to a few ulps (with OpenBLAS on x86-64 the
+    # Frobenius norm rounds one ulp low), so a threshold between them is
+    # a tie the eigvalsh verdict must break
+    assert abs(private._fro(X) - norm) <= 4 * np.spacing(norm)
+    # the threshold tol * max|eig A0| = tol / 2 steps through the ulps
+    # around the norm
+    verdicts = []
+    for k in range(-8, 9):
+        ps = make(2.0 * (norm + k * np.spacing(norm)))
+        assert _spectral_walk(ps, 1, calls) == (1, 1)
+        verdicts.append(ps.converged)
+    assert not verdicts[0] and verdicts[-1]
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A, Algorithm.SPG])
+def test_eigvalsh_calls_per_step(algo, monkeypatch):
+    """A capped GBA-P or GBA-A solve at n = 32 makes no eigvalsh call on
+    a step or its record; an SPG step's record makes one, of the r x r
+    iterate."""
+    calls = _count_eigvalsh(monkeypatch)
+    seen = {"step": [], "record": []}
+    run_pass = private.run_pass
+
+    def counted(where, fn):
+        def call(*args):
+            start = len(calls)
+            out = fn(*args)
+            seen[where] += calls[start:]
+            return out
+        return call
+
+    monkeypatch.setattr(private, "run_pass", lambda step, ps, cap, watch: run_pass(
+        counted("step", step), ps, cap, counted("record", watch)))
+    rep = solve_private(random_instance(32, 0),
+                        SolveOptions(algorithm=algo, rel_tol=1e-4, max_iters=100))
+    if algo is Algorithm.SPG:
+        assert rep.converged and rep.iterations > 1
+        assert seen["record"] == [(32, 32)] * rep.iterations
+    else:
+        assert (rep.iterations, rep.converged) == (100, False)
+        assert seen == {"step": [], "record": []}
 
 
 @pytest.mark.parametrize("algo", list(Algorithm))
@@ -383,7 +515,6 @@ def test_capped_trace_is_a_prefix_of_a_longer_run(algo, n, seed, rank):
         m = short.iterations
         assert m == min(k, long.iterations)
         assert np.array_equal(short.objective_trace, long.objective_trace[:m + 1])
-        assert np.array_equal(short.step_rel_changes, long.step_rel_changes[:m])
         assert long.iterate_eig_min <= short.iterate_eig_min
         assert long.iterate_eig_max >= short.iterate_eig_max
         if long.iterations == m:

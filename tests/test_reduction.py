@@ -332,10 +332,11 @@ def _solve_and_rate(inst):
 
 def _same_solve(got, want):
     (rep, pt), (ref, ref_pt) = got, want
-    for name in ("final_AU", "final_KU", "objective_trace", "step_rel_changes"):
+    for name in ("final_AU", "final_KU", "objective_trace"):
         assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
-    assert (rep.iterations, rep.kkt_residual, rep.warnings) == \
-        (ref.iterations, ref.kkt_residual, ref.warnings)
+    assert (rep.iterations, rep.kkt_residual, rep.warnings, rep.iterate_eig_min,
+            rep.iterate_eig_max) == (ref.iterations, ref.kkt_residual, ref.warnings,
+                                     ref.iterate_eig_min, ref.iterate_eig_max)
     assert astuple(pt) == astuple(ref_pt)
 
 

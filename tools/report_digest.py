@@ -17,7 +17,9 @@ their bits, warnings and error messages by text) for this panel:
   rel_tol=1e-3, thousands of inner steps each;
 - n = 100 private solves with each algorithm, capped at a few steps;
 - the outputs of `gbc solve`, `gbc trace-region` and `gbc bench` with
-  --no-timing, including the --trace-out files and the exit codes;
+  --no-timing, including the --trace-out files (`iter,objective` for a
+  private instance, plus `step_rel_change` for a common one) and the
+  exit codes;
 - private and common instances at n = 1..5 whose matrices are nested
   Python lists and whose weights are ints (lam = 2; lambda0..2 and
   alpha = 3, 1, 2, 1), solved with SPG and GBA-P (EGBA-P for common) and
@@ -27,6 +29,11 @@ their bits, warnings and error messages by text) for this panel:
   reduced twice (a zero K's error, after the channel slot has seen the
   channel), a 3-lambda trace over the zero channel, and solve_common
   with K_C = 0 and K_C = 1e-12 I, with SPG and EGBA-P.
+
+A change that removes a report field or an output column moves the
+digest by design.  It shows that every other bit held by hashing both
+trees with that field or column left out: `feed` skipping the field,
+and the CSV cut to the columns both trees write.
 
 The package is imported from PYTHONPATH when it is there, else from the
 src directory next to this script.  Per-section digests go to standard
