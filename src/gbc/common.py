@@ -128,7 +128,10 @@ class CommonSolveReport:
     inner_iterations
                     per-outer-pass iteration counts of the K_V and K_U
                     inner solves, as a pair of sequences
-    converged       whether the outer stopping rule fired before the cap
+    converged       whether the outer rule (relative change <= rel_tol)
+                    fired before the cap; it does not bound kkt_residual,
+                    e.g. 5.28e-4 on random_instance(4, 2, "common") at
+                    rel_tol=1e-3 (ROADMAP item 2: stop on the residual)
     kkt_residual    the larger of the K_U and K_V block KKT residuals at the
                     returned pair, each ||A - project_box(A + gradient)||_F
                     on the block's own Schur-head stack, as SPG takes it;

@@ -6,7 +6,8 @@ All three algorithms maximize logdet(A_U + SigmaHat1) - lam * logdet(A_U
 SPG (the default) is spectral projected gradient ascent (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000): a Barzilai-Borwein step along
 the gradient, projected onto the box by eigenvalue clipping, then a
-monotone Armijo backtrack.  It stops when the KKT residual
+monotone Armijo backtrack, each iterate factored by one stacked inv and
+one Cholesky.  It stops when the KKT residual
 ||A - proj(A + grad f(A))||_F falls to rel_tol, so `converged` certifies
 a first-order optimal point of the box problem to that tolerance.
 
@@ -284,7 +285,8 @@ def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float
 
 def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
     """f(A + tD) - f(A) = sum_i w_i sum log1p(t mu_i), where mu_i are the
-    eigenvalues of L_i^-1 D L_i^-T and A + H_i = L_i L_i^T.
+    eigenvalues of C_i^T D C_i, C_i C_i^T = inv(A + H_i), and so of
+    L_i^-1 D L_i^-T, A + H_i = L_i L_i^T: both are similar to D C_i C_i^T.
 
     Accurate relative to the change itself, however small, where a
     difference of two log-determinants loses everything below the
@@ -315,45 +317,44 @@ class _Spg(_Pass):
 
     H is a (k, r, r) stack of PD matrices and w the k weights: (SigmaHat1,
     SigmaHat2) with (1, -lam) for the private problem, and the four or two
-    slices of an EGBA block.  Holds f (the objective, or its change from
-    the start) and, for the iterate A, the gradient G, the inverse
-    Cholesky factors Li of A + H_i, the KKT residual and the projected
-    point P of the next step, with the Barzilai-Borwein step length it
-    was taken at.  Each iterate is factored once (_factor) and projected
-    once: the start by one project_box of A + G, which at the start's
-    step length 1 is both the KKT residual's point and the first step's,
-    and every later iterate by _project.  So a step makes four LAPACK
-    calls: an eigvalsh, a Cholesky, an inv and an eigh, each on a stack.
+    slices of an EGBA block.  Holds, for the iterate A, the objective f,
+    the gradient G, the Armijo factors Li, the KKT residual and the
+    projected point P of the next step, with the Barzilai-Borwein step
+    length it was taken at.  Each iterate is factored once (_factor), and
+    the start's factors give f, logdet(A + H_i) = -2 sum log diag Li_i (a
+    start with A + H_i not PD raises NumericalBreakdownError), to which
+    each step adds its rise.  Each iterate is projected once: the start by
+    one project_box of A + G, which at the start's step length 1 is both
+    the KKT residual's point and the first step's, and every later
+    iterate by _project.  So a step makes four LAPACK calls: an eigvalsh,
+    an inv, a Cholesky and an eigh, each on a stack.
 
     At the reduced sizes these passes mostly see (r <= 4) numpy's fixed
-    cost per call outweighs that LAPACK work, so the glue around the
-    calls is kept short.  The pass owns the two buffers its stacks are
-    written into: the 2k matrices [L, A + H] that one inv inverts, and
-    the pair (A + G, A + alpha G) that one project_box projects.  It
-    reads its absolute weights once, takes every norm (the start's KKT
-    residual, then each step's size and KKT residual) with _fro, and
-    folds the gradient without symmetrize's checks.  Each of these has
-    the bits of the numpy calls it replaces (np.concatenate, np.stack,
-    np.linalg.norm, symmetrize), so the iterates do not move.
+    cost per call outweighs that LAPACK work, so the glue is kept short:
+    the pass owns buffers for the stacks A + H and (A + G, A + alpha G),
+    reads its absolute weights once, takes every norm with _fro and folds
+    the gradient without symmetrize's checks, each with the bits of the
+    numpy call it replaces.
     """
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
-                 rel_tol: float, f: float = 0.0):
+                 rel_tol: float):
         super().__init__(A, H, w)
         A = self.A
         self.rel_tol = rel_tol
-        self.f = f
         self.alpha = 1.0
         # |w_i|, which weigh each step's rounding bound
         self.aw = [abs(wi) for wi in w]
-        # the stacks [L, A + H] of _factor and (A + G, A + alpha G) of
-        # _project, each with views of its halves
-        k = len(H)
-        self.LAH = np.empty((2 * k,) + A.shape)
-        self.L, self.AH = self.LAH[:k], self.LAH[k:]
+        # the stacks A + H of _factor and (A + G, A + alpha G) of
+        # _project, the latter with views of its halves
+        self.AH = np.empty(H.shape)
         self.AG = np.empty((2,) + A.shape)
         self.AG0, self.AG1 = self.AG
         self.G, self.Li = self._factor(A)
+        if self.Li is None:
+            raise NumericalBreakdownError("iterate lost positive definiteness")
+        self.f = -2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
+                                 .sum(axis=1).tolist())
         self.P = project_box(A + self.G)
         self.kkt = _fro(A - self.P)
 
@@ -362,19 +363,17 @@ class _Spg(_Pass):
         return self.kkt <= self.rel_tol
 
     def _factor(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The gradient at A, as _gradient takes it, and the stack Li of
-        inverse Cholesky factors of A + H_i, from one Cholesky and one
-        stacked inv of [L, A + H].  Li is None when the Cholesky fails;
+        """The gradient at A, as _gradient takes it, and the Armijo
+        factors Li = C^T, C C^T = inv(A + H), from one stacked inv and
+        one Cholesky of its result.  Li is None when the Cholesky fails;
         the next step raises then, so a stop at A still reports."""
-        AH = np.add(A, self.H, out=self.AH)
+        W = inv(np.add(A, self.H, out=self.AH))
+        G = weighted(self.w, W)
         try:
-            self.L[...] = np.linalg.cholesky(AH)
+            Li = np.linalg.cholesky(W).transpose(0, 2, 1)
         except np.linalg.LinAlgError:
-            return _gradient(A, self.H, self.w), None
-        k = len(AH)
-        Wi = inv(self.LAH)
-        G = weighted(self.w, Wi[k:])
-        return (G + G.T) / 2.0, Wi[:k]
+            Li = None
+        return (G + G.T) / 2.0, Li
 
     def _project(self, A: np.ndarray) -> None:
         """The KKT residual at A, as _kkt takes it, and the next step's
@@ -424,13 +423,9 @@ class _Spg(_Pass):
 
 def _fro(M: np.ndarray) -> float:
     """Frobenius norm with the bits of np.linalg.norm(M), minus its
-    wrapper.  Every norm of a pass is taken here: an EGBA-P step takes
-    two, an SPG step two (its step size and the KKT residual at the new
-    iterate) and an SPG pass one more at its start, and so does _kkt.
-    With np.linalg.norm in its place EGBA-P on the common-egba benchmark
-    panel at rel_tol=1e-3 ran 9% slower (2.87 -> 3.15 s and 3.09 ->
-    3.35 s, one BLAS thread on a 2-core x86-64 host), and EGBA-P
-    dominates the test suite's time."""
+    wrapper, which made EGBA-P on the common-egba benchmark panel 9%
+    slower (one BLAS thread, 2-core x86-64).  Every norm of a pass and
+    of _kkt is taken here."""
     x = M.ravel(order="K")
     return math.sqrt(x.dot(x))
 
@@ -535,7 +530,7 @@ def run_pass(step, ps, cap: int, watch=None):
 
     Returns the final iterate ps.A, the number of steps, how the run
     stopped ("rule", "stall" or "cap"), its KKT residual ps.kkt, and the
-    trace: the record watch(A, An) made of each step from A to An, when
+    trace: the record watch(An) made of each step's new iterate An, when
     a watch is given."""
     trace = []
     steps = 0
@@ -544,13 +539,12 @@ def run_pass(step, ps, cap: int, watch=None):
         if steps == cap:
             stop = "cap"
             break
-        A = ps.A
         if step(ps) is None:
             stop = "stall"
             break
         steps += 1
         if watch is not None:
-            trace.append(watch(A, ps.A))
+            trace.append(watch(ps.A))
     return ps.A, steps, stop, ps.kkt, trace
 
 
@@ -607,41 +601,42 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     warnings = list(red.warnings)
     A = _initial_iterate(opts, red, warnings)
     H, w = red.H, (1.0, -red.lam)
-    offset = red.offset
-    f0 = _fast_objective(A, H, w)
     # each step's record: objective, and the smallest and largest
     # eigenvalue of the new iterate
     if opts.algorithm is Algorithm.SPG:
-        ps = _Spg(A, H, w, opts.rel_tol, f0)
+        ps = _Spg(A, H, w, opts.rel_tol)
 
-        def watch(A, An):
+        def watch(An):
             # SPG's step makes no spectrum: one eigvalsh of the new iterate
             e = np.linalg.eigvalsh(An)
             return ps.f, float(e[0]), float(e[-1])
+
+        # the start's factors gave its objective, its box check its spectrum
+        start = ps.f, float(ps.e0[0]), float(ps.e0[-1])
     else:
         ps = FixedPoint(A, H, w, opts.rel_tol, opts.algorithm is Algorithm.GBA_A,
                         spectral=True)
 
-        def watch(A, An):
+        def watch(An):
             # the step made the eigenvalues
             return (_fast_objective(An, H, w),) + ps.span
 
-    # the pass's check of the start gave its eigenvalues
-    e0 = ps.e0
+        start = watch(ps.A)
     A, steps, stop, kkt, trace = run_pass(lambda ps: ps.step(), ps,
                                           opts.max_iters, watch)
+    trace.insert(0, start)
     if stop == "stall":
         warnings.append(f"SPG step fell below roundoff at KKT residual "
                         f"{kkt:.3e}; stopped before reaching rel_tol")
     return SolveReport(
         final_AU=A,
         final_KU=lift(red.transform, A),
-        objective_trace=np.asarray([f0 + offset] + [r[0] + offset for r in trace]),
+        objective_trace=np.asarray([r[0] + red.offset for r in trace]),
         iterations=steps,
         converged=stop == "rule",
         kkt_residual=kkt,
         elapsed_seconds=time.perf_counter() - t0,
         warnings=tuple(warnings),
-        iterate_eig_min=min([float(e0[0])] + [r[1] for r in trace]),
-        iterate_eig_max=max([float(e0[-1])] + [r[2] for r in trace]),
+        iterate_eig_min=min(r[1] for r in trace),
+        iterate_eig_max=max(r[2] for r in trace),
     )

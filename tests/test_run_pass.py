@@ -28,7 +28,7 @@ def test_start_meeting_the_stop_rule_takes_no_step():
     red = reduce(inst)
     A0 = rep.final_AU
     ps = _Spg(A0, red.H, (1.0, -red.lam), 1e-8)
-    A, steps, stop, kkt, trace = run_pass(_no_step, ps, 10, lambda A, An: 0)
+    A, steps, stop, kkt, trace = run_pass(_no_step, ps, 10, lambda An: 0)
     assert (steps, stop, trace) == (0, "rule", [])
     assert A is ps.A and np.array_equal(A, A0)
     assert kkt == rep.kkt_residual
@@ -40,8 +40,8 @@ def test_stop_rule_cap_and_stall_exits():
     A0 = 0.5 * np.eye(red.rank)
     seen = []
 
-    def watch(A, An):
-        seen.append((A, An))
+    def watch(An):
+        seen.append(An)
         return len(seen)
 
     # GBA-P at tol 0 never meets its rule: the cap ends it, after cap steps
@@ -49,8 +49,8 @@ def test_stop_rule_cap_and_stall_exits():
     start = ps.A
     A, steps, stop, kkt, trace = run_pass(_step, ps, 4, watch)
     assert (steps, stop, trace) == (4, "cap", [1, 2, 3, 4])
-    assert seen[0][0] is start and A is seen[-1][1] is ps.A
-    assert all(An is B for (_, An), (B, _) in zip(seen, seen[1:]))
+    assert A is seen[-1] is ps.A
+    assert start is not seen[0] and len({id(An) for An in seen}) == 4
     assert kkt == ps.kkt
     # at a loose tol its spectral step rule fires before the cap
     ps = FixedPoint(A0, H, w, 0.5, spectral=True)

@@ -202,9 +202,11 @@ def _sym(M):
 
 def _reference_spg(A, H, w, steps):
     """SPG as written before it stacked its calls: every matrix inverted,
-    factored and projected on its own, the gradient and the Cholesky
-    factors from separate factorizations, and the KKT projection apart
-    from the next step's.  Returns (A, G, kkt, f, alpha) after each step."""
+    factored and projected on its own, and the KKT projection apart from
+    the next step's.  The Armijo factors are the transposed Cholesky
+    factors C_i^T of inv(A + H_i), and the start's objective is
+    -2 sum_i w_i sum log diag C_i.  Returns (A, G, kkt, f, alpha) after
+    each step."""
 
     def gradient(A):
         Wi = [np.linalg.inv(A + Hi) for Hi in H]
@@ -219,13 +221,17 @@ def _reference_spg(A, H, w, steps):
     def rise_of(t, mu, wts):
         return weighted(wts, np.log1p(t * mu).sum(axis=1).tolist())
 
+    def factors(A):
+        return [np.linalg.cholesky(np.linalg.inv(A + Hi)).T for Hi in H]
+
     G = gradient(A)
-    f, alpha = 0.0, 1.0
+    Li = factors(A)
+    f = -2.0 * weighted(w, [float(np.log(np.diag(L)).sum()) for L in Li])
+    alpha = 1.0
     out = [(A, G, kkt(A, G), f, alpha)]
     for _ in range(steps):
         D = _project_reference(A + alpha * G) - A
         rise = float(np.vdot(G, D))
-        Li = [np.linalg.inv(np.linalg.cholesky(A + Hi)) for Hi in H]
         mu = np.array([np.linalg.eigvalsh(L @ D @ L.T) for L in Li])
         noise = _ROUNDOFF * weighted([abs(wi) for wi in w],
                                      np.abs(mu).sum(axis=1).tolist())
@@ -243,6 +249,7 @@ def _reference_spg(A, H, w, steps):
             break
         An = A + t * D
         Gn = gradient(An)
+        Li = factors(An)
         s = t * D
         curv = -float(np.vdot(s, Gn - G))
         alpha = (min(max(float(np.vdot(s, s)) / curv, 1e-10), 1e10)
@@ -289,17 +296,30 @@ def test_spg_iterates_equal_the_per_matrix_formulas(H, w):
         assert (k1, f1, a1) == (k2, f2, a2)
 
 
+def test_spg_start_off_the_pd_cone_is_a_breakdown():
+    """A start with A + H_i invertible but not positive definite has no
+    objective: building the pass raises, as the objective's slogdet did."""
+    H = np.stack((np.eye(2), -np.eye(2)))
+    with pytest.raises(NumericalBreakdownError, match="lost positive definiteness"):
+        _Spg(0.5 * np.eye(2), H, (1.0, -2.0), 1e-8)
+
+
 def test_spg_defers_a_failed_cholesky_to_the_next_step():
     """An iterate with A + H_i invertible but not positive definite keeps
-    its gradient and KKT residual; only a step from it raises."""
+    its gradient and KKT residual; only a step from it raises.  The pass
+    starts on a PD stack, which is then swapped for one whose second
+    slice A + H_2 = A - 2I is negative definite at every point of the
+    box."""
     A = 0.5 * np.eye(2)
-    H = np.stack((np.eye(2), -np.eye(2)))
     w = (1.0, -2.0)
-    ps = _Spg(A, H, w, 1e-8)
-    G = _gradient(A, H, w)
+    ps = _Spg(A, np.stack((np.eye(2), np.eye(2))), w, 0.0)
+    ps.H = H = np.stack((np.eye(2), -2.0 * np.eye(2)))
+    An = ps.step()
+    assert An is not None and ps.Li is None
+    G = _gradient(An, H, w)
     assert np.array_equal(ps.G, G)
-    assert ps.kkt == _kkt(A, G)
-    with pytest.raises(NumericalBreakdownError):
+    assert ps.kkt == _kkt(An, G)
+    with pytest.raises(NumericalBreakdownError, match="lost positive definiteness"):
         ps.step()
 
 

@@ -13,7 +13,9 @@ change to the arithmetic of a step shows up as a failed np.array_equal.
 One SPG step (gbc.private._Spg) is pinned the same way, against a
 reference written with np.stack, np.linalg.norm and project_box's eigh,
 clip and rebuild, on the private stack and both solve_common block
-stacks.
+stacks.  Its Armijo factors and start objective come from the Cholesky
+factors of inv(A + H_i), as the step takes them; the property tests
+below check them against the Cholesky factors of A + H_i and slogdet.
 
 The LU oracles are the paper's maps: inv(A SigmaHat1^-1 A + A), inv(I - A)
 and K_U's coupling through B_V' plus its barrier, each inverted directly,
@@ -37,6 +39,7 @@ from gbc.common import (
     ku_subproblem_step,
     kv_subproblem_step,
 )
+from gbc import private
 from gbc.private import _ARMIJO, _BB_MAX, _BB_MIN, _ROUNDOFF, FixedPoint, _Spg, gba_a_step
 from gbc.psd import box_inverse, eigen_map, project_box
 from gbc.reduction import schur_head
@@ -183,22 +186,28 @@ def test_common_steps_match_reference(n, rank, seed):
 
 class _SpgReference:
     """One SPG pass in plain np.linalg arithmetic, each matrix of a stack
-    factored, inverted and decomposed on its own: the start's gradient
-    G, projection P and KKT residual, then per step the Armijo backtrack
-    on the rise sum_i w_i sum log1p(t mu_i), the BB length alpha and the
-    next projection of the stack (A + G, A + alpha G)."""
+    inverted, factored and decomposed on its own: the start's objective
+    f = sum_i w_i logdet(A + H_i) = -2 sum_i w_i sum log diag C_i, C_i the
+    Cholesky factor of inv(A + H_i), its gradient G, projection P and KKT
+    residual, then per step the Armijo backtrack on the rise
+    sum_i w_i sum log1p(t mu_i), mu_i the eigenvalues of C_i^T D C_i, the
+    BB length alpha and the next projection of the stack
+    (A + G, A + alpha G)."""
 
     def __init__(self, A, H, w):
         self.H, self.w = H, w
         self.A = _sym(A)
-        self.f = 0.0
         self.alpha = 1.0
         self.G, self.Li = self._factor(self.A)
+        logdets = [-2.0 * float(np.log(np.diag(L)).sum()) for L in self.Li]
+        self.f = w[0] * logdets[0]
+        for wi, ld in zip(w[1:], logdets[1:]):
+            self.f += wi * ld
         self.P = _project(self.A + self.G)
         self.kkt = float(np.linalg.norm(self.A - self.P))
 
     def _factor(self, A):
-        Li = [inv(np.linalg.cholesky(A + Hi)) for Hi in self.H]
+        Li = [np.linalg.cholesky(inv(A + Hi)).T for Hi in self.H]
         return _gradient(A, self.H, self.w), Li
 
     def step(self):
@@ -274,6 +283,62 @@ def test_spg_steps_match_reference(n, rank, seed):
                 for attr in ("A", "G", "P", "kkt", "alpha", "f"):
                     assert np.array_equal(getattr(ps, attr), getattr(ref, attr)), \
                         (name, steps, attr)
+
+
+# n = 1..6, each full rank and (from n = 2) with a rank-deficient constraint
+FACTOR_SHAPES = [(n, None) for n in range(1, 7)] + [(n, max(1, n // 2)) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n,rank", FACTOR_SHAPES)
+def test_spg_factors_match_the_cholesky_of_a_plus_h(n, rank, seed):
+    """The Armijo factors Li = C^T, C C^T = inv(A + H_i), give the
+    eigenvalues of L^-1 D L^-T, A + H_i = L L^T, and -2 sum log diag C
+    is slogdet(A + H_i), each to 1e-12 relative; the pass's start
+    objective is the weighted sum of those log-determinants."""
+    for name, H, w in _spg_stacks(n, rank, seed):
+        rng = np.random.default_rng(300 + seed)
+        r = len(H[0])
+        A = _sym(_interior_point(rng, r))
+        D = _sym(rng.standard_normal((r, r)))
+        ps = _Spg(A, H, w, 0.0)
+        mu = np.linalg.eigvalsh(ps.Li @ D @ ps.Li.transpose(0, 2, 1))
+        logdets = []
+        for Li, m, Hi in zip(ps.Li, mu, H):
+            L = inv(np.linalg.cholesky(A + Hi))
+            want = np.linalg.eigvalsh(L @ D @ L.T)
+            assert np.max(np.abs(m - want)) <= ORACLE_RTOL * np.max(np.abs(want)), name
+            sign, ld = np.linalg.slogdet(A + Hi)
+            assert sign == 1.0
+            assert abs(-2.0 * np.log(np.diag(Li)).sum() - ld) <= ORACLE_RTOL * abs(ld), name
+            logdets.append(ld)
+        f = sum(wi * ld for wi, ld in zip(w, logdets))
+        assert abs(ps.f - f) <= ORACLE_RTOL * sum(abs(wi * ld) for wi, ld in zip(w, logdets))
+
+
+@pytest.mark.parametrize("name", ["private", "K_V", "K_U"])
+def test_spg_step_factors_its_iterate_once(name, monkeypatch):
+    """One SPG step inverts the k matrices A + H_i of its new iterate in
+    one call, takes one Cholesky of the k-stack of their inverses and
+    inverts no triangular factor."""
+    H, w = next((H, w) for got, H, w in _spg_stacks(3, None, 0) if got == name)
+    ps = _Spg(0.5 * np.eye(3), H, w, 0.0)
+    inverted, factored = [], []
+
+    def wrap(fn, seen):
+        def call(M):
+            seen.append(np.array(M))
+            return fn(M)
+        return call
+
+    monkeypatch.setattr(private, "inv", wrap(private.inv, inverted))
+    monkeypatch.setattr(np.linalg, "cholesky", wrap(np.linalg.cholesky, factored))
+    assert ps.step() is not None
+    k = len(H)
+    assert [M.shape for M in inverted] == [(k, 3, 3)]
+    assert [M.shape for M in factored] == [(k, 3, 3)]
+    assert not any(np.array_equal(M, np.tril(M)) or np.array_equal(M, np.triu(M))
+                   for M in inverted[0])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

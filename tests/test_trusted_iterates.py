@@ -117,11 +117,12 @@ def _block_objective(ps, A):
 def test_spg_rise_is_the_rise_of_the_iterate_it_holds():
     kv_box, w_v, _, _ = _boxes()
     ps = _Spg(0.5 * np.eye(kv_box.rank), kv_box.H, w_v, 0.0)
-    start = ps.A
+    start, f0 = ps.A, ps.f
+    assert f0 == pytest.approx(_block_objective(ps, start), rel=1e-12, abs=1e-12)
     for _ in range(3):
         assert ps.step() is not None
         want = _block_objective(ps, ps.A) - _block_objective(ps, start)
-        assert ps.f == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert ps.f - f0 == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def _checking_step(ps):
