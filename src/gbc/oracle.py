@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .common import CommonInstance, _weights
 from .errors import InvalidInputError, UnsupportedDimensionError, number
 from .psd import matrix, symmetrize
@@ -106,8 +107,8 @@ def grid_search_private_2x2(inst: PrivateInstance, spec: GridSpec = GridSpec()) 
 
 def _private_resolution_bound(K, S1, S2, lam, res):
     """Lipschitz constant times half-cell covering radius of the (a, b, c) grid."""
-    lip = np.sqrt(2.0) * (1.0 / np.linalg.eigvalsh(S1)[0]
-                          + lam / np.linalg.eigvalsh(S2)[0])
+    lip = np.sqrt(2.0) * (1.0 / _lapack.eigvalsh(S1)[0]
+                          + lam / _lapack.eigvalsh(S2)[0])
     da = K[0, 0] / (2.0 * (res - 1))
     dc = K[1, 1] / (2.0 * (res - 1))
     db = np.sqrt(K[0, 0] * K[1, 1]) / (res - 1)

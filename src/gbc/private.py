@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
@@ -179,7 +180,7 @@ def inv(M: np.ndarray) -> np.ndarray:
     """Matrix inverse, or the inverse of each matrix in a stack, that
     reports a singular matrix as NumericalBreakdownError."""
     try:
-        return np.linalg.inv(M)
+        return _lapack.inv(M)
     except np.linalg.LinAlgError as e:
         raise NumericalBreakdownError(f"matrix inverse failed: {e}") from e
 
@@ -277,7 +278,7 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
 def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float:
     """sum_i w_i logdet(A + H_i) via one stacked LU log-determinant;
     iterates keep every A + H_i PD."""
-    s, ld = np.linalg.slogdet(A + H)
+    s, ld = _lapack.slogdet(A + H)
     if min(s.tolist()) <= 0.0:
         raise NumericalBreakdownError("iterate lost positive definiteness")
     return weighted(w, ld.tolist())
@@ -297,15 +298,15 @@ def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
 
 class _Pass:
     """A pass on the stack H and weights w of a box, which owns its
-    iterate A: the start, read once by check_box (e0 holds its
-    eigenvalues, ascending), then each iterate step() makes.  step()
-    takes no matrix: it advances A and returns it (SPG returns None
-    instead once no rise can be verified), and applies the pass's stop
-    rule, whose verdict `converged` holds.  `kkt` is the KKT residual at
-    A."""
+    iterate A: the start, read once by check_box with decompose (e0
+    holds what that gives, eigvalsh's ascending eigenvalues by default),
+    then each iterate step() makes.  step() takes no matrix: it advances
+    A and returns it (SPG returns None instead once no rise can be
+    verified), and applies the pass's stop rule, whose verdict
+    `converged` holds.  `kkt` is the KKT residual at A."""
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
-                 decompose=np.linalg.eigvalsh):
+                 decompose=None):
         self.H = H
         self.w = w
         self.A, self.e0 = check_box(A, H.shape[-1], decompose)
@@ -323,14 +324,20 @@ class _Spg(_Pass):
     length it was taken at.  Each iterate is factored once (_factor), and
     the start's factors give f, logdet(A + H_i) = -2 sum log diag Li_i (a
     start with A + H_i not PD raises NumericalBreakdownError), to which
-    each step adds its rise.  Each iterate is projected once: the start by
+    each step adds its rise; without `objective` (a solve_common block,
+    which reads no f) f is None and neither is computed.  `spectrum`, the
+    start's ascending eigenvalues when the caller holds them, spares the
+    box check its eigvalsh.  Each iterate is projected once: the start by
     one project_box of A + G, which at the start's step length 1 is both
     the KKT residual's point and the first step's, and every later
-    iterate by _project.  So a step makes four LAPACK calls: an eigvalsh,
-    an inv, a Cholesky and an eigh, each on a stack.
+    iterate by _project.  So a step makes four LAPACK calls, each on a
+    stack and each through gbc._lapack: an eigvalsh, an inv, a Cholesky
+    and an eigh.
 
     At the reduced sizes these passes mostly see (r <= 4) numpy's fixed
-    cost per call outweighs that LAPACK work, so the glue is kept short:
+    cost per call outweighs that LAPACK work.  gbc._lapack calls
+    numpy.linalg's gufuncs without its per-call wrapper, and the glue
+    around the calls is kept short too:
     the pass owns buffers for the stacks A + H and (A + G, A + alpha G),
     reads its absolute weights once, takes every norm with _fro and folds
     the gradient without symmetrize's checks, each with the bits of the
@@ -338,8 +345,9 @@ class _Spg(_Pass):
     """
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
-                 rel_tol: float):
-        super().__init__(A, H, w)
+                 rel_tol: float, spectrum: np.ndarray | None = None,
+                 objective: bool = True):
+        super().__init__(A, H, w, None if spectrum is None else lambda _: spectrum)
         A = self.A
         self.rel_tol = rel_tol
         self.alpha = 1.0
@@ -353,8 +361,8 @@ class _Spg(_Pass):
         self.G, self.Li = self._factor(A)
         if self.Li is None:
             raise NumericalBreakdownError("iterate lost positive definiteness")
-        self.f = -2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
-                                 .sum(axis=1).tolist())
+        self.f = (-2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
+                                  .sum(axis=1).tolist()) if objective else None)
         self.P = project_box(A + self.G)
         self.kkt = _fro(A - self.P)
 
@@ -370,7 +378,7 @@ class _Spg(_Pass):
         W = inv(np.add(A, self.H, out=self.AH))
         G = weighted(self.w, W)
         try:
-            Li = np.linalg.cholesky(W).transpose(0, 2, 1)
+            Li = _lapack.cholesky(W).transpose(0, 2, 1)
         except np.linalg.LinAlgError:
             Li = None
         return (G + G.T) / 2.0, Li
@@ -397,7 +405,7 @@ class _Spg(_Pass):
         D = self.P - A
         # >= ||D||^2 / alpha by the projection's variational inequality
         rise = float(np.vdot(G, D))
-        mu = np.linalg.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
+        mu = _lapack.eigvalsh(Li @ D @ Li.transpose(0, 2, 1))
         noise = _ROUNDOFF * weighted(self.aw, np.abs(mu).sum(axis=1).tolist())
         if not rise > noise:
             return None
@@ -414,7 +422,8 @@ class _Spg(_Pass):
         curv = -float(np.vdot(s, Gn - G))
         self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
                       if curv > 0.0 else _BB_MAX)
-        self.f += change
+        if self.f is not None:
+            self.f += change
         self.G = Gn
         self._project(An)
         self.A = An
@@ -470,7 +479,7 @@ class FixedPoint(_Pass):
                 f"ratio -w[-1]/w[-2] must be finite and > {least:g}, got {lam}")
         # check_box's eigh gives the first step's eigenpairs, and e0 the
         # start's eigenvalues as for every pass
-        super().__init__(A, H, w, np.linalg.eigh)
+        super().__init__(A, H, w, _lapack.eigh)
         self.pairs = self.e0
         self.e0 = q = self.pairs[0]
         if not q.all():
@@ -512,7 +521,7 @@ class FixedPoint(_Pass):
             elif f > self.far * thr:
                 self.converged = False
             else:
-                d = np.linalg.eigvalsh(X)
+                d = _lapack.eigvalsh(X)
                 self.converged = max(abs(float(d[0])), abs(float(d[-1]))) <= thr
             e = self.pairs[0]
             self.span = float(e.min()), float(e.max())
@@ -608,7 +617,7 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
 
         def watch(An):
             # SPG's step makes no spectrum: one eigvalsh of the new iterate
-            e = np.linalg.eigvalsh(An)
+            e = _lapack.eigvalsh(An)
             return ps.f, float(e[0]), float(e[-1])
 
         # the start's factors gave its objective, its box check its spectrum
@@ -628,10 +637,11 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
     if stop == "stall":
         warnings.append(f"SPG step fell below roundoff at KKT residual "
                         f"{kkt:.3e}; stopped before reaching rel_tol")
+    offset = red.offset
     return SolveReport(
         final_AU=A,
         final_KU=lift(red.transform, A),
-        objective_trace=np.asarray([r[0] + red.offset for r in trace]),
+        objective_trace=np.asarray([r[0] + offset for r in trace]),
         iterations=steps,
         converged=stop == "rule",
         kkt_residual=kkt,

@@ -6,17 +6,18 @@ treat their matrix arguments as symmetric: inputs are folded to
 symmetry is preserved through chains of operations.
 
 symmetrize, logdet, spectral_norm and project_box also take a stack of
-matrices, (..., n, n) over the trailing two axes as np.linalg does, and act
-on each matrix of it in one LAPACK call: each slice of the result is
-bit-equal to the call on that matrix alone.  A 2-D input gives a matrix
-or a float, a stack an array of them; a check fails for the whole stack
-when it fails for one slice.
+matrices, (..., n, n) over the trailing two axes as numpy.linalg does, and
+act on each matrix of it in one LAPACK call through gbc._lapack: each
+slice of the result is bit-equal to the call on that matrix alone.  A 2-D
+input gives a matrix or a float, a stack an array of them; a check fails
+for the whole stack when it fails for one slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -104,7 +105,7 @@ def logdet(M: np.ndarray) -> float | np.ndarray:
     NotPositiveDefiniteError when a smallest eigenvalue is at or below
     RANK_EPS.
     """
-    ld = logdet_of(np.linalg.eigvalsh(_finite_sym(M)))
+    ld = logdet_of(_lapack.eigvalsh(_finite_sym(M)))
     return float(ld) if ld.ndim == 0 else ld
 
 
@@ -131,8 +132,15 @@ def project_box(M: np.ndarray) -> np.ndarray:
     Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
     result invertible.
     """
+    return _project_box(M)[0]
+
+
+def _project_box(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """project_box(M) and the clipped eigenvalues it is built from,
+    ascending: the result's spectrum up to rounding, each in
+    [PD_FLOOR, 1]."""
     S = _finite_sym(M)
-    w, V = np.linalg.eigh(S)
+    w, V = _lapack.eigh(S)
     np.maximum(w, PD_FLOOR, out=w)
     np.minimum(w, 1.0, out=w)
     # descending: the reversed view has negative strides, which matmul
@@ -142,7 +150,7 @@ def project_box(M: np.ndarray) -> np.ndarray:
     # the fold, into the buffer eigh has read
     np.add(P, P.swapaxes(-1, -2), out=S)
     S /= 2.0
-    return S
+    return S, w
 
 
 def eigen_map(S: np.ndarray, f) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -159,7 +167,7 @@ def eigen_map(S: np.ndarray, f) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
     S = (S + S.T) / 2.0
     if not np.isfinite(S).all():
         raise InvalidInputError("matrix has non-finite entries")
-    sig, V = np.linalg.eigh(S)
+    sig, V = _lapack.eigh(S)
     a = f(sig)
     # B B^T is exactly symmetric: numpy's matmul computes a product with
     # its own transpose by one syrk and mirrors the triangle
@@ -188,7 +196,7 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, slack: float = 1e-8) -> bool:
     B = symmetrize(matrix(B, "B", len(A)))
     if A.shape[0] == 0:
         return True
-    return bool(np.linalg.eigvalsh(B - A)[0] >= -slack)
+    return bool(_lapack.eigvalsh(B - A)[0] >= -slack)
 
 
 def spectral_norm(M: np.ndarray) -> float | np.ndarray:
@@ -197,5 +205,5 @@ def spectral_norm(M: np.ndarray) -> float | np.ndarray:
     S = _finite_sym(M)
     if S.shape[-1] == 0:
         return 0.0 if S.ndim == 2 else np.zeros(S.shape[:-2])
-    a = np.abs(np.linalg.eigvalsh(S)).max(axis=-1)
+    a = np.abs(_lapack.eigvalsh(S)).max(axis=-1)
     return float(a) if S.ndim == 2 else a

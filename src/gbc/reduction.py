@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     DegenerateInstanceError,
     InvalidInputError,
@@ -57,30 +58,31 @@ def check_matrices(kname: str, K: np.ndarray, Sigma1: np.ndarray,
             raise InvalidInstanceError(f"{name} has non-finite entries")
         if np.max(np.abs(M - M.T)) > SYM_TOL:
             raise InvalidInstanceError(f"{name} is not symmetric")
-    wk = np.linalg.eigvalsh(symmetrize(K))
+    wk = _lapack.eigvalsh(symmetrize(K))
     if wk.size and wk[0] < -1e-8 * max(1.0, abs(wk[-1])):
         raise InvalidInstanceError(
             f"{kname} must be positive semidefinite (min eigenvalue {wk[0]:.3e})"
         )
     for name in ("Sigma1", "Sigma2"):
-        w = np.linalg.eigvalsh(symmetrize(mats[name]))
+        w = _lapack.eigvalsh(symmetrize(mats[name]))
         if w.size == 0 or w[0] <= RANK_EPS:
             raise InvalidInstanceError(f"{name} must be positive definite")
 
 
-def check_box(A: np.ndarray, rank: int, decompose=np.linalg.eigvalsh):
+def check_box(A: np.ndarray, rank: int, decompose=None):
     """Read a reduced iterate A_U with gbc.psd.matrix as a rank x rank
     matrix (DimensionMismatchError naming both shapes otherwise),
     symmetrize it and verify it is in the [0, I] box up to slack 1e-8;
     raise InvalidInputError otherwise.  Returns the symmetrized matrix
     and decompose of it, by which the check reads its eigenvalues:
-    eigvalsh's ascending eigenvalues, or with np.linalg.eigh the
-    eigenpairs a fixed-point pass steps from.  lift and gba_a_step run it
-    on the matrix they are handed, and every pass of the solvers on its
-    start when it is built; a pass's own steps stay in the box."""
+    eigvalsh's ascending eigenvalues when decompose is None, with eigh
+    the eigenpairs a fixed-point pass steps from, or a spectrum the
+    caller already holds.  lift and gba_a_step run it on the matrix they
+    are handed, and every pass of the solvers on its start when it is
+    built; a pass's own steps stay in the box."""
     A = matrix(A, "A_U", rank)
     A = (A + A.T) / 2.0
-    d = decompose(A)
+    d = _lapack.eigvalsh(A) if decompose is None else decompose(A)
     w = d[0] if isinstance(d, tuple) else d
     # written so that a NaN eigenvalue fails the test
     if w.size and not (-1e-8 <= w[0] and w[-1] <= 1.0 + 1e-8):
@@ -174,7 +176,7 @@ def box_transform(K: np.ndarray) -> BoxTransform:
 
     Raises DegenerateInstanceError when K is numerically zero.
     """
-    l, P = np.linalg.eigh(_finite_sym(K))
+    l, P = _lapack.eigh(_finite_sym(K))
     n = len(l)
     # descending; contiguous copies keep the products below on BLAS
     l, P = l[::-1].copy(), P[:, ::-1].copy()
@@ -209,7 +211,7 @@ def schur_head(Mt: np.ndarray, rank: int) -> np.ndarray:
     A = Mt[..., :rank, :rank]
     B = Mt[..., :rank, rank:]
     C = Mt[..., rank:, rank:]
-    S = A - B @ np.linalg.solve(C, B.swapaxes(-1, -2))
+    S = A - B @ _lapack.solve(C, B.swapaxes(-1, -2))
     return (S + S.swapaxes(-1, -2)) / 2.0
 
 

@@ -19,7 +19,7 @@ from gbc import (
     reduce,
     solve_private,
 )
-from gbc import private
+from gbc import _lapack, private
 from gbc.errors import InvalidInputError, NumericalBreakdownError
 from gbc.common import kv_subproblem_step
 from gbc.private import FixedPoint, gba_a_step, root_in_unit_interval
@@ -369,14 +369,15 @@ _eigvalsh = np.linalg.eigvalsh
 
 
 def _count_eigvalsh(monkeypatch):
-    """The shapes of the arguments of every later np.linalg.eigvalsh call."""
+    """The shapes of the arguments of every later eigvalsh call, each of
+    which goes through gbc._lapack."""
     calls = []
 
     def counting(M):
         calls.append(np.shape(M))
         return _eigvalsh(M)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(_lapack, "eigvalsh", counting)
     return calls
 
 

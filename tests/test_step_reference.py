@@ -39,7 +39,7 @@ from gbc.common import (
     ku_subproblem_step,
     kv_subproblem_step,
 )
-from gbc import private
+from gbc import _lapack, private
 from gbc.private import _ARMIJO, _BB_MAX, _BB_MIN, _ROUNDOFF, FixedPoint, _Spg, gba_a_step
 from gbc.psd import box_inverse, eigen_map, project_box
 from gbc.reduction import schur_head
@@ -332,7 +332,7 @@ def test_spg_step_factors_its_iterate_once(name, monkeypatch):
         return call
 
     monkeypatch.setattr(private, "inv", wrap(private.inv, inverted))
-    monkeypatch.setattr(np.linalg, "cholesky", wrap(np.linalg.cholesky, factored))
+    monkeypatch.setattr(_lapack, "cholesky", wrap(_lapack.cholesky, factored))
     assert ps.step() is not None
     k = len(H)
     assert [M.shape for M in inverted] == [(k, 3, 3)]
