@@ -38,13 +38,8 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegenerateInstanceError, InvalidInputError, InvalidInstanceError
-# _warm_start projects by _project_box, and box_transform and schur_head
-# run inside build_box; lift is for callers' matrices (solve_block lifts
-# its passes' iterates unchecked); perfbench/tracing.py wraps project_box
-# and those three under these names
-from .psd import (  # noqa: F401
+from .psd import (
     _finite_sym,
-    _project_box,
     logdet_of,
     matrix,
     project_box,
@@ -60,6 +55,9 @@ from .private import (
     _Spg,
     run_pass,
 )
+# box_transform and schur_head run inside build_box, and lift is for
+# callers' matrices (solve_block lifts its passes' iterates unchecked);
+# perfbench/tracing.py also wraps them under these names
 from .reduction import (  # noqa: F401
     box_transform,
     build_box,
@@ -207,11 +205,8 @@ def kv_subproblem_step(ps: FixedPoint | _Spg) -> np.ndarray | None:
 ku_subproblem_step = kv_subproblem_step
 
 
-def _warm_start(bt, M: np.ndarray, norm: float,
-                scale_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Previous outer iterate mapped into the current reduced box, or I/2,
-    with its ascending eigenvalues: the projection's clipped ones, or
-    0.5, the bits eigvalsh gives for I/2.
+def _warm_start(bt, M: np.ndarray, norm: float, scale_eps: float) -> np.ndarray:
+    """Previous outer iterate mapped into the current reduced box, or I/2.
 
     The previous covariance is feasible for the new constraint by
     construction (each subproblem was solved under the other variable's
@@ -223,8 +218,8 @@ def _warm_start(bt, M: np.ndarray, norm: float,
     spectral norm of M, which the outer loop has already taken.
     """
     if norm <= scale_eps:
-        return 0.5 * np.eye(bt.rank), np.full(bt.rank, 0.5)
-    return _project_box(transform(bt, M)[:bt.rank, :bt.rank])
+        return 0.5 * np.eye(bt.rank)
+    return project_box(transform(bt, M)[:bt.rank, :bt.rank])
 
 
 def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> CommonSolveReport:
@@ -314,11 +309,8 @@ def solve_common(inst: CommonInstance, opts: SolveOptions = SolveOptions()) -> C
             box = build_box(budget, stack, kc_norm)
         except DegenerateInstanceError:
             return zero, 0, 0.0
-        B, e = _warm_start(box.transform, block, norm, scale_eps)
-        # an SPG block's box check reads the start's known spectrum, and
-        # nothing here reads its objective; EGBA-P steps from an eigh
-        ps = (_Spg(B, box.H, w, inner_tol, spectrum=e, objective=False) if spg
-              else FixedPoint(B, box.H, w, inner_tol))
+        B = _warm_start(box.transform, block, norm, scale_eps)
+        ps = (_Spg if spg else FixedPoint)(B, box.H, w, inner_tol)
         B, count, stop, kkt, _ = run_pass(step, ps, INNER_CAP)
         if stop == "cap":
             warnings.append(f"{label} inner solve hit the {INNER_CAP}-step cap")

@@ -298,12 +298,12 @@ def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
 
 class _Pass:
     """A pass on the stack H and weights w of a box, which owns its
-    iterate A: the start, read once by check_box with decompose (e0
-    holds what that gives, eigvalsh's ascending eigenvalues by default),
-    then each iterate step() makes.  step() takes no matrix: it advances
-    A and returns it (SPG returns None instead once no rise can be
-    verified), and applies the pass's stop rule, whose verdict
-    `converged` holds.  `kkt` is the KKT residual at A."""
+    iterate A: the start, read once by check_box (e0 holds its
+    eigenvalues, ascending), then each iterate step() makes.  step()
+    takes no matrix: it advances A and returns it (SPG returns None
+    instead once no rise can be verified), and applies the pass's stop
+    rule, whose verdict `converged` holds.  `kkt` is the KKT residual at
+    A."""
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
                  decompose=None):
@@ -324,10 +324,7 @@ class _Spg(_Pass):
     length it was taken at.  Each iterate is factored once (_factor), and
     the start's factors give f, logdet(A + H_i) = -2 sum log diag Li_i (a
     start with A + H_i not PD raises NumericalBreakdownError), to which
-    each step adds its rise; without `objective` (a solve_common block,
-    which reads no f) f is None and neither is computed.  `spectrum`, the
-    start's ascending eigenvalues when the caller holds them, spares the
-    box check its eigvalsh.  Each iterate is projected once: the start by
+    each step adds its rise.  Each iterate is projected once: the start by
     one project_box of A + G, which at the start's step length 1 is both
     the KKT residual's point and the first step's, and every later
     iterate by _project.  So a step makes four LAPACK calls, each on a
@@ -345,9 +342,8 @@ class _Spg(_Pass):
     """
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
-                 rel_tol: float, spectrum: np.ndarray | None = None,
-                 objective: bool = True):
-        super().__init__(A, H, w, None if spectrum is None else lambda _: spectrum)
+                 rel_tol: float):
+        super().__init__(A, H, w)
         A = self.A
         self.rel_tol = rel_tol
         self.alpha = 1.0
@@ -361,8 +357,8 @@ class _Spg(_Pass):
         self.G, self.Li = self._factor(A)
         if self.Li is None:
             raise NumericalBreakdownError("iterate lost positive definiteness")
-        self.f = (-2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
-                                  .sum(axis=1).tolist()) if objective else None)
+        self.f = -2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
+                                 .sum(axis=1).tolist())
         self.P = project_box(A + self.G)
         self.kkt = _fro(A - self.P)
 
@@ -422,8 +418,7 @@ class _Spg(_Pass):
         curv = -float(np.vdot(s, Gn - G))
         self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
                       if curv > 0.0 else _BB_MAX)
-        if self.f is not None:
-            self.f += change
+        self.f += change
         self.G = Gn
         self._project(An)
         self.A = An

@@ -132,13 +132,6 @@ def project_box(M: np.ndarray) -> np.ndarray:
     Eigenvalues are clipped to [PD_FLOOR, 1]; the floor keeps the
     result invertible.
     """
-    return _project_box(M)[0]
-
-
-def _project_box(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """project_box(M) and the clipped eigenvalues it is built from,
-    ascending: the result's spectrum up to rounding, each in
-    [PD_FLOOR, 1]."""
     S = _finite_sym(M)
     w, V = _lapack.eigh(S)
     np.maximum(w, PD_FLOOR, out=w)
@@ -150,7 +143,7 @@ def _project_box(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the fold, into the buffer eigh has read
     np.add(P, P.swapaxes(-1, -2), out=S)
     S /= 2.0
-    return S, w
+    return S
 
 
 def eigen_map(S: np.ndarray, f) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:

@@ -75,11 +75,10 @@ def check_box(A: np.ndarray, rank: int, decompose=None):
     symmetrize it and verify it is in the [0, I] box up to slack 1e-8;
     raise InvalidInputError otherwise.  Returns the symmetrized matrix
     and decompose of it, by which the check reads its eigenvalues:
-    eigvalsh's ascending eigenvalues when decompose is None, with eigh
-    the eigenpairs a fixed-point pass steps from, or a spectrum the
-    caller already holds.  lift and gba_a_step run it on the matrix they
-    are handed, and every pass of the solvers on its start when it is
-    built; a pass's own steps stay in the box."""
+    eigvalsh's ascending eigenvalues when decompose is None, or with eigh
+    the eigenpairs a fixed-point pass steps from.  lift and gba_a_step run
+    it on the matrix they are handed, and every pass of the solvers on its
+    start when it is built; a pass's own steps stay in the box."""
     A = matrix(A, "A_U", rank)
     A = (A + A.T) / 2.0
     d = _lapack.eigvalsh(A) if decompose is None else decompose(A)

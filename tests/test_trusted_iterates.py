@@ -19,7 +19,6 @@ import pytest
 
 import gbc.common as common
 import gbc.private as private
-from gbc import _lapack
 from gbc import (
     Algorithm,
     DimensionMismatchError,
@@ -58,41 +57,6 @@ def test_one_check_per_block_solve(monkeypatch, algorithm, tol):
     counts = rep.inner_iterations[0] + rep.inner_iterations[1]
     assert sum(counts) > len(counts)
     assert len(calls) == len(counts)
-
-
-def test_spg_block_start_takes_no_decomposition(monkeypatch):
-    """A solve_common SPG block's box check reads the spectrum its warm
-    start came with, the projection's clipped eigenvalues or 0.5 for
-    I/2, instead of an eigvalsh, and the block takes no start objective,
-    which nothing in solve_common reads."""
-    calls = []
-    eigvalsh = _lapack.eigvalsh
-
-    def counted(M):
-        calls.append(M.shape)
-        return eigvalsh(M)
-
-    monkeypatch.setattr(_lapack, "eigvalsh", counted)
-    built = []
-
-    def spg(*args, **kwargs):
-        before = len(calls)
-        ps = private._Spg(*args, **kwargs)
-        built.append((ps, ps.A, len(calls) - before))
-        return ps
-
-    monkeypatch.setattr(common, "_Spg", spg)
-    rep = solve_common(random_instance(3, 0, "common"), SolveOptions(rel_tol=1e-3))
-    assert len(built) == len(rep.inner_iterations[0] + rep.inner_iterations[1]) > 2
-    halves = 0
-    for ps, start, eigs in built:
-        assert eigs == 0 and ps.f is None
-        want = eigvalsh(start)
-        assert np.allclose(ps.e0, want, rtol=0, atol=1e-14)
-        if np.array_equal(start, 0.5 * np.eye(len(start))):
-            halves += 1
-            assert np.array_equal(ps.e0, want)
-    assert halves == 1
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
