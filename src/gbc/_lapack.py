@@ -16,7 +16,9 @@ a float64 ndarray of one square matrix, or a stack of them over the
 last two axes (the gufunc raises on non-square core dimensions); solve's
 right-hand side has at least two dimensions.  Lower-triangle forms are
 taken, as numpy.linalg's defaults do.  eigh returns a plain tuple
-(w, V), slogdet (sign, logabsdet).
+(w, V).  No log-determinant kernel is needed: gbc.private takes an
+iterate's from the Cholesky factors of the inverse its step inverts,
+and gbc.psd takes the others from eigenvalues.
 
 _umath_linalg is private to numpy; the names used here are those of
 numpy 2.  Every call site in gbc looks a kernel up as an attribute of
@@ -77,9 +79,3 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for b of at least two dimensions."""
     return _gufuncs.solve(a, b, signature="dd->d")
-
-
-def slogdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.slogdet(a), which sets no error state: a singular
-    matrix gives sign 0 and logabsdet -inf."""
-    return _gufuncs.slogdet(a, signature="d->dd")

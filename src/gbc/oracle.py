@@ -183,15 +183,16 @@ def fd_gradient(f, X: np.ndarray) -> np.ndarray:
 def random_instance(n: int, seed: int, kind: str = "private", *,
                     lam: float | None = None, rank: int | None = None):
     """Seeded random instance with a documented ensemble.  n >= 1,
-    seed >= 0 and rank >= 1 are whole numbers, each read by
+    seed >= 0 and rank from 1 to n are whole numbers, each read by
     gbc.errors.number (2.0 is whole; a bool never a number), and lam is
     read as PrivateInstance reads it; a common instance takes no lam.
 
     K = G G^T + 0.1 I (standard normal G) scaled to trace n; passing rank
     r < n instead uses the first r columns of G with no ridge, giving an
-    exactly rank-deficient constraint.  Sigma_j = G_j G_j^T + 0.5 I.  For
-    private instances lam defaults to a uniform draw from [1.1, 5]; common
-    instances take (lambda0, lambda1, lambda2, alpha) = (1.2, 1.0, 1.1, 0.5).
+    exactly rank-deficient constraint, and rank n is the full-rank K.
+    Sigma_j = G_j G_j^T + 0.5 I.  For private instances lam defaults to a
+    uniform draw from [1.1, 5]; common instances take (lambda0, lambda1,
+    lambda2, alpha) = (1.2, 1.0, 1.1, 0.5).
     """
     rule = "n must be a whole number >= 1"
     if (n := number(n, rule, whole=True)) < 1:
@@ -199,8 +200,8 @@ def random_instance(n: int, seed: int, kind: str = "private", *,
     rule = "seed must be a whole number >= 0"
     if (seed := number(seed, rule, whole=True)) < 0:
         raise InvalidInputError(f"{rule}, got {seed}")
-    rule = "rank must be a whole number >= 1"
-    if rank is not None and (rank := number(rank, rule, whole=True)) < 1:
+    rule = f"rank must be a whole number from 1 to n = {n}"
+    if rank is not None and not 1 <= (rank := number(rank, rule, whole=True)) <= n:
         raise InvalidInputError(f"{rule}, got {rank}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))

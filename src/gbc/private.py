@@ -35,8 +35,11 @@ Every solve, here and in gbc.common, runs one pass on the stack H and
 weights w of a gbc.reduction box through run_pass.  A pass owns its
 iterate: it reads the start once with check_box when it is built (a
 fixed-point pass by one eigh, which also gives its first eigenpairs),
-and each step() advances it and applies the pass's own stop rule: SPG
-the KKT test above, GBA-P and GBA-A the relative spectral-norm step,
+and holds the stack W = inv(A + H) at it, one stacked inv per iterate,
+from which it takes the iterate's gradient, KKT residual and, from one
+Cholesky of W, objective: logdet(A + H_i) = -2 sum log diag chol(W_i).
+Each step() advances the iterate and applies the pass's own stop rule:
+SPG the KKT test above, GBA-P and GBA-A the relative spectral-norm step,
 EGBA-P's passes the Frobenius step.  GBA-P and GBA-A decide theirs from
 the Frobenius norm of the step, which brackets the spectral norm
 (||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F); only a step inside that
@@ -192,12 +195,17 @@ def objective_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> float
     return logdet(A + red.SigmaHat1) - lam * logdet(A + red.SigmaHat2)
 
 
-def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
-    """Gradient sum_i w_i inv(A + H_i) of sum_i w_i logdet(A + H_i), from
-    one stacked inverse.  Every fixed-point step takes one, so it folds
-    with symmetrize's arithmetic but without its argument checks."""
-    G = weighted(w, inv(A + H))
+def _fold(w: tuple[float, ...], W: np.ndarray) -> np.ndarray:
+    """Gradient sum_i w_i W_i of sum_i w_i logdet(A + H_i) from the stack
+    W = inv(A + H).  Every step of a pass takes one, so it folds with
+    symmetrize's arithmetic but without its argument checks."""
+    G = weighted(w, W)
     return (G + G.T) / 2.0
+
+
+def _gradient(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> np.ndarray:
+    """Gradient of sum_i w_i logdet(A + H_i) at A, from one stacked inverse."""
+    return _fold(w, inv(A + H))
 
 
 def gradient_reduced(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
@@ -275,13 +283,23 @@ def gba_a_step(A_U: np.ndarray, red: ReducedPrivate, lam: float) -> np.ndarray:
     return FixedPoint(A_U, red.H, (1.0, -lam), alternating=True).step()
 
 
-def _fast_objective(A: np.ndarray, H: np.ndarray, w: tuple[float, ...]) -> float:
-    """sum_i w_i logdet(A + H_i) via one stacked LU log-determinant;
-    iterates keep every A + H_i PD."""
-    s, ld = _lapack.slogdet(A + H)
-    if min(s.tolist()) <= 0.0:
+def _factors(W: np.ndarray) -> np.ndarray | None:
+    """Li = C_i^T, C_i C_i^T = W_i, from one Cholesky of the stack W =
+    inv(A + H), or None when one W_i is not positive definite."""
+    try:
+        return _lapack.cholesky(W).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _objective(Li: np.ndarray | None, w: tuple[float, ...]) -> float:
+    """f(A) = sum_i w_i logdet(A + H_i) = -2 sum_i w_i sum log diag Li_i
+    from _factors of inv(A + H); no factors (None) means an A + H_i is
+    not positive definite, which raises NumericalBreakdownError."""
+    if Li is None:
         raise NumericalBreakdownError("iterate lost positive definiteness")
-    return weighted(w, ld.tolist())
+    return -2.0 * weighted(w, np.log(np.diagonal(Li, axis1=1, axis2=2))
+                           .sum(axis=1).tolist())
 
 
 def _rise(t: float, mu: np.ndarray, w: tuple[float, ...]) -> float:
@@ -303,13 +321,27 @@ class _Pass:
     takes no matrix: it advances A and returns it (SPG returns None
     instead once no rise can be verified), and applies the pass's stop
     rule, whose verdict `converged` holds.  `kkt` is the KKT residual at
-    A."""
+    A.
+
+    inverse() is the stack W = inv(A + H) at the iterate the pass holds.
+    Every gradient, KKT residual and objective a pass takes is a fold of
+    it, so it is made once per iterate: by one stacked inv of the pass's
+    own A + H buffer when first asked for at that A."""
 
     def __init__(self, A: np.ndarray, H: np.ndarray, w: tuple[float, ...],
                  decompose=None):
         self.H = H
         self.w = w
+        self.AH = np.empty(H.shape)
         self.A, self.e0 = check_box(A, H.shape[-1], decompose)
+        # the iterate W was taken at: a pass sets A to a new array each step
+        self._WA = None
+
+    def inverse(self) -> np.ndarray:
+        if self._WA is not self.A:
+            self._W = inv(np.add(self.A, self.H, out=self.AH))
+            self._WA = self.A
+        return self._W
 
 
 class _Spg(_Pass):
@@ -321,8 +353,9 @@ class _Spg(_Pass):
     slices of an EGBA block.  Holds, for the iterate A, the objective f,
     the gradient G, the Armijo factors Li, the KKT residual and the
     projected point P of the next step, with the Barzilai-Borwein step
-    length it was taken at.  Each iterate is factored once (_factor), and
-    the start's factors give f, logdet(A + H_i) = -2 sum log diag Li_i (a
+    length it was taken at.  Each iterate is factored once (_factor: the
+    pass's inverse W and one Cholesky of it), and the start's factors
+    give f through _objective, as solve_private's GBA record takes it (a
     start with A + H_i not PD raises NumericalBreakdownError), to which
     each step adds its rise.  Each iterate is projected once: the start by
     one project_box of A + G, which at the start's step length 1 is both
@@ -349,16 +382,11 @@ class _Spg(_Pass):
         self.alpha = 1.0
         # |w_i|, which weigh each step's rounding bound
         self.aw = [abs(wi) for wi in w]
-        # the stacks A + H of _factor and (A + G, A + alpha G) of
-        # _project, the latter with views of its halves
-        self.AH = np.empty(H.shape)
+        # the stack (A + G, A + alpha G) of _project, with views of its halves
         self.AG = np.empty((2,) + A.shape)
         self.AG0, self.AG1 = self.AG
-        self.G, self.Li = self._factor(A)
-        if self.Li is None:
-            raise NumericalBreakdownError("iterate lost positive definiteness")
-        self.f = -2.0 * weighted(w, np.log(np.diagonal(self.Li, axis1=1, axis2=2))
-                                 .sum(axis=1).tolist())
+        self.G, self.Li = self._factor()
+        self.f = _objective(self.Li, w)
         self.P = project_box(A + self.G)
         self.kkt = _fro(A - self.P)
 
@@ -366,18 +394,12 @@ class _Spg(_Pass):
     def converged(self) -> bool:
         return self.kkt <= self.rel_tol
 
-    def _factor(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The gradient at A, as _gradient takes it, and the Armijo
-        factors Li = C^T, C C^T = inv(A + H), from one stacked inv and
-        one Cholesky of its result.  Li is None when the Cholesky fails;
-        the next step raises then, so a stop at A still reports."""
-        W = inv(np.add(A, self.H, out=self.AH))
-        G = weighted(self.w, W)
-        try:
-            Li = _lapack.cholesky(W).transpose(0, 2, 1)
-        except np.linalg.LinAlgError:
-            Li = None
-        return (G + G.T) / 2.0, Li
+    def _factor(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The gradient at A and the Armijo factors Li = C^T, C C^T = W,
+        from W and one Cholesky of it.  Li is None when the Cholesky
+        fails; the next step raises then, so a stop at A still reports."""
+        W = self.inverse()
+        return _fold(self.w, W), _factors(W)
 
     def _project(self, A: np.ndarray) -> None:
         """The KKT residual at A, as _kkt takes it, and the next step's
@@ -413,15 +435,14 @@ class _Spg(_Pass):
                 return None
         # BB step <s, s> / <s, -y> for ascent, s = An - A, y = Gn - G
         s = t * D
-        An = A + s
-        Gn, self.Li = self._factor(An)
+        self.A = An = A + s
+        Gn, self.Li = self._factor()
         curv = -float(np.vdot(s, Gn - G))
         self.alpha = (min(max(float(np.vdot(s, s)) / curv, _BB_MIN), _BB_MAX)
                       if curv > 0.0 else _BB_MAX)
         self.f += change
         self.G = Gn
         self._project(An)
-        self.A = An
         return An
 
 
@@ -449,6 +470,11 @@ class FixedPoint(_Pass):
     eigenvalue of exactly 0 raises NumericalBreakdownError, and for
     GBA-A so does any outside the open interval (0, 1), which check_box's
     slack admits: GBA-A's barrier changes sign across each face.
+
+    The map's gradient (weights w/kappa) and the KKT residual's (weights
+    w) are both folds of the pass's inverse W at A, so s steps and the
+    closing `kkt` invert s + 1 stacks; solve_private's objective record
+    reads the same W and adds one Cholesky of it per iterate.
 
     Each step tests the relative step.  With `spectral` (GBA-P, GBA-A)
     it compares the spectral norm of An - A with thr = tol times A's
@@ -501,11 +527,11 @@ class FixedPoint(_Pass):
 
     @property
     def kkt(self) -> float:
-        return _kkt(self.A, _gradient(self.A, self.H, self.w))
+        return _kkt(self.A, _fold(self.w, self.inverse()))
 
     def step(self) -> np.ndarray:
         A = self.A
-        An, self.pairs = _fixed_point(self.pairs, _gradient(A, self.H, self.wk), self.lam)
+        An, self.pairs = _fixed_point(self.pairs, _fold(self.wk, self.inverse()), self.lam)
         if self.spectral:
             lo, hi = self.span
             thr = self.tol * max(abs(lo), abs(hi))
@@ -622,8 +648,9 @@ def solve_private(inst: PrivateInstance, opts: SolveOptions = SolveOptions()) ->
                         spectral=True)
 
         def watch(An):
-            # the step made the eigenvalues
-            return (_fast_objective(An, H, w),) + ps.span
+            # the step made the eigenvalues; the objective is taken from
+            # the inverse the next step (or the KKT residual) folds
+            return (_objective(_factors(ps.inverse()), w),) + ps.span
 
         start = watch(ps.A)
     A, steps, stop, kkt, trace = run_pass(lambda ps: ps.step(), ps,

@@ -186,8 +186,19 @@ def test_random_instance_takes_numpy_integer_seeds():
     assert np.array_equal(a.K, b.K) and a.lam == b.lam
 
 
-@pytest.mark.parametrize("kwargs,match", [(dict(n=0), "n must be"),
-                                          (dict(n=3, rank=0), "rank must be")])
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(n=0), "n must be"),
+    (dict(n=3, rank=0), "rank must be"),
+    # a rank above n once fell through to the full-rank ensemble
+    (dict(n=2, rank=5), "rank must be a whole number from 1 to n = 2, got 5"),
+])
 def test_random_instance_rejects_bad_sizes(kwargs, match):
     with pytest.raises(InvalidInputError, match=match):
         random_instance(seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["private", "common"])
+def test_random_instance_rank_n_is_the_full_rank_ensemble(kind):
+    full, ranked = random_instance(3, 4, kind), random_instance(3, 4, kind, rank=3)
+    for name in ("K" if kind == "private" else "K_C", "Sigma1", "Sigma2"):
+        assert np.array_equal(getattr(full, name), getattr(ranked, name))

@@ -19,7 +19,7 @@ from gbc import (
     reduce,
     solve_private,
 )
-from gbc import _lapack, private
+from gbc import _lapack, common, private
 from gbc.errors import InvalidInputError, NumericalBreakdownError
 from gbc.common import kv_subproblem_step
 from gbc.private import FixedPoint, gba_a_step, root_in_unit_interval
@@ -328,9 +328,10 @@ def test_gba_a_boundary_start_is_an_error(kind):
 
 @pytest.mark.parametrize("call,match", [
     (lambda: private.inv(np.zeros((2, 2))), "matrix inverse failed"),
-    # A + H_2 = diag(-0.5, 0.5) has a negative determinant
-    (lambda: private._fast_objective(
-        0.5 * np.eye(2), np.stack((np.eye(2), np.diag([-1.0, 0.0]))), (1.0, -2.0)),
+    # A + H_2 = diag(-0.5, 0.5) has a negative determinant, so the
+    # Cholesky of its inverse fails
+    (lambda: private._objective(private._factors(private.inv(
+        0.5 * np.eye(2) + np.stack((np.eye(2), np.diag([-1.0, 0.0]))))), (1.0, -2.0)),
      "iterate lost positive definiteness"),
 ], ids=["singular-inverse", "objective-off-the-pd-cone"])
 def test_linear_algebra_failures_are_breakdowns(call, match):
@@ -500,6 +501,91 @@ def test_eigvalsh_calls_per_step(algo, monkeypatch):
     else:
         assert (rep.iterations, rep.converged) == (100, False)
         assert seen == {"step": [], "record": []}
+
+
+def _count_factorizations(monkeypatch):
+    """The stacked inverses (through gbc.private.inv) and Cholesky
+    factorizations (through gbc._lapack) of every later call."""
+    inverted, factored = [], []
+
+    def wrap(fn, seen):
+        def call(M):
+            seen.append(np.shape(M))
+            return fn(M)
+        return call
+
+    monkeypatch.setattr(private, "inv", wrap(private.inv, inverted))
+    monkeypatch.setattr(_lapack, "cholesky", wrap(_lapack.cholesky, factored))
+    return inverted, factored
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])
+def test_gba_solve_inverts_each_iterate_once(algo, monkeypatch):
+    """A capped GBA-P or GBA-A solve of s steps inverts the stack A + H of
+    each of its s + 1 iterates once and takes one Cholesky of each
+    inverse: the step from an iterate, its objective record and the
+    final KKT residual share them, and reading kkt again adds neither."""
+    passes = []
+    run_pass = private.run_pass
+    monkeypatch.setattr(private, "run_pass", lambda step, ps, cap, watch: run_pass(
+        step, passes.append(ps) or ps, cap, watch))
+    inverted, factored = _count_factorizations(monkeypatch)
+    s = 7
+    rep = solve_private(random_instance(4, 3), SolveOptions(algorithm=algo, max_iters=s))
+    assert (rep.iterations, rep.converged) == (s, False)
+    assert inverted == factored == [(2, 4, 4)] * (s + 1)
+    assert passes[0].kkt == rep.kkt_residual
+    assert len(inverted) == len(factored) == s + 1
+
+
+def test_egba_block_takes_no_cholesky(monkeypatch):
+    """An EGBA-P block pass of c steps inverts its stack once per step
+    and once more for its KKT residual, and never takes a Cholesky."""
+    blocks = []
+    run_pass = common.run_pass
+
+    def counted(step, ps, cap, watch=None):
+        start = len(inverted)
+        out = run_pass(step, ps, cap, watch)
+        blocks.append((out[1], inverted[start:], ps.H.shape))
+        return out
+
+    monkeypatch.setattr(common, "run_pass", counted)
+    inverted, factored = _count_factorizations(monkeypatch)
+    common.solve_common(random_instance(3, 0, "common"),
+                        SolveOptions(algorithm=Algorithm.GBA_P, rel_tol=3e-2, max_iters=5))
+    assert len(blocks) >= 2 and factored == []
+    for steps, seen, shape in blocks:
+        assert steps > 0 and seen == [shape] * (steps + 1)
+
+
+@pytest.mark.parametrize("algo", [Algorithm.GBA_P, Algorithm.GBA_A])
+@pytest.mark.parametrize("n,seed,rank", [(1, 0, None), (4, 2, None), (6, 5, 3),
+                                         (12, 13, None)])
+def test_gba_objective_trace_is_the_log_determinants(algo, n, seed, rank, monkeypatch):
+    """Every GBA objective_trace entry, taken from the Cholesky factors of
+    the inverse the step folds, is logdet(A + SigmaHat1) - lam
+    logdet(A + SigmaHat2) at that iterate by np.linalg.slogdet, plus
+    the reduction's offset, to 1e-12 of the terms' magnitude."""
+    iterates = []
+    step = private.FixedPoint.step
+
+    def recording_step(self):
+        if not iterates:
+            iterates.append(self.A)
+        iterates.append(step(self))
+        return iterates[-1]
+
+    monkeypatch.setattr(private.FixedPoint, "step", recording_step)
+    inst = random_instance(n, seed, rank=rank)
+    rep = solve_private(inst, SolveOptions(algorithm=algo, max_iters=30))
+    red = reduce(inst)
+    assert len(iterates) == len(rep.objective_trace) == rep.iterations + 1
+    for A, got in zip(iterates, rep.objective_trace):
+        (s1, ld1), (s2, ld2) = (np.linalg.slogdet(A + Hi) for Hi in red.H)
+        assert s1 == s2 == 1.0
+        want = ld1 - red.lam * ld2 + red.offset
+        assert abs(got - want) <= 1e-12 * (abs(ld1) + red.lam * abs(ld2) + abs(red.offset))
 
 
 @pytest.mark.parametrize("algo", list(Algorithm))

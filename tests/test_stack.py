@@ -298,7 +298,8 @@ def test_spg_iterates_equal_the_per_matrix_formulas(H, w):
 
 def test_spg_start_off_the_pd_cone_is_a_breakdown():
     """A start with A + H_i invertible but not positive definite has no
-    objective: building the pass raises, as the objective's slogdet did."""
+    objective: building the pass raises, as solve_private's GBA record
+    does."""
     H = np.stack((np.eye(2), -np.eye(2)))
     with pytest.raises(NumericalBreakdownError, match="lost positive definiteness"):
         _Spg(0.5 * np.eye(2), H, (1.0, -2.0), 1e-8)

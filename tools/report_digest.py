@@ -2,11 +2,18 @@
 
     python3 tools/report_digest.py                          # ./src
     PYTHONPATH=OTHER/src python3 tools/report_digest.py     # another tree
+    python3 tools/report_digest.py --fields > fields.txt    # every field
 
 A change meant to keep every answer bit for bit prints the same digest
-before and after it.  The digest covers every field of every report
-except elapsed_seconds (arrays by shape, dtype and bytes, floats by
-their bits, warnings and error messages by text) for this panel:
+before and after it.  With --fields the tool prints, in place of the
+digests, one line per field the digest covers: section, item index,
+field path and the value's exact repr (a float's shortest round-trip
+repr, one line per array element and per line of text).  So `diff` of
+two trees' outputs names every field that moved, with both values.
+
+The digest covers every field of every report except elapsed_seconds
+(arrays by shape, dtype and bytes, floats by their bits, warnings and
+error messages by text) for this panel:
 
 - private solves at n = 1..5, full-rank and rank-deficient constraints,
   seeds 0 and 1, with SPG, GBA-P and GBA-A under three option sets;
@@ -126,6 +133,31 @@ def feed(h, obj) -> None:
         h.update(b"N")
     else:
         raise TypeError(f"cannot hash {type(obj).__name__}")
+
+
+def fields(obj, path: str = ""):
+    """(path, exact repr) of every value feed hashes in obj, in feed's
+    order: array shapes and each element, a text's lines one by one."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name != "elapsed_seconds":
+                yield from fields(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, np.ndarray):
+        yield path, f"array {obj.dtype.str} {obj.shape}"
+        for idx in np.ndindex(obj.shape):
+            yield f"{path}{list(idx)}", repr(obj[idx].item())
+    elif isinstance(obj, str) and "\n" in obj:
+        for i, line in enumerate(obj.split("\n")):
+            yield f"{path}<line {i}>", repr(line)
+    elif isinstance(obj, (tuple, list)):
+        yield path, f"{type(obj).__name__} of {len(obj)}"
+        for i, item in enumerate(obj):
+            yield from fields(item, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from fields(obj[key], f"{path}[{key!r}]")
+    else:
+        yield path, repr(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def outcome(fn, *args):
@@ -281,8 +313,17 @@ SECTIONS = (
 )
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     print(f"gbc from {Path(gbc.__file__).parent}", file=sys.stderr)
+    if argv == ["--fields"]:
+        for name, section in SECTIONS:
+            for i, (_, item) in enumerate(section()):
+                for path, value in fields(item):
+                    print(f"{name} {i} {path or '.'} {value}")
+        return 0
+    if argv:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
     total = hashlib.sha256()
     for name, section in SECTIONS:
         h = hashlib.sha256()
@@ -306,4 +347,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
